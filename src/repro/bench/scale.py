@@ -25,18 +25,18 @@ The gates, recorded with their inputs in the report:
 
 - *sublinearity*: for wall, allocation peak, and sites considered, the
   demand strategy's small→mega growth factor must stay below the
-  global strategy's times a safety fraction (timing gates can be
-  disabled for noisy hosts; the sites gate is deterministic and always
-  on).
+  global strategy's times a safety fraction (the sites gate is
+  deterministic; the wall and peak gates need tiers far enough apart
+  for timing ratios to be signal, as in the CI ``scale-smoke`` job).
 - *cycles parity*: on the real suite workloads (compress/sc/vortex by
   default) a demand build's achieved simulated cycles must stay within
   ``MAX_PARITY_RATIO`` of the global build's — scaling must not cost
   performance where it matters.
 
-``repro bench-scale`` wires this up with ``--merge-into`` so the
-``scale`` section lands in ``BENCH_smoke.json`` (schema v8) next to
-the smoke measurements, and ``--summary-out`` renders the per-strategy
-table for ``$GITHUB_STEP_SUMMARY``.
+``repro bench-scale`` wires this up: ``--output`` writes the report
+(``repro.obs.validate.validate_scale`` checks its schema) and
+``--summary-out`` renders the per-strategy table for
+``$GITHUB_STEP_SUMMARY``.
 """
 
 from __future__ import annotations
@@ -184,9 +184,8 @@ def run_scale(
     extern_window: int = DEFAULT_EXTERN_WINDOW,
     seed: int = SCALE_SEED,
     parity_workloads: Sequence[str] = DEFAULT_PARITY_WORKLOADS,
-    gate_timing: bool = True,
 ) -> Tuple[dict, List[str]]:
-    """The full scaling measurement; returns (scale section, failures)."""
+    """The full scaling measurement; returns (report, failures)."""
     failures: List[str] = []
     tiers = {
         "small": _measure_tier(small_modules, funcs_per_module,
@@ -226,14 +225,14 @@ def run_scale(
                 ratios["sites_growth_ratio"], MAX_SITES_GROWTH_FRACTION
             )
         )
-    if gate_timing and not gates["wall_sublinear"]:
+    if not gates["wall_sublinear"]:
         failures.append(
             "scale: demand strategy-wall growth ratio {:.3f} not below "
             "{:.2f} of global's".format(
                 ratios["wall_growth_ratio"], MAX_WALL_GROWTH_FRACTION
             )
         )
-    if gate_timing and not gates["peak_sublinear"]:
+    if not gates["peak_sublinear"]:
         failures.append(
             "scale: demand allocation-peak growth ratio {:.3f} not below "
             "{:.2f} of global's".format(
@@ -264,7 +263,6 @@ def run_scale(
         "ratios": ratios,
         "parity": parity,
         "gates": gates,
-        "timing_gated": gate_timing,
         "limits": {
             "max_wall_growth_fraction": MAX_WALL_GROWTH_FRACTION,
             "max_peak_growth_fraction": MAX_PEAK_GROWTH_FRACTION,
@@ -276,7 +274,7 @@ def run_scale(
 
 
 def step_summary(section: dict, failures: Sequence[str]) -> str:
-    """A GitHub step-summary Markdown view of one scale section."""
+    """A GitHub step-summary Markdown view of one scale report."""
     tiers = section.get("tiers", {})
     lines = [
         "## Bench scale ({}x module growth, window {})".format(
@@ -350,14 +348,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                         default=",".join(DEFAULT_PARITY_WORKLOADS),
                         help="comma-separated suite workloads for the "
                         "cycles-parity gate")
-    parser.add_argument("--no-timing-gates", action="store_true",
-                        help="record wall/peak growth but gate only the "
-                        "deterministic sites ratio and cycles parity")
     parser.add_argument("--output", metavar="FILE",
-                        help="write the scale section as JSON here")
-    parser.add_argument("--merge-into", metavar="FILE",
-                        help="merge the scale section into an existing "
-                        "BENCH_smoke.json report")
+                        help="write the scale report as JSON here")
     parser.add_argument("--summary-out", metavar="FILE",
                         help="append a Markdown summary table here "
                         "(point at $GITHUB_STEP_SUMMARY in CI)")
@@ -371,7 +363,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         extern_window=args.window,
         seed=args.seed,
         parity_workloads=names,
-        gate_timing=not args.no_timing_gates,
     )
 
     if args.output:
@@ -379,14 +370,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             json.dump(section, handle, indent=2, sort_keys=True)
             handle.write("\n")
         print("wrote", args.output)
-    if args.merge_into:
-        with open(args.merge_into) as handle:
-            report = json.load(handle)
-        report["scale"] = section
-        with open(args.merge_into, "w") as handle:
-            json.dump(report, handle, indent=2, sort_keys=True)
-            handle.write("\n")
-        print("merged scale section into", args.merge_into)
     if args.summary_out:
         with open(args.summary_out, "a") as handle:
             handle.write(step_summary(section, failures))

@@ -14,12 +14,13 @@ contention actually happens:
    LRU.  These are the cold-build latencies.
 2. **warm rebuild** — every client asks again.  All of these should be
    LRU hits; their latencies are the warm-rebuild distribution the
-   smoke gate watches.
+   warm-path gate watches.
 3. **mixed** — every client issues a ``run`` request and a *variant*
    build (a distinct budget per client group), cold keys mid-run like
    a real fleet's config drift.
 
-Gates (also enforced when this runs inside ``repro.bench.smoke``):
+Gates (the CI ``serve-smoke`` job runs them with 200 clients against
+a real ``repro serve`` process, on compress, sc and vortex):
 identical in-flight builds deduped (``dedupe_hits`` counter-asserted),
 zero failed requests, warm-rebuild p95 under the cold-build p50, and
 byte-identical artifacts vs a cold CLI build of the same module set.

@@ -18,11 +18,6 @@ isoms, and the host wall time.  On top of that it measures:
   tracing hot path that grows expensive shows up in CI.  With
   ``--trace-out`` / ``--metrics-out`` the instrumented pass also writes
   its artifacts for upload;
-- **sampled-vs-exact decision overlap** — each workload is built with
-  the exact instrumented profile and again with the sampling profiler
-  (``repro.sampling``, rate 1/100); the Jaccard overlap of the two
-  builds' inline/clone decision sets must stay ≥ 90%, the empirical
-  backing for sampled PGO being a drop-in replacement;
 - **interpreter engine speedup** — each workload runs sink-free under
   all three engines (reference loop, pre-decoded fast engine,
   source-emitting codegen engine), one untimed warmup then best-of-N
@@ -30,19 +25,11 @@ isoms, and the host wall time.  On top of that it measures:
   stay ≥ 2× the reference and codegen ≥ 2× fast on every workload —
   the acceptance bars each engine shipped against.
   ``interp.steps_per_sec`` and the plan-cache counters land in the
-  report on the canonical ``interp.*`` metric names;
-- **runtime-observer zero cost** — each workload runs sink-free and
-  again with a constructed-but-disabled runtime profiler attached; the
-  disabled profiler negotiates every callback off, so the walls must
-  agree to within 2% (gated in-run).  One workload also runs with the
-  profiler *enabled* under all three engines and the flamegraph
-  weights must be identical;
-- **fleet convergence** — each workload runs the continuous-profiling
-  loop under the canonical seeded fault matrix (transit faults, torn
-  WAL tail, mid-swap crash, injected canary trap, flapping instance)
-  and must converge to the exact-profile inline/clone decisions
-  (Jaccard 1.0) without ever serving a rolled-back build; rollback and
-  quarantine counts land in the report.
+  report on the canonical ``interp.*`` metric names.
+
+Every other gate (sampled decisions, runtime observer, fleet, serve,
+scale) has one owner elsewhere: a tier-1 test or a dedicated CI job
+(docs/performance.md, "Where each gate runs").
 
 ``--check --baseline benchmarks/baseline.json`` turns the run into a
 regression gate: ``compile_units`` or ``cycles`` more than 15% above
@@ -69,35 +56,13 @@ import tempfile
 import time
 from typing import List, Optional, Sequence, Tuple
 
-SCHEMA_VERSION = 8
+SCHEMA_VERSION = 9
 DEFAULT_WORKLOADS = ("compress", "sc", "vortex")
 DEFAULT_SCOPE = "cp"
 REGRESSION_THRESHOLD = 0.15
-SAMPLING_RATE = 100
-MIN_DECISION_OVERLAP = 0.9
 MIN_INTERP_SPEEDUP = 2.0
 MIN_CODEGEN_SPEEDUP = 2.0
 INTERP_REPEATS = 5
-FLEET_ROUNDS = 10
-FLEET_SEED = 7
-FLEET_FAULT_RATE = 0.25
-MIN_FLEET_JACCARD = 1.0
-# Runtime-observer zero-cost gate: a run with a *disabled* profiler
-# attached negotiates the same zero-callback plans as sink=None, so
-# its wall must stay within 2% of the truly unobserved run.
-MAX_RUNTIME_OVERHEAD = 1.02
-RUNTIME_FLAME_RATE = 20
-RUNTIME_FLAME_SEED = 7
-# Serve slice: enough clients for a real stampede on each workload's
-# build key without dominating the smoke wall clock.
-SERVE_CLIENTS = 16
-# Scale slice: a reduced module ladder for the compile-scaling section
-# (the CI scale-smoke job runs the full-size ladder via bench.scale).
-# Timing gates stay off here — the deterministic sites-sublinearity and
-# cycles-parity gates are the portable signal at this tier.
-SCALE_SMALL_MODULES = 10
-SCALE_MEGA_MODULES = 60
-SCALE_PARITY_WORKLOADS = ("compress",)
 
 
 def _build_one(item: Tuple[str, str]) -> Tuple[str, dict]:
@@ -225,64 +190,6 @@ def _measure_observability(
     }
 
 
-def _decision_set(report) -> set:
-    """The identity of every transform HLO performed in one build."""
-    return {
-        (event.kind, event.caller, event.callee, event.site_id)
-        for event in report.events
-    }
-
-
-def _measure_sampling(
-    names: Sequence[str], scope: str, rate: int = SAMPLING_RATE
-) -> dict:
-    """Sampled-vs-exact feedback: do the *decisions* converge?
-
-    Each workload is built twice at the profile-fed scope — once with
-    the exact instrumented profile, once with the sampling profiler at
-    1/``rate`` — and the two builds' inline/clone decision sets are
-    compared (Jaccard overlap).  Sampling claims the cheap profile
-    steers the optimizer to the same place; this section is where that
-    claim is measured on every CI run.
-    """
-    from ..linker.toolchain import Toolchain
-    from ..workloads.suite import get_workload
-
-    per = {}
-    for name in names:
-        workload = get_workload(name)
-        train_inputs = [list(t) for t in workload.train_inputs]
-        exact = Toolchain(
-            list(workload.sources), train_inputs=train_inputs, jobs=1
-        ).build(scope)
-        sampled = Toolchain(
-            list(workload.sources), train_inputs=train_inputs, jobs=1,
-            sample_rate=rate,
-        ).build(scope)
-        exact_set = _decision_set(exact.report)
-        sampled_set = _decision_set(sampled.report)
-        union = exact_set | sampled_set
-        overlap = len(exact_set & sampled_set) / len(union) if union else 1.0
-        per[name] = {
-            "overlap": round(overlap, 4),
-            "exact_decisions": len(exact_set),
-            "sampled_decisions": len(sampled_set),
-            "confidence": round(
-                sampled.profile.overall_confidence(), 4
-            ) if sampled.profile is not None else 0.0,
-        }
-    mean = (
-        sum(entry["overlap"] for entry in per.values()) / len(per)
-        if per else 1.0
-    )
-    return {
-        "rate": rate,
-        "min_overlap": MIN_DECISION_OVERLAP,
-        "mean_overlap": round(mean, 4),
-        "workloads": per,
-    }
-
-
 def _measure_interp(
     names: Sequence[str], repeats: int = INTERP_REPEATS
 ) -> dict:
@@ -383,218 +290,6 @@ def _measure_interp(
     }
 
 
-def _measure_runtime(
-    names: Sequence[str], repeats: int = INTERP_REPEATS
-) -> dict:
-    """The runtime observer's two promises, measured every CI run.
-
-    **Zero-cost when off**: each workload runs on the fast engine with
-    ``sink=None`` and again with a constructed-but-*disabled*
-    :class:`~repro.obs.runtime.RuntimeProfiler` attached.  The disabled
-    profiler negotiates every capability off, so the engines build the
-    same zero-callback plans and the cross-workload mean of the two
-    walls' ratio must stay within ``MAX_RUNTIME_OVERHEAD`` (best-of-N
-    interleaved, same discipline as the engine-speedup timing — the
-    ratio is same-host so it gates in-run).
-
-    **Engine independence**: the first workload also runs with an
-    *enabled* profiler (fixed rate/seed) under all three engines; the
-    weighted stacks must be identical, the empirical backing for a
-    flamegraph being a property of the execution rather than of the
-    engine that ran it.
-    """
-    import gc
-
-    from ..interp.interpreter import run_program
-    from ..obs.runtime import RuntimeProfiler
-    from ..workloads.suite import get_workload
-
-    per = {}
-    programs = {}
-    for name in names:
-        workload = get_workload(name)
-        program = programs[name] = workload.compile()
-        # Untimed warmups: plan compilation for both sink modes.
-        run_program(program, workload.ref_input, engine="fast")
-        run_program(
-            program, workload.ref_input,
-            sink=RuntimeProfiler(enabled=False), engine="fast",
-        )
-        # A single guest run is a few tens of milliseconds — too short
-        # for a 2% gate against scheduler noise.  Each timed sample is
-        # therefore a burst of runs, and the gate compares best-of-N
-        # bursts (never fewer than 5, whatever --repeat says).
-        burst = 3
-        # One reusable disabled profiler: it never receives a callback,
-        # so it carries no state between runs — and constructing one
-        # (a seeded random.Random) must not be charged to the guest.
-        disabled = RuntimeProfiler(enabled=False)
-        walls = {"off": None, "attached": None}
-        gc_was_enabled = gc.isenabled()
-        gc.disable()
-        try:
-            for _ in range(max(repeats, 5)):
-                for key, sink in (("off", None), ("attached", disabled)):
-                    started = time.perf_counter()
-                    for _run in range(burst):
-                        run_program(
-                            program, workload.ref_input, sink=sink,
-                            engine="fast",
-                        )
-                    wall = time.perf_counter() - started
-                    best = walls[key]
-                    walls[key] = wall if best is None else min(best, wall)
-                gc.collect()
-        finally:
-            if gc_was_enabled:
-                gc.enable()
-        ratio = (
-            walls["attached"] / walls["off"] if walls["off"] else 0.0
-        )
-        per[name] = {
-            "off_wall_s": round(walls["off"], 4),
-            "attached_wall_s": round(walls["attached"], 4),
-            "overhead_ratio": round(ratio, 4),
-        }
-
-    # Cross-engine flamegraph equality on the first workload.
-    first = names[0]
-    workload = get_workload(first)
-    observed = []
-    for engine in ("reference", "fast", "codegen"):
-        profiler = RuntimeProfiler(
-            rate=RUNTIME_FLAME_RATE, seed=RUNTIME_FLAME_SEED
-        )
-        run_program(
-            programs[first], workload.ref_input, sink=profiler, engine=engine
-        )
-        observed.append(
-            (profiler.samples, profiler.events, tuple(profiler.weighted_stacks()))
-        )
-    engines_consistent = all(entry == observed[0] for entry in observed[1:])
-    samples, events, stacks = observed[0]
-
-    ratios = [entry["overhead_ratio"] for entry in per.values()]
-    return {
-        "max_overhead": MAX_RUNTIME_OVERHEAD,
-        "overhead_ratio": round(sum(ratios) / len(ratios), 4) if ratios else 0.0,
-        "flame_rate": RUNTIME_FLAME_RATE,
-        "flame_seed": RUNTIME_FLAME_SEED,
-        "flame_workload": first,
-        "samples": samples,
-        "events": events,
-        "contexts": len(stacks),
-        "engines_consistent": engines_consistent,
-        "repeats": repeats,
-        "workloads": per,
-    }
-
-
-def _measure_fleet(
-    names: Sequence[str],
-    rounds: int = FLEET_ROUNDS,
-    seed: int = FLEET_SEED,
-) -> dict:
-    """The continuous-profiling loop under the canonical fault matrix.
-
-    Every workload runs the full fleet loop — sampled shards over a
-    faulty transport (every transit fault at 25%), a torn WAL tail, a
-    mid-swap collector crash, an injected canary trap on the first
-    rebuild, and a flapping instance — and must still converge to the
-    exact-profile inline/clone decisions (Jaccard 1.0) without ever
-    serving a rolled-back build.  The same scenario gates the CI
-    ``fleet-smoke`` job via ``repro fleet run --assert-convergence``.
-    """
-    from ..fleet import FleetConfig, FleetLoop
-    from ..resilience.faults import SHARD_FAULTS, FaultInjector
-    from ..workloads.suite import get_workload
-
-    per = {}
-    for name in names:
-        workload = get_workload(name)
-        injector = FaultInjector(
-            seed=seed,
-            shard_faults=SHARD_FAULTS,
-            shard_fault_rate=FLEET_FAULT_RATE,
-            wal_tail_rounds=(3,),
-            kill_mid_swap_epochs=(1,),
-            canary_trap_epochs=(1,),
-            flap_sources=("inst0",),
-        )
-        loop = FleetLoop(
-            list(workload.sources),
-            [list(t) for t in workload.train_inputs],
-            list(workload.ref_input),
-            config=FleetConfig(rounds=rounds, seed=seed),
-            injector=injector,
-        )
-        report = loop.run()
-        per[name] = {
-            "jaccard": report.convergence_jaccard,
-            "rebuilds": report.rebuilds,
-            "rollbacks": report.rollbacks,
-            "swaps": report.swaps,
-            "quarantined_epochs": len(report.quarantined_epochs),
-            "served_rolled_back": len(
-                set(report.served_builds) & set(report.rolled_back)
-            ),
-            "wal_truncations": report.wal_truncations,
-            "wall_s": round(report.wall_s, 4),
-        }
-    jaccards = [entry["jaccard"] for entry in per.values()]
-    return {
-        "rounds": rounds,
-        "seed": seed,
-        "fault_rate": FLEET_FAULT_RATE,
-        "min_jaccard": MIN_FLEET_JACCARD,
-        "mean_jaccard": round(sum(jaccards) / len(jaccards), 4)
-        if jaccards else 1.0,
-        "workloads": per,
-    }
-
-
-def _measure_serve(
-    names: Sequence[str],
-    scope: str = "c",
-    clients: int = SERVE_CLIENTS,
-) -> Tuple[dict, List[str]]:
-    """The build daemon under a small load-generator slice.
-
-    Spins an in-process :class:`~repro.serve.server.ReproServer`, runs
-    the three-phase bench traffic (stampede, warm rebuild, mixed
-    run/variant) with a reduced client count, and returns the serve
-    report plus its own gate failures: zero errors, in-flight dedupe
-    observed, warm-rebuild p95 under cold-build p50, and daemon
-    artifacts byte-identical to a cold CLI build.  The CI
-    ``serve-smoke`` job runs the full-size version of this against a
-    real ``repro serve`` process.
-    """
-    from .serve import run_serve_bench
-
-    # Gate failures from the bench already carry the "serve:" prefix.
-    return run_serve_bench(clients=clients, workloads=tuple(names), scope=scope)
-
-
-def _measure_scale() -> Tuple[dict, List[str]]:
-    """The compile-scaling section at smoke-sized tiers.
-
-    Delegates to :mod:`repro.bench.scale` with a reduced module ladder
-    and a single parity workload; only the deterministic gates (demand
-    considers sublinearly many sites vs global; cycles parity) run —
-    wall/RSS sublinearity is gated by the full-size CI job, where the
-    tiers are far enough apart for timing ratios to be signal.
-    """
-    from .scale import run_scale
-
-    # Gate failures from the bench already carry the "scale:" prefix.
-    return run_scale(
-        small_modules=SCALE_SMALL_MODULES,
-        mega_modules=SCALE_MEGA_MODULES,
-        parity_workloads=SCALE_PARITY_WORKLOADS,
-        gate_timing=False,
-    )
-
-
 def run_smoke(
     names: Sequence[str] = DEFAULT_WORKLOADS,
     scope: str = DEFAULT_SCOPE,
@@ -625,17 +320,6 @@ def run_smoke(
         names, scope, trace_out=trace_out, metrics_out=metrics_out
     )
 
-    sampling = _measure_sampling(names, scope)
-    for name, entry in sampling["workloads"].items():
-        if entry["overlap"] < MIN_DECISION_OVERLAP:
-            failures.append(
-                "sampling: {} decision overlap {:.2f} below {:.2f} "
-                "(rate 1/{})".format(
-                    name, entry["overlap"], MIN_DECISION_OVERLAP,
-                    sampling["rate"],
-                )
-            )
-
     interp = _measure_interp(names, repeats=repeats)
     for name, entry in interp["workloads"].items():
         if entry["speedup"] < MIN_INTERP_SPEEDUP:
@@ -650,49 +334,6 @@ def run_smoke(
                     name, entry["codegen_speedup"], MIN_CODEGEN_SPEEDUP
                 )
             )
-
-    runtime = _measure_runtime(names, repeats=repeats)
-    # Gate the cross-workload mean: the disabled profiler runs the
-    # byte-identical engine plan (asserted structurally in the engine
-    # matrix tests), so per-workload sub-second walls only measure
-    # scheduler noise — the mean is the signal.
-    if runtime["overhead_ratio"] > MAX_RUNTIME_OVERHEAD:
-        failures.append(
-            "runtime: disabled-observer overhead x{:.3f} above the "
-            "x{:.2f} ceiling (zero-cost-when-off broken)".format(
-                runtime["overhead_ratio"], MAX_RUNTIME_OVERHEAD
-            )
-        )
-    if not runtime["engines_consistent"]:
-        failures.append(
-            "runtime: flamegraph weights differ across engines on {} "
-            "(rate 1/{}, seed {})".format(
-                runtime["flame_workload"], runtime["flame_rate"],
-                runtime["flame_seed"],
-            )
-        )
-
-    fleet = _measure_fleet(names)
-    for name, entry in fleet["workloads"].items():
-        if entry["jaccard"] < MIN_FLEET_JACCARD:
-            failures.append(
-                "fleet: {} converged to jaccard {} under the fault "
-                "matrix, expected {}".format(
-                    name, entry["jaccard"], MIN_FLEET_JACCARD
-                )
-            )
-        if entry["served_rolled_back"]:
-            failures.append(
-                "fleet: {} served {} rolled-back build(s)".format(
-                    name, entry["served_rolled_back"]
-                )
-            )
-
-    serve, serve_failures = _measure_serve(names)
-    failures.extend(serve_failures)
-
-    scale, scale_failures = _measure_scale()
-    failures.extend(scale_failures)
 
     cache = _measure_cache(names, scope)
     if cache["warm_modules_recompiled"] != 0:
@@ -724,12 +365,7 @@ def run_smoke(
         },
         "cache": cache,
         "observability": observability,
-        "sampling": sampling,
         "interp": interp,
-        "runtime": runtime,
-        "fleet": fleet,
-        "serve": serve,
-        "scale": scale,
     }
     return report, failures
 
@@ -786,40 +422,14 @@ def check(
                             threshold * 100,
                         )
                     )
-        if gate_wall_time:
-            before = expected.get("steps_per_sec")
-            after = measured.get("steps_per_sec")
+        if not gate_wall_time:
+            continue
+        for metric in ("steps_per_sec", "codegen_steps_per_sec"):
+            before, after = expected.get(metric), measured.get(metric)
             if before and after and (before - after) / before > threshold:
                 failures.append(
-                    "{}: interp steps_per_sec regressed ({} -> {})".format(
-                        name, before, after
-                    )
-                )
-    # Scale section: both metrics are deterministic (static site counts
-    # and model cycles), so they gate unconditionally like cycles.
-    base_scale = baseline.get("scale", {})
-    measured_scale = report.get("scale", {})
-    if base_scale and measured_scale:
-        before = base_scale.get("sites_growth_ratio")
-        after = measured_scale.get("ratios", {}).get("sites_growth_ratio")
-        if before and after and (after - before) / before > threshold:
-            failures.append(
-                "scale: demand/global sites growth ratio regressed "
-                "{:.1f}% ({} -> {}), limit {:.0f}%".format(
-                    (after - before) / before * 100, before, after,
-                    threshold * 100,
-                )
-            )
-        base_parity = base_scale.get("parity", {})
-        for name, entry in measured_scale.get("parity", {}).items():
-            before = base_parity.get(name)
-            after = entry.get("ratio")
-            if before and after and (after - before) / before > threshold:
-                failures.append(
-                    "scale: {} demand/global cycles parity regressed "
-                    "{:.1f}% ({} -> {}), limit {:.0f}%".format(
-                        name, (after - before) / before * 100, before, after,
-                        threshold * 100,
+                    "{}: interp {} regressed ({} -> {})".format(
+                        name, metric, before, after
                     )
                 )
     return failures
@@ -854,17 +464,6 @@ def baseline_view(report: dict) -> dict:
                 .get("workloads", {}).items()
             },
         },
-        # Deterministic slice of the scale section: the demand/global
-        # static-sites growth ratio and the per-workload cycles parity.
-        "scale": {
-            "sites_growth_ratio": report.get("scale", {})
-            .get("ratios", {}).get("sites_growth_ratio"),
-            "parity": {
-                name: entry["ratio"]
-                for name, entry in report.get("scale", {})
-                .get("parity", {}).items()
-            },
-        },
     }
 
 
@@ -872,8 +471,7 @@ def step_summary(report: dict, failures: Sequence[str]) -> str:
     """A GitHub step-summary Markdown view of one smoke report.
 
     Renders the per-workload engine table (steps/sec under all three
-    engines plus both gated ratios), the sampling overlap, and the
-    fleet convergence Jaccard — the numbers a reviewer needs to judge a
+    engines plus both gated ratios) — the numbers needed to judge a
     bench regression without downloading ``BENCH_smoke.json``.
     """
     interp = report.get("interp", {})
@@ -881,22 +479,18 @@ def step_summary(report: dict, failures: Sequence[str]) -> str:
         "## Bench smoke (schema v{})".format(report.get("schema", "?")),
         "",
         "| workload | reference steps/s | fast steps/s | codegen steps/s "
-        "| fast/ref | codegen/fast | fleet Jaccard |",
-        "|---|---:|---:|---:|---:|---:|---:|",
+        "| fast/ref | codegen/fast |",
+        "|---|---:|---:|---:|---:|---:|",
     ]
-    fleet_workloads = report.get("fleet", {}).get("workloads", {})
     for name, entry in sorted(interp.get("workloads", {}).items()):
-        fleet_entry = fleet_workloads.get(name, {})
         lines.append(
-            "| {} | {:,.0f} | {:,.0f} | {:,.0f} | {:.2f}x | {:.2f}x "
-            "| {} |".format(
+            "| {} | {:,.0f} | {:,.0f} | {:,.0f} | {:.2f}x | {:.2f}x |".format(
                 name,
                 entry.get("reference_steps_per_sec", 0.0),
                 entry.get("steps_per_sec", 0.0),
                 entry.get("codegen_steps_per_sec", 0.0),
                 entry.get("speedup", 0.0),
                 entry.get("codegen_speedup", 0.0),
-                fleet_entry.get("jaccard", "—"),
             )
         )
     lines += [
@@ -906,62 +500,9 @@ def step_summary(report: dict, failures: Sequence[str]) -> str:
             interp.get("min_speedup", MIN_INTERP_SPEEDUP),
             interp.get("codegen_min_speedup", MIN_CODEGEN_SPEEDUP),
         ),
-        "- sampling decision overlap: mean {:.1%} at rate 1/{} "
-        "(floor {:.0%})".format(
-            report.get("sampling", {}).get("mean_overlap", 0.0),
-            report.get("sampling", {}).get("rate", SAMPLING_RATE),
-            report.get("sampling", {}).get("min_overlap", MIN_DECISION_OVERLAP),
-        ),
         "- timing: best of {} interleaved round(s) after one warmup per "
         "engine".format(interp.get("repeats", INTERP_REPEATS)),
     ]
-    runtime = report.get("runtime", {})
-    if runtime:
-        lines.append(
-            "- runtime observer: disabled-profiler overhead x{:.3f} "
-            "(ceiling x{:.2f}); flamegraph engine-consistent: {} "
-            "({} contexts / {} samples on {})".format(
-                runtime.get("overhead_ratio", 0.0),
-                runtime.get("max_overhead", MAX_RUNTIME_OVERHEAD),
-                "yes" if runtime.get("engines_consistent") else "NO",
-                runtime.get("contexts", 0),
-                runtime.get("samples", 0),
-                runtime.get("flame_workload", "?"),
-            )
-        )
-    scale = report.get("scale", {})
-    if scale:
-        ratios = scale.get("ratios", {})
-        tiers = scale.get("tiers", {})
-        lines.append(
-            "- scale ({} -> {} modules): demand/global growth ratios "
-            "wall {:.3f}, peak {:.3f}, sites {:.3f}; parity {}".format(
-                tiers.get("small", {}).get("n_modules", "?"),
-                tiers.get("mega", {}).get("n_modules", "?"),
-                ratios.get("wall_growth_ratio", 0.0),
-                ratios.get("peak_growth_ratio", 0.0),
-                ratios.get("sites_growth_ratio", 0.0),
-                ", ".join(
-                    "{} {:.3f}".format(name, entry.get("ratio", 0.0))
-                    for name, entry in sorted(scale.get("parity", {}).items())
-                ) or "—",
-            )
-        )
-    serve = report.get("serve", {})
-    if serve:
-        lines.append(
-            "- serve: {} clients at {:.0f} req/s; warm rebuild p95 "
-            "{:.1f}ms vs cold build p50 {:.1f}ms; dedupe {}; shed {}; "
-            "artifacts identical: {}".format(
-                serve.get("clients", 0),
-                serve.get("throughput_rps", 0.0),
-                serve.get("warm_rebuild_ms", {}).get("p95", 0.0),
-                serve.get("cold_build_ms", {}).get("p50", 0.0),
-                serve.get("dedupe_hits", 0),
-                serve.get("shed", 0),
-                "yes" if serve.get("artifacts_identical") else "NO",
-            )
-        )
     if failures:
         lines += ["", "### Failures", ""]
         lines += ["- `{}`".format(failure) for failure in failures]
@@ -1005,6 +546,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                         help="append a Markdown summary table here "
                         "(point at $GITHUB_STEP_SUMMARY in CI)")
     args = parser.parse_args(argv)
+    if args.check and not args.baseline:
+        parser.error("--check needs --baseline FILE to compare against")
 
     names = [part.strip() for part in args.workloads.split(",") if part.strip()]
     report, failures = run_smoke(
@@ -1024,7 +567,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             handle.write("\n")
         print("wrote", args.write_baseline)
 
-    if args.check and args.baseline:
+    if args.check:
         with open(args.baseline) as handle:
             baseline = json.load(handle)
         failures.extend(check(report, baseline, gate_wall_time=args.gate_wall_time))
@@ -1051,14 +594,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         )
     )
     print(
-        "sampling: mean decision overlap {:.1%} at rate 1/{} "
-        "(floor {:.0%})".format(
-            report["sampling"]["mean_overlap"],
-            report["sampling"]["rate"],
-            report["sampling"]["min_overlap"],
-        )
-    )
-    print(
         "interp: fast engine mean speedup x{:.2f} over reference "
         "(floor x{:.1f}; {} plans compiled, {} cache hits)".format(
             report["interp"]["mean_speedup"],
@@ -1074,28 +609,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             report["interp"]["codegen_min_speedup"],
             report["interp"]["codegen_plans_compiled"],
             report["interp"]["codegen_plan_cache_hits"],
-        )
-    )
-    print(
-        "runtime: disabled-observer overhead x{:.3f} (ceiling x{:.2f}); "
-        "flamegraph engine-consistent: {} ({} contexts, {} samples)".format(
-            report["runtime"]["overhead_ratio"],
-            report["runtime"]["max_overhead"],
-            "yes" if report["runtime"]["engines_consistent"] else "NO",
-            report["runtime"]["contexts"],
-            report["runtime"]["samples"],
-        )
-    )
-    total_rollbacks = sum(
-        entry["rollbacks"] for entry in report["fleet"]["workloads"].values()
-    )
-    print(
-        "fleet: mean convergence jaccard {:.4f} under the fault matrix "
-        "(floor {:.1f}; {} rollback(s) across {} workload(s))".format(
-            report["fleet"]["mean_jaccard"],
-            report["fleet"]["min_jaccard"],
-            total_rollbacks,
-            len(report["fleet"]["workloads"]),
         )
     )
     for failure in failures:

@@ -14,9 +14,6 @@ Subcommands:
     Run HLO at a chosen scope and print the transform report.
 ``bench``
     Compare the four Table 1 scope configurations on a suite workload.
-``bench-sharded``
-    Interpreter throughput: fan a workload's input set out one process
-    per chunk and merge the Result counters (``repro.bench.sharded``).
 ``profile``
     Lifecycle management for profile databases: ``sample`` (collect a
     sampled, context-sensitive profile), ``merge`` (weighted / decayed
@@ -928,12 +925,10 @@ def cmd_bench_scale(args: argparse.Namespace) -> int:
         value = getattr(args, flag, None)
         if value is not None:
             argv += ["--" + flag.replace("_", "-"), str(value)]
-    for flag in ("parity_workloads", "output", "merge_into", "summary_out"):
+    for flag in ("parity_workloads", "output", "summary_out"):
         value = getattr(args, flag, None)
         if value:
             argv += ["--" + flag.replace("_", "-"), value]
-    if getattr(args, "no_timing_gates", False):
-        argv.append("--no-timing-gates")
     return scale_main(argv)
 
 
@@ -961,23 +956,6 @@ def cmd_report(args: argparse.Namespace) -> int:
         for failure in report.pass_failures:
             print("  " + str(failure))
     return _finish(args, report, diagnostics, obs=obs)
-
-
-def cmd_bench_sharded(args: argparse.Namespace) -> int:
-    from .bench.sharded import main as sharded_main
-
-    argv: List[str] = []
-    if args.workloads:
-        argv += ["--workloads", args.workloads]
-    argv += ["--engine", getattr(args, "engine", DEFAULT_ENGINE)]
-    argv += ["--jobs", str(args.jobs), "--chunk", str(args.chunk)]
-    if args.site_counts:
-        argv.append("--site-counts")
-    if args.block_counts:
-        argv.append("--block-counts")
-    if args.output:
-        argv += ["--output", args.output]
-    return sharded_main(argv)
 
 
 def cmd_bench(args: argparse.Namespace) -> int:
@@ -1282,22 +1260,6 @@ def build_parser() -> argparse.ArgumentParser:
     observability(p_bench)
     p_bench.set_defaults(func=cmd_bench)
 
-    p_sharded = sub.add_parser(
-        "bench-sharded",
-        help="sharded interpreter throughput run (merged Result counters)",
-    )
-    p_sharded.add_argument("--workloads", metavar="NAMES",
-                           help="comma-separated workload names "
-                           "(default: the whole suite)")
-    p_sharded.add_argument("--jobs", type=int, default=4, metavar="N")
-    p_sharded.add_argument("--chunk", type=int, default=1, metavar="K",
-                           help="input vectors per shard")
-    p_sharded.add_argument("--site-counts", action="store_true")
-    p_sharded.add_argument("--block-counts", action="store_true")
-    p_sharded.add_argument("--output", metavar="FILE")
-    engine_flag(p_sharded)
-    p_sharded.set_defaults(func=cmd_bench_sharded)
-
     p_scale = sub.add_parser(
         "bench-scale",
         help="compile-scaling bench: global vs demand strategy on "
@@ -1314,14 +1276,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_scale.add_argument("--parity-workloads", metavar="NAMES",
                          help="comma-separated suite workloads for the "
                          "cycles-parity gate")
-    p_scale.add_argument("--no-timing-gates", action="store_true",
-                         help="gate only the deterministic sites ratio "
-                         "and cycles parity")
     p_scale.add_argument("--output", metavar="FILE",
-                         help="write the scale section as JSON")
-    p_scale.add_argument("--merge-into", metavar="FILE",
-                         help="merge the scale section into an existing "
-                         "BENCH_smoke.json")
+                         help="write the scale report as JSON")
     p_scale.add_argument("--summary-out", metavar="FILE",
                          help="append a Markdown summary table "
                          "($GITHUB_STEP_SUMMARY in CI)")

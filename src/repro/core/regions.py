@@ -36,6 +36,7 @@ from ..analysis.dominators import control_equivalent_classes
 from ..analysis.freq import entry_counts, site_weight
 from ..analysis.loops import find_loops
 from ..ir.instructions import Call
+from ..ir.procedure import LINK_STATIC
 from ..ir.program import Program
 from ..obs import NULL_OBSERVER
 from ..obs.ledger import record_decision
@@ -65,7 +66,7 @@ class Region:
     """One profile-hot region: member procedures and their hot sites."""
 
     __slots__ = ("name", "index", "seed", "procs", "sites", "size", "cost",
-                 "cut")
+                 "cut", "saved_counts")
 
     def __init__(self, index: int, seed: str, cut: float):
         self.index = index
@@ -78,6 +79,9 @@ class Region:
         # The absolute heat threshold this region was formed at; reused
         # when the planner re-enumerates hot sites between iterations.
         self.cut = cut
+        # Block counts of non-member callees, saved before the region
+        # first moves them into a copy (:func:`_save_counts`).
+        self.saved_counts: Dict[str, Dict[str, Optional[int]]] = {}
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return "<Region {} procs={} sites={} size={}>".format(
@@ -326,6 +330,41 @@ def _live_region_sites(
     return sites
 
 
+def _save_counts(proc, region: Region) -> None:
+    """Save a non-member's block counts before the region moves them.
+
+    Inlining and cloning move a share of the callee's counts into the
+    copy.  The guard snapshots only region members, so a callee outside
+    the region keeps its lowered counts after a rollback unless they are
+    saved here first.
+    """
+    if proc.name not in region.procs and proc.name not in region.saved_counts:
+        region.saved_counts[proc.name] = {
+            label: block.profile_count for label, block in proc.blocks.items()
+        }
+
+
+def _undo_outside(program: Program, region: Region, promoted: List[str]) -> None:
+    """Undo a failed region's changes outside its members.
+
+    Restores the callee counts :func:`_save_counts` kept and resets each
+    symbol the region promoted to static (promotion only ever flips
+    static to global).  Clones the region made are already deleted.
+    """
+    for name, counts in region.saved_counts.items():
+        proc = program.proc(name)
+        if proc is not None:
+            for label, count in counts.items():
+                proc.blocks[label].profile_count = count
+    for symbol in promoted:
+        name = symbol[1:]
+        target = (
+            program.proc(name) if symbol[0] == "@" else program.global_var(name)
+        )
+        if target is not None:
+            target.linkage = LINK_STATIC
+
+
 def demand_stage(
     program: Program,
     config: HLOConfig,
@@ -344,9 +383,11 @@ def demand_stage(
     Runs in place of the global clone/inline loop.  Each region is one
     guarded unit: a failing region rolls back its own IR, report
     counters, clone-database entries, ledger decisions (by mark *and*
-    by region tag), and analyses — the rest of the program's memo pool
-    stays warm (``AnalysisManager.invalidate_region``).  Returns the
-    number of transforms performed.
+    by region tag), and analyses, plus what it changed outside its
+    members — callee counts it moved and statics it promoted — while
+    the rest of the program's memo pool stays warm
+    (``AnalysisManager.invalidate_region``).  Returns the number of
+    transforms performed.
     """
     counts = site_counts if config.use_profile else None
     if manager is not None:
@@ -385,6 +426,7 @@ def demand_stage(
             performed, mutated = run_region()
         else:
             report_mark = report.mark()
+            promoted_mark = len(report.promoted_symbols)
             db_mark = database.mark()
             ledger_mark = obs.ledger.mark()
             # Shallow snapshot of the frequency memo table: the region
@@ -409,6 +451,9 @@ def demand_stage(
                 # analyzed post-mutation) describe IR that no longer
                 # exists, so they go too; everything cached before the
                 # region ran still matches the restored IR.
+                _undo_outside(
+                    program, region, report.promoted_symbols[promoted_mark:]
+                )
                 report.rollback_to(report_mark)
                 database.rollback_to(db_mark)
                 obs.ledger.rollback_to(ledger_mark)
@@ -416,7 +461,9 @@ def demand_stage(
                 freq_cache.clear()
                 freq_cache.update(freq_mark)
                 if manager is not None:
-                    manager.invalidate_region(region.procs)
+                    manager.invalidate_region(
+                        region.procs | set(region.saved_counts)
+                    )
                 # No budget resync needed: only the *region* budget is
                 # charged while a region runs, and the guard restored
                 # the IR, so the shared budget still matches the program.
@@ -655,6 +702,7 @@ def _clone_in_region(
                     on_promote=report.record_promotion,
                 )
                 program.modules[callee.module].add_proc(clone)
+                _save_counts(callee, region)
                 subtract_moved_counts(callee, ratio)
                 mutated.add(callee.name)
                 mutated.add(clone_name)
@@ -783,6 +831,9 @@ def _inline_in_region(
             )
             continue
         callee_name = ranked.site.callee.name  # type: ignore[union-attr]
+        callee = program.proc(callee_name)
+        if callee is not None:
+            _save_counts(callee, region)
         with obs.tracer.span(
             "inline:{}<-{}".format(caller.name, callee_name)
             if obs.tracer.enabled else "",

@@ -64,7 +64,7 @@ class Program:
     def __getstate__(self):
         # Execution plans hold closures and exec-compiled code objects,
         # neither of which pickles; strip them so Programs cross process
-        # boundaries (the sharded bench runner) and rebuild lazily.
+        # boundaries and rebuild lazily.
         state = self.__dict__.copy()
         state["_plan_cache"] = None
         state["_codegen_cache"] = None

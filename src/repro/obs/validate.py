@@ -351,7 +351,7 @@ def validate_series_jsonl(text: str) -> List[str]:
 
 
 def validate_bench(obj) -> List[str]:
-    """Problems with a ``BENCH_smoke.json`` report (empty = valid)."""
+    """Problems with a schema-9 ``BENCH_smoke.json`` report (empty = valid)."""
     errors: List[str] = []
     if not isinstance(obj, dict):
         return ["bench: top level must be an object"]
@@ -374,33 +374,6 @@ def validate_bench(obj) -> List[str]:
     for section in ("totals", "build", "cache", "observability"):
         if not isinstance(obj.get(section), dict):
             errors.append("bench: missing object {!r}".format(section))
-    sampling = obj.get("sampling")
-    if not isinstance(sampling, dict):
-        errors.append("bench: missing object 'sampling'")
-    else:
-        for key in ("rate", "min_overlap", "mean_overlap"):
-            if not isinstance(sampling.get(key), (int, float)):
-                errors.append("bench: sampling missing numeric {!r}".format(key))
-        per = sampling.get("workloads")
-        if not isinstance(per, dict) or not per:
-            errors.append("bench: sampling missing non-empty object 'workloads'")
-        else:
-            for name, entry in per.items():
-                where = "bench: sampling.workloads[{!r}]".format(name)
-                if not isinstance(entry, dict):
-                    errors.append(where + " is not an object")
-                    continue
-                for key in ("overlap", "exact_decisions",
-                            "sampled_decisions", "confidence"):
-                    if not isinstance(entry.get(key), (int, float)):
-                        errors.append(
-                            "{} missing numeric {!r}".format(where, key)
-                        )
-                overlap = entry.get("overlap")
-                if isinstance(overlap, (int, float)) and not 0.0 <= overlap <= 1.0:
-                    errors.append(
-                        "{} overlap {} outside [0, 1]".format(where, overlap)
-                    )
     interp = obj.get("interp")
     if not isinstance(interp, dict):
         errors.append("bench: missing object 'interp'")
@@ -435,64 +408,11 @@ def validate_bench(obj) -> List[str]:
                         errors.append(
                             "{} {} {} is not positive".format(where, key, value)
                         )
-    runtime = obj.get("runtime")
-    if not isinstance(runtime, dict):
-        errors.append("bench: missing object 'runtime' (schema >= 6)")
-    else:
-        for key in ("overhead_ratio", "max_overhead", "contexts", "samples"):
-            if not isinstance(runtime.get(key), (int, float)):
-                errors.append("bench: runtime missing numeric {!r}".format(key))
-        ratio = runtime.get("overhead_ratio")
-        if isinstance(ratio, (int, float)) and ratio <= 0:
-            errors.append(
-                "bench: runtime overhead_ratio {} is not positive".format(ratio)
-            )
-        if not isinstance(runtime.get("engines_consistent"), bool):
-            errors.append("bench: runtime missing bool 'engines_consistent'")
-    fleet = obj.get("fleet")
-    if not isinstance(fleet, dict):
-        errors.append("bench: missing object 'fleet'")
-    else:
-        for key in ("rounds", "seed", "fault_rate", "min_jaccard",
-                    "mean_jaccard"):
-            if not isinstance(fleet.get(key), (int, float)):
-                errors.append("bench: fleet missing numeric {!r}".format(key))
-        per = fleet.get("workloads")
-        if not isinstance(per, dict) or not per:
-            errors.append("bench: fleet missing non-empty object 'workloads'")
-        else:
-            for name, entry in per.items():
-                where = "bench: fleet.workloads[{!r}]".format(name)
-                if not isinstance(entry, dict):
-                    errors.append(where + " is not an object")
-                    continue
-                for key in ("jaccard", "rebuilds", "rollbacks", "swaps",
-                            "quarantined_epochs", "served_rolled_back"):
-                    if not isinstance(entry.get(key), (int, float)):
-                        errors.append(
-                            "{} missing numeric {!r}".format(where, key)
-                        )
-                jac = entry.get("jaccard")
-                if isinstance(jac, (int, float)) and not 0.0 <= jac <= 1.0:
-                    errors.append(
-                        "{} jaccard {} outside [0, 1]".format(where, jac)
-                    )
-    serve = obj.get("serve")
-    if not isinstance(serve, dict):
-        errors.append("bench: missing object 'serve' (schema >= 7)")
-    else:
-        errors.extend(validate_serve(serve))
-    scale = obj.get("scale")
-    if not isinstance(scale, dict):
-        errors.append("bench: missing object 'scale' (schema >= 8)")
-    else:
-        errors.extend(validate_scale(scale))
     return errors
 
 
 def validate_scale(obj) -> List[str]:
-    """Problems with a compile-scaling report (``scale`` section of a
-    schema-8 ``BENCH_smoke.json`` or a standalone ``bench-scale`` run)."""
+    """Problems with a ``bench-scale --output`` report (empty = valid)."""
     errors: List[str] = []
     if not isinstance(obj, dict):
         return ["scale: top level must be an object"]
@@ -560,8 +480,7 @@ def validate_scale(obj) -> List[str]:
 
 
 def validate_serve(obj) -> List[str]:
-    """Problems with a serve-bench report (``BENCH_serve.json`` or the
-    ``serve`` section of a schema-7 ``BENCH_smoke.json``)."""
+    """Problems with a ``bench-serve --output`` report (empty = valid)."""
     errors: List[str] = []
     if not isinstance(obj, dict):
         return ["serve: top level must be an object"]

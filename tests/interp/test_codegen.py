@@ -15,9 +15,9 @@ pins the *shape* of what it emits — the properties
   without a trampoline round trip;
 - plans are keyed by sink capability mode, so observed and unobserved
   runs never share specialized code;
-- Programs with warm plan caches still pickle (``exec``-compiled code
-  objects don't); workers on the far side of the sharded bench
-  runner's process boundary rebuild plans from source.
+- Programs with warm plan caches still pickle (closures and
+  ``exec``-compiled code objects don't); the copy on the far side of a
+  process boundary rebuilds plans from source, under either engine.
 """
 
 from __future__ import annotations
@@ -26,11 +26,11 @@ import pickle
 
 import pytest
 
-from repro.bench.sharded import run_sharded
 from repro.frontend import compile_program
 from repro.interp.codegen import emitted_source
 from repro.interp.events import CountingSink
-from repro.interp.interpreter import run_program
+from repro.interp.interpreter import Interpreter, run_program
+from repro.parallel.executor import parallel_map
 from repro.workloads.suite import get_workload
 
 LOOPY = """
@@ -135,32 +135,42 @@ class TestModeKeying:
         assert cache.cache_hits > hits
 
 
+def _run_shard(item):
+    """Worker body: run one input vector on a Program that arrived by pickle."""
+    program, inputs, engine = item
+    interp = Interpreter(program, inputs, engine=engine)
+    result = interp.run()
+    return result.steps, interp.plans_compiled
+
+
 class TestPickling:
     def test_warm_program_pickles_with_caches_stripped(self):
-        program = _program()
-        want = run_program(program, engine="codegen")
-        assert program._codegen_cache.plans  # warm: holds code objects
-        clone = pickle.loads(pickle.dumps(program))
-        assert clone._codegen_cache is None
-        assert clone._plan_cache is None
-        got = run_program(clone, engine="codegen")
-        assert got.output == want.output
-        assert got.steps == want.steps
-        assert clone._codegen_cache.plans_compiled > 0
+        for engine, cache in (("fast", "_plan_cache"), ("codegen", "_codegen_cache")):
+            program = _program()
+            want = run_program(program, engine=engine)
+            assert getattr(program, cache).plans  # warm: holds unpicklable plans
+            clone = pickle.loads(pickle.dumps(program))
+            assert clone._codegen_cache is None
+            assert clone._plan_cache is None
+            got = run_program(clone, engine=engine)
+            assert got.output == want.output
+            assert got.steps == want.steps
+            assert getattr(clone, cache).plans_compiled > 0
 
     @pytest.mark.parametrize("engine", ["fast", "codegen"])
     def test_sharded_workers_rebuild_plans(self, engine):
-        # The sharded runner pickles the Program into each worker; the
-        # workers' nonzero plans_compiled proves the caches were
-        # stripped in transit and rebuilt from source on the far side.
-        name = "compress"
-        report = run_sharded([name], engine=engine, jobs=2)
-        entry = report["workloads"][name]
-        workload = get_workload(name)
-        assert entry["runs"] == len(workload.train_inputs) + 1
-        assert entry["plans_compiled"] > 0
-        serial = sum(
-            run_program(workload.compile(), list(inputs), engine=engine).steps
-            for inputs in list(workload.train_inputs) + [workload.ref_input]
+        # One shard per input vector, each run in a worker process.  The
+        # Program is warmed first, so a nonzero plans_compiled in every
+        # worker proves the caches were stripped in transit and rebuilt
+        # from source on the far side.
+        workload = get_workload("compress")
+        program = workload.compile()
+        vectors = [list(t) for t in workload.train_inputs]
+        vectors.append(list(workload.ref_input))
+        serial = [run_program(program, v, engine=engine).steps for v in vectors]
+        shards, outcome = parallel_map(
+            _run_shard, [(program, v, engine) for v in vectors], jobs=2
         )
-        assert entry["steps"] == serial
+        assert not outcome.fell_back
+        assert all(compiled > 0 for _steps, compiled in shards)
+        assert [steps for steps, _compiled in shards] == serial

@@ -188,21 +188,10 @@ class TestToolchainAndMetrics:
         from repro.obs.validate import validate_bench
 
         report = {
-            "schema": 4,
+            "schema": 9,
             "workloads": {"w": {"compile_units": 1, "cycles": 2,
                                 "wall_s": 0.1, "checksum": "x"}},
             "totals": {}, "build": {}, "cache": {}, "observability": {},
-            "sampling": {"rate": 100, "min_overlap": 0.9, "mean_overlap": 1.0,
-                         "workloads": {"w": {"overlap": 1.0,
-                                             "exact_decisions": 1,
-                                             "sampled_decisions": 1,
-                                             "confidence": 1.0}}},
-            "fleet": {"rounds": 10, "seed": 7, "fault_rate": 0.25,
-                      "min_jaccard": 1.0, "mean_jaccard": 1.0,
-                      "workloads": {"w": {"jaccard": 1.0, "rebuilds": 2,
-                                          "rollbacks": 1, "swaps": 1,
-                                          "quarantined_epochs": 1,
-                                          "served_rolled_back": 0}}},
         }
         problems = validate_bench(report)
         assert any("interp" in p for p in problems)
@@ -216,45 +205,6 @@ class TestToolchainAndMetrics:
                                 "speedup": 2.5,
                                 "codegen_steps_per_sec": 12.0,
                                 "codegen_speedup": 2.4}},
-        }
-        problems = validate_bench(report)
-        assert any("runtime" in p for p in problems)
-        report["runtime"] = {
-            "overhead_ratio": 1.0, "max_overhead": 1.02,
-            "contexts": 5, "samples": 100, "engines_consistent": True,
-        }
-        problems = validate_bench(report)
-        assert any("serve" in p for p in problems)
-        dist = {"count": 8, "p50": 1.0, "p95": 2.0, "p99": 3.0, "max": 4.0}
-        report["serve"] = {
-            "schema": 1, "clients": 16, "requests": 64, "errors": 0,
-            "busy": 0, "wall_s": 1.0, "throughput_rps": 64.0,
-            "builds": 3, "result_hits": 16, "dedupe_hits": 13,
-            "shed": 0, "timeouts": 0, "server_requests": 65,
-            "workloads": ["w"], "artifacts_identical": True,
-            "latency_ms": dict(dist), "cold_build_ms": dict(dist),
-            "warm_rebuild_ms": dict(dist), "run_ms": dict(dist),
-        }
-        problems = validate_bench(report)
-        assert any("scale" in p for p in problems)
-        strategy = {
-            "strategy_wall_s": 0.5, "strategy_peak_kb": 100.0,
-            "sites_considered": 10, "transforms": 3, "final_size": 200,
-        }
-        report["scale"] = {
-            "tiers": {
-                "small": {"n_modules": 10,
-                          "strategies": {"global": dict(strategy),
-                                         "demand": dict(strategy)}},
-                "mega": {"n_modules": 60,
-                         "strategies": {"global": dict(strategy),
-                                        "demand": dict(strategy)}},
-            },
-            "ratios": {"wall_growth_ratio": 0.5, "peak_growth_ratio": 0.5,
-                       "sites_growth_ratio": 0.1},
-            "parity": {"w": {"global_cycles": 100.0, "demand_cycles": 99.0,
-                             "ratio": 0.99}},
-            "gates": {"sites_sublinear": True, "cycles_parity": True},
         }
         assert validate_bench(report) == []
 
@@ -283,3 +233,30 @@ class TestToolchainAndMetrics:
             "steps_per_sec" in f
             for f in check(good, baseline, gate_wall_time=True)
         )
+
+    def test_bench_check_gates_codegen_steps_per_sec(self):
+        from repro.bench.smoke import check
+
+        baseline = {
+            "workloads": {},
+            "interp": {"workloads": {"w": {"codegen_speedup": 2.5,
+                                           "codegen_steps_per_sec": 1000.0}}},
+        }
+        slow = {
+            "workloads": {},
+            "interp": {"workloads": {"w": {"codegen_speedup": 2.5,
+                                           "codegen_steps_per_sec": 100.0}}},
+        }
+        assert check(slow, baseline) == []
+        assert any(
+            "codegen_steps_per_sec" in f
+            for f in check(slow, baseline, gate_wall_time=True)
+        )
+
+    def test_bench_check_without_baseline_is_a_usage_error(self, capsys):
+        from repro.bench.smoke import main
+
+        with pytest.raises(SystemExit) as exc:
+            main(["--check"])
+        assert exc.value.code == 2
+        assert "--baseline" in capsys.readouterr().err

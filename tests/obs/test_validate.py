@@ -9,6 +9,8 @@ from repro.obs.validate import (
     main,
     validate_ledger_jsonl,
     validate_metrics,
+    validate_scale,
+    validate_serve,
     validate_trace,
 )
 
@@ -87,6 +89,42 @@ class TestLedger:
                           "reason": "r", "reason_class": "c"})
         errors = validate_ledger_jsonl(header + "\n" + bad + "\n")
         assert any("unknown decision" in e for e in errors)
+
+
+class TestBenchReports:
+    def test_serve_report(self):
+        dist = {"count": 8, "p50": 1.0, "p95": 2.0, "p99": 3.0, "max": 4.0}
+        report = {
+            "schema": 1, "clients": 16, "requests": 64, "errors": 0,
+            "busy": 0, "wall_s": 1.0, "throughput_rps": 64.0,
+            "builds": 3, "result_hits": 16, "dedupe_hits": 13,
+            "shed": 0, "timeouts": 0, "server_requests": 65,
+            "workloads": ["w"], "artifacts_identical": True,
+            "latency_ms": dict(dist), "cold_build_ms": dict(dist),
+            "warm_rebuild_ms": dict(dist), "run_ms": dict(dist),
+        }
+        assert validate_serve(report) == []
+        del report["warm_rebuild_ms"]
+        assert any("warm_rebuild_ms" in e for e in validate_serve(report))
+
+    def test_scale_report(self):
+        strategy = {
+            "strategy_wall_s": 0.5, "strategy_peak_kb": 100.0,
+            "sites_considered": 10, "transforms": 3, "final_size": 200,
+        }
+        tier = {"strategies": {"global": strategy, "demand": strategy}}
+        report = {
+            "tiers": {"small": dict(tier, n_modules=10),
+                      "mega": dict(tier, n_modules=60)},
+            "ratios": {"wall_growth_ratio": 0.5, "peak_growth_ratio": 0.5,
+                       "sites_growth_ratio": 0.1},
+            "parity": {"w": {"global_cycles": 100.0, "demand_cycles": 99.0,
+                             "ratio": 0.99}},
+            "gates": {"sites_sublinear": True, "cycles_parity": True},
+        }
+        assert validate_scale(report) == []
+        report["gates"]["cycles_parity"] = "yes"
+        assert any("not a bool" in e for e in validate_scale(report))
 
 
 class TestCli:

@@ -66,35 +66,3 @@ def test_baseline_view_drops_host_dependent_fields():
     view = baseline_view(_report())
     assert "wall_s" not in view["workloads"]["compress"]
     assert "build" not in view and "cache" not in view
-
-
-def _scale_report(sites_ratio=0.2, parity=0.95):
-    report = _report()
-    report["scale"] = {
-        "ratios": {"wall_growth_ratio": 0.5, "peak_growth_ratio": 0.5,
-                   "sites_growth_ratio": sites_ratio},
-        "parity": {"compress": {"global_cycles": 1000.0,
-                                "demand_cycles": 1000.0 * parity,
-                                "ratio": parity}},
-    }
-    return report
-
-
-def test_scale_sites_ratio_regression_fails():
-    baseline = baseline_view(_scale_report())
-    assert check(_scale_report(sites_ratio=0.22), baseline) == []  # +10%
-    failures = check(_scale_report(sites_ratio=0.3), baseline)  # +50%
-    assert len(failures) == 1 and "sites growth ratio" in failures[0]
-
-
-def test_scale_parity_regression_fails():
-    baseline = baseline_view(_scale_report())
-    assert check(_scale_report(parity=1.04), baseline) == []  # +9.5%
-    failures = check(_scale_report(parity=1.2), baseline)  # +26%
-    assert len(failures) == 1 and "cycles parity" in failures[0]
-
-
-def test_scale_baseline_view_keeps_deterministic_slice():
-    view = baseline_view(_scale_report())
-    assert view["scale"]["sites_growth_ratio"] == 0.2
-    assert view["scale"]["parity"] == {"compress": 0.95}

@@ -3,7 +3,8 @@
 The global strategy's guard snapshots the whole program per stage; the
 demand planner instead isolates each *region*: a crash while
 optimizing one region must roll back exactly that region's IR, report
-counters, ledger decisions, and analysis memos — and every other
+counters, ledger decisions, and analysis memos — plus the callee
+counts and statics it changed outside its members — and every other
 region's work must survive and ship.
 """
 
@@ -11,6 +12,8 @@ from repro.core import HLOConfig, run_hlo
 from repro.frontend import compile_program
 from repro.interp import run_program
 from repro.ir import verify_program
+from repro.linker.isom import to_isom_text
+from repro.linker.toolchain import Toolchain
 from repro.obs import BuildObserver, InliningLedger
 
 TWO_CHAINS = [(
@@ -40,7 +43,7 @@ CONFIG_KWARGS = dict(strategy="demand", region_size_cap=30)
 
 
 class CrashOnCaller:
-    """Raise the first time an inline is attempted into ``target``."""
+    """Raise the first time the wrapped transform runs on ``target``."""
 
     def __init__(self, real, target):
         self.real = real
@@ -50,7 +53,7 @@ class CrashOnCaller:
     def __call__(self, program, caller, *args, **kwargs):
         if caller.name == self.target:
             self.fired = True
-            raise RuntimeError("injected: inline into " + self.target)
+            raise RuntimeError("injected: fault on " + self.target)
         return self.real(program, caller, *args, **kwargs)
 
 
@@ -118,3 +121,50 @@ def test_quarantined_demand_stage_still_ships_a_build(monkeypatch):
     assert report.inlines == 0
     assert report.degraded
     assert "demand" in report.quarantined_passes
+
+
+# ``da`` calls ``ha`` twice per loop trip, and ``ha`` reads a static of
+# its own module.  Inlining ``ha`` into ``da`` moves ``ha``'s counts
+# into the copies and promotes the static; the size cap keeps ``ha``
+# out of ``da``'s region, so both changes land outside its members.
+OUTSIDE_EFFECTS = [
+    ("lib", """
+    static int scale = 3;
+    int ha(int x) { return x * scale + 1; }
+    """),
+    ("m", """
+    extern int ha(int x);
+    int da(int n) {
+      int t = 0;
+      for (int i = 0; i < n; i++) t = t + ha(i) + ha(t);
+      return t;
+    }
+    int main() { print_int(da(input(0))); return 0; }
+    """),
+]
+
+
+def _isoms_when_da_fails_in(monkeypatch, transform):
+    from repro.core import regions
+
+    with monkeypatch.context() as patch:
+        crasher = CrashOnCaller(getattr(regions, transform), "da")
+        patch.setattr(regions, transform, crasher)
+        result = Toolchain(
+            OUTSIDE_EFFECTS, train_inputs=[[50]],
+            config=HLOConfig(strategy="demand", region_size_cap=10),
+        ).build("cp")
+    assert crasher.fired, "injected fault never reached: test is vacuous"
+    assert result.report.inlines == 0
+    return {
+        name: to_isom_text(module)
+        for name, module in result.program.modules.items()
+    }
+
+
+def test_rollback_restores_callee_counts_and_statics(monkeypatch):
+    # Failing while re-optimizing ``da`` (after both inlines) must leave
+    # the same program as failing before the first inline.
+    before = _isoms_when_da_fails_in(monkeypatch, "perform_inline")
+    after = _isoms_when_da_fails_in(monkeypatch, "optimize_proc")
+    assert after == before

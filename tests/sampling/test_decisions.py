@@ -5,7 +5,7 @@ Two properties anchor the subsystem:
 1. At the default 1/100 rate, the inlining/cloning decisions a build
    makes from a sampled profile overlap >= 90% (Jaccard) with the
    decisions an instrumented (exact) profile produces, on every bench
-   workload.  (The bench smoke harness enforces the same floor in CI.)
+   workload.  (This test is that gate's owner: CI runs it in tier-1.)
 2. A k>=2 calling-context profile changes at least one *cloning*
    decision versus a context-insensitive profile on a workload built to
    expose the difference: a callee whose hot loop only spins for one of
