@@ -11,8 +11,10 @@ batched-``on_instr`` capability), :class:`SamplingSink` (exact
 sampling — its digest equality is what makes a flamegraph
 engine-independent), and the
 :class:`~repro.machine.pa8000.PA8000Model` (every callback live, cache
-and predictor state) — and compared against the reference engine on the
-complete observable outcome *plus* the sink's accumulated state.
+and predictor state), once on the default machine and once on one small
+enough to evict, alias and spill — and compared against the reference
+engine on the complete observable outcome *plus* the sink's accumulated
+state.
 
 A mismatch writes one JSON artifact per failure into
 ``--artifact-dir`` — the seed, the engine/sink pair, the generated
@@ -43,7 +45,10 @@ from .interpreter import DEFAULT_MAX_STEPS, run_program
 #: "flame" is the runtime profiler (exact on_instr + call/return, no
 #: branch/mem): its digest equality across engines is what makes a
 #: flamegraph a property of the execution, not of the engine.
-SINK_KINDS = ("none", "counting", "sampling", "flame", "pa8000")
+#: "pa8000-small" is the PA8000 model on :data:`PA8000_SMALL`, whose
+#: caches and predictor are small enough for generated programs to
+#: evict, alias and spill.
+SINK_KINDS = ("none", "counting", "sampling", "flame", "pa8000", "pa8000-small")
 #: HLO strategies in the matrix; "none" runs the frontend output as-is
 #: (the historical fuzz configuration), the other two run the full HLO
 #: pipeline under that ``HLOConfig.strategy`` first.  Every strategy
@@ -56,6 +61,16 @@ SAMPLING_FUZZ_DEPTH = 2
 SAMPLING_FUZZ_SEED = 13
 FLAME_FUZZ_RATE = 7
 FLAME_FUZZ_SEED = 13
+#: Two-line I and D caches, a four-entry predictor and a four-register
+#: file; generated images (about 850 B) fit the default 8 KB I-cache
+#: whole, so only this configuration sees conflict misses.
+PA8000_SMALL = dict(
+    icache_bytes=64,
+    dcache_bytes=64,
+    predictor_entries=4,
+    reg_file=4,
+    spill_rate_per_reg=0.05,
+)
 
 
 def _make_sink(kind: str, program):
@@ -81,6 +96,10 @@ def _make_sink(kind: str, program):
         from ..machine.pa8000 import PA8000Model
 
         return PA8000Model(program)
+    if kind == "pa8000-small":
+        from ..machine.pa8000 import MachineConfig, PA8000Model
+
+        return PA8000Model(program, MachineConfig(**PA8000_SMALL))
     raise ValueError("unknown sink kind {!r}".format(kind))
 
 
@@ -113,7 +132,7 @@ def _sink_digest(kind: str, sink) -> Tuple:
             tuple(sorted(sink.stack_samples.items())),
             tuple(sorted(sink.call_edges.items())),
         )
-    if kind == "pa8000":
+    if kind in ("pa8000", "pa8000-small"):
         return tuple(sorted(vars(sink.metrics(0)).items()))
     raise ValueError("unknown sink kind {!r}".format(kind))
 

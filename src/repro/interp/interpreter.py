@@ -151,9 +151,9 @@ class Interpreter:
         self.plans_compiled = 0
         self.plan_cache_hits = 0
 
-        # Sink capability negotiation: both engines honour the sink's
+        # Sink capability negotiation: all three engines honour the sink's
         # declared needs_* flags, so a sink that does not consume a
-        # callback never pays for it (and both engines deliver the same
+        # callback never pays for it (and every engine delivers the same
         # stream for any given sink, which the differential harness
         # checks).
         if sink is None:

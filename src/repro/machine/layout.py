@@ -23,12 +23,10 @@ class CodeLayout:
     def __init__(self, program: Program):
         self.block_addrs: Dict[Tuple[str, str], int] = {}
         self.proc_addrs: Dict[str, int] = {}
-        self.proc_sizes: Dict[str, int] = {}
         addr = CODE_BASE
         for mod in program.modules.values():
             for proc in mod.procs.values():
                 self.proc_addrs[proc.name] = addr
-                start = addr
                 # Entry block first, then remaining blocks in RPO.
                 ordered = proc.rpo_labels()
                 seen = set(ordered)
@@ -36,7 +34,6 @@ class CodeLayout:
                 for label in ordered:
                     self.block_addrs[(proc.name, label)] = addr
                     addr += len(proc.blocks[label]) * INSTR_BYTES
-                self.proc_sizes[proc.name] = addr - start
         self.code_bytes = addr - CODE_BASE
 
     def instr_addr(self, proc_name: str, label: str, index: int) -> int:

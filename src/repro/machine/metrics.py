@@ -56,20 +56,3 @@ class MachineMetrics:
             "relative_branches": ratio(self.branches, base.branches),
             "branch_miss_rate": self.branch_miss_rate,
         }
-
-    def as_dict(self) -> Dict[str, float]:
-        return {
-            "cycles": self.cycles,
-            "instructions": self.instructions,
-            "cpi": self.cpi,
-            "icache_accesses": self.icache_accesses,
-            "icache_misses": self.icache_misses,
-            "icache_miss_rate": self.icache_miss_rate,
-            "dcache_accesses": self.dcache_accesses,
-            "dcache_misses": self.dcache_misses,
-            "dcache_miss_rate": self.dcache_miss_rate,
-            "branches": self.branches,
-            "branch_mispredicts": self.branch_mispredicts,
-            "branch_miss_rate": self.branch_miss_rate,
-            "code_bytes": self.code_bytes,
-        }

@@ -32,8 +32,9 @@ from ..interp.interpreter import (
     Interpreter,
     Result,
 )
+from ..ir.instructions import Instr
 from ..ir.program import Program
-from .branch import TwoBitPredictor
+from .branch import TAKEN_THRESHOLD, TwoBitPredictor
 from .cache import DirectMappedCache
 from .layout import CodeLayout
 from .metrics import MachineMetrics
@@ -41,6 +42,10 @@ from .metrics import MachineMetrics
 WORD_BYTES = 8
 SIM_STACK_BASE = 0x3000_0000 * WORD_BYTES
 FRAME_BYTES = 64
+
+# One instruction's fetch: (I-cache line, its tag slot, its procedure's
+# spill rate, predictor slot).
+Fetch = Tuple[int, int, float, int]
 
 
 @dataclass
@@ -74,7 +79,17 @@ class MachineConfig:
 
 
 class PA8000Model(EventSink):
-    """EventSink that accumulates machine metrics during a run."""
+    """EventSink that accumulates machine metrics during a run.
+
+    The callbacks run once per simulated event, so each does the least
+    work that keeps :meth:`metrics` exact (docs/machine.md, "Host
+    cost"): a fetch finds its address in a table built once from the
+    layout, the I-cache tags are checked only when the fetched line
+    changes, and the cache and predictor updates are written out inline
+    against the tag and counter state :class:`DirectMappedCache` and
+    :class:`TwoBitPredictor` own.  The I-cache's access count is not
+    kept per fetch; :meth:`metrics` derives it.
+    """
 
     def __init__(self, program: Program, config: Optional[MachineConfig] = None):
         self.config = config or MachineConfig()
@@ -87,83 +102,190 @@ class PA8000Model(EventSink):
         self.spills = 0
         self.depth = 0
         self._save_counts: Dict[str, int] = {}
-        self._proc_regs: Dict[str, int] = {}
         self._spill_rates: Dict[str, float] = {}
         for proc in program.all_procs():
             regs = len(proc.reg_names())
-            self._proc_regs[proc.name] = regs
             self._save_counts[proc.name] = min(regs, self.config.max_save_regs)
             excess = max(0, regs - self.config.reg_file)
             self._spill_rates[proc.name] = min(
                 self.config.max_spill_rate, excess * self.config.spill_rate_per_reg
             )
         self._spill_acc = 0.0
-        self._last_pc = 0
+        self._shift = self.config.line_bytes.bit_length() - 1
+        # Lines from one stack word to the next (1 unless lines are
+        # narrower than a word).
+        self._word_lines = max(1, WORD_BYTES >> self._shift)
+        # Retired instructions that never touch the I-cache (builtin bodies).
+        self._off_image = 0
+        self._fetches = self._fetch_table(program)
+        # The I-cache line last checked (-1: none yet) and the predictor
+        # slot of the last fetched instruction (pc 0's before any).
+        self._line = -1
+        self._pslot = 0
+
+    def _fetch_at(self, pc: int, rate: float) -> Fetch:
+        """The fetch of an instruction at ``pc`` with spill rate ``rate``."""
+        line = pc >> self._shift
+        return (
+            line,
+            line % self.icache.num_lines,
+            rate,
+            (pc >> 2) % self.predictor.entries,
+        )
+
+    def _fetch_table(self, program: Program) -> Dict[Instr, Fetch]:
+        """Every laid-out instruction's fetch, keyed by the object itself.
+
+        An instruction object found at two positions has no single
+        address, so it is left out and fetched through the layout.
+        """
+        table: Dict[Instr, Fetch] = {}
+        shared = set()
+        for proc in program.all_procs():
+            rate = self._spill_rates.get(proc.name, 0.0)
+            for label, block in proc.blocks.items():
+                for index, instr in enumerate(block.instrs):
+                    if instr in table:
+                        shared.add(instr)
+                    pc = self.layout.instr_addr(proc.name, label, index)
+                    table[instr] = self._fetch_at(pc, rate)
+        for instr in shared:
+            del table[instr]
+        return table
 
     # ------------------------------------------------------------------
     # Event callbacks
     # ------------------------------------------------------------------
 
     def on_instr(self, proc, label, index, instr) -> None:
-        pc = self.layout.instr_addr(proc.name, label, index)
-        self._last_pc = pc
+        try:
+            line, slot, rate, self._pslot = self._fetches[instr]
+        except KeyError:
+            # Not laid out at model build (or at two positions).
+            line, slot, rate, self._pslot = self._fetch_at(
+                self.layout.instr_addr(proc.name, label, index),
+                self._spill_rates.get(proc.name, 0.0),
+            )
         self.retired += 1
-        self.icache.access(pc)
-        rate = self._spill_rates.get(proc.name, 0.0)
+        if line != self._line:
+            # Every other I-cache access until the next fetch (spill and
+            # save traffic) is to this line, so it hits: only a fetch
+            # that changes line can miss.
+            self._line = line
+            icache = self.icache
+            if icache.tags[slot] != line:
+                icache.tags[slot] = line
+                icache.misses += 1
         if rate:
-            self._spill_acc += rate
-            if self._spill_acc >= 1.0:
-                self._spill_acc -= 1.0
+            acc = self._spill_acc + rate
+            if acc >= 1.0:
+                acc -= 1.0
                 # One spill: a store or reload near the top of the frame.
                 self.spills += 1
                 self.retired += 1
-                self.icache.access(pc)
-                self.dcache.access(SIM_STACK_BASE - self.depth * FRAME_BYTES - 8)
+                dcache = self.dcache
+                dcache.accesses += 1
+                dline = (SIM_STACK_BASE - self.depth * FRAME_BYTES - 8) >> self._shift
+                dslot = dline % dcache.num_lines
+                if dcache.tags[dslot] != dline:
+                    dcache.tags[dslot] = dline
+                    dcache.misses += 1
+            self._spill_acc = acc
 
     def on_branch(self, proc, label, index, kind, taken, target_label) -> None:
+        predictor = self.predictor
+        predictor.predictions += 1
         if kind == "cond":
-            self.predictor.predict_and_update(self._last_pc, taken)
-        else:  # unconditional jump: direction known
-            self.predictor.force_correct()
+            counters = predictor.counters
+            slot = self._pslot
+            counter = counters[slot]
+            if taken:
+                if counter < TAKEN_THRESHOLD:
+                    predictor.mispredictions += 1
+                if counter < 3:
+                    counters[slot] = counter + 1
+            else:
+                if counter >= TAKEN_THRESHOLD:
+                    predictor.mispredictions += 1
+                if counter > 0:
+                    counters[slot] = counter - 1
+        # else an unconditional jump: direction known, predicted correctly
 
     def on_call(self, caller, callee_name, kind, n_args) -> None:
         self.calls += 1
+        predictor = self.predictor
+        predictor.predictions += 1
         if kind == "indirect":
-            self.predictor.force_mispredict()
-        else:
-            self.predictor.force_correct()
+            predictor.mispredictions += 1
 
         # Caller-save spills and excess outgoing arguments hit the stack.
-        saves = self._save_counts.get(caller.name, self.config.max_save_regs)
-        mem_args = max(0, n_args - self.config.reg_args)
-        self._frame_traffic(saves + mem_args, store=True)
+        config = self.config
+        words = self._save_counts.get(caller.name, config.max_save_regs)
+        if n_args > config.reg_args:
+            words += n_args - config.reg_args
+        self._frame_traffic(words)
 
         if kind == "builtin":
             # The library body executes off-image: count its retired
             # instructions and its (always mispredicted) return.
-            self.retired += self.config.builtin_instrs
-            self.predictor.force_mispredict()
-            self._frame_traffic(saves + mem_args, store=False)
+            self.retired += config.builtin_instrs
+            self._off_image += config.builtin_instrs
+            predictor.predictions += 1
+            predictor.mispredictions += 1
+            self._frame_traffic(words)
         else:
             self.depth += 1
 
     def on_return(self, callee_name, caller) -> None:
-        self.depth = max(0, self.depth - 1)
+        if self.depth:
+            self.depth -= 1
         # "the PA8000 always mispredicts procedure return branches"
-        self.predictor.force_mispredict()
+        predictor = self.predictor
+        predictor.predictions += 1
+        predictor.mispredictions += 1
         saves = self._save_counts.get(caller.name, self.config.max_save_regs)
-        self._frame_traffic(saves, store=False)
+        self._frame_traffic(saves)
 
     def on_mem(self, addr, is_store) -> None:
-        self.dcache.access(addr * WORD_BYTES)
+        dcache = self.dcache
+        dcache.accesses += 1
+        line = addr * WORD_BYTES >> self._shift
+        slot = line % dcache.num_lines
+        if dcache.tags[slot] != line:
+            dcache.tags[slot] = line
+            dcache.misses += 1
 
-    def _frame_traffic(self, words: int, store: bool) -> None:
-        """Save/restore traffic at the current simulated frame."""
+    def _frame_traffic(self, words: int) -> None:
+        """Save/restore traffic at the current simulated frame.
+
+        Each word is a retired instruction, fetched from the line of the
+        call or return (a hit, unless nothing has been fetched yet), and
+        a D-cache access.  The words run down from the top of the frame,
+        so a stack line's first word decides hit or miss and the rest of
+        the line hits: one tag check per line, not per word.
+        """
+        if not words:
+            return
+        self.retired += words
+        dcache = self.dcache
+        dcache.accesses += words
+        if self._line < 0:
+            # Nothing fetched yet: the words are fetched from pc 0.
+            self._line = 0
+            icache = self.icache
+            if icache.tags[0] != 0:
+                icache.tags[0] = 0
+                icache.misses += 1
         base = SIM_STACK_BASE - self.depth * FRAME_BYTES
-        for offset in range(words):
-            self.retired += 1  # the save/restore instruction itself
-            self.icache.access(self._last_pc)  # fetched near the call site
-            self.dcache.access(base - offset * WORD_BYTES)
+        shift = self._shift
+        tags = dcache.tags
+        lines = dcache.num_lines
+        last = base - (words - 1) * WORD_BYTES >> shift
+        for line in range(base >> shift, last - 1, -self._word_lines):
+            slot = line % lines
+            if tags[slot] != line:
+                tags[slot] = line
+                dcache.misses += 1
 
     # ------------------------------------------------------------------
     # Results
@@ -180,7 +302,7 @@ class PA8000Model(EventSink):
         return MachineMetrics(
             cycles=cycles,
             instructions=self.retired,
-            icache_accesses=self.icache.accesses,
+            icache_accesses=self.retired - self._off_image,
             icache_misses=self.icache.misses,
             dcache_accesses=self.dcache.accesses,
             dcache_misses=self.dcache.misses,

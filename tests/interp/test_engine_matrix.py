@@ -4,8 +4,9 @@ The differential suite pins the optimized engines against the
 reference with no sink and a recording sink; this file sweeps the full
 capability matrix CI's ``engine-matrix`` job runs — each engine in
 ``ENGINES`` under no sink, :class:`CountingSink` (batched ``on_instr``),
-:class:`SamplingSink` (jittered sampling state, call/return exact), and
-the :class:`~repro.machine.pa8000.PA8000Model` (every callback live) —
+:class:`SamplingSink` (jittered sampling state, call/return exact), the
+runtime profiler, and the :class:`~repro.machine.pa8000.PA8000Model`
+(every callback live) on the default machine and on a small one —
 asserting the complete outcome *and* the sink's accumulated state are
 identical across engines.  Sink state is the sharp edge: a sink's
 counters diverge the moment an engine batches, reorders, or skips a
