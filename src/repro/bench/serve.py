@@ -36,6 +36,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from ..interp.interpreter import DEFAULT_ENGINE
 from ..linker.isom import to_isom_text
 from ..linker.toolchain import Toolchain
 from ..serve.client import AsyncServeClient, ServeRequestError, parse_address
@@ -239,7 +240,7 @@ async def _run_bench(cfg: BenchConfig) -> Tuple[dict, List[str]]:
     for name, wl in workloads.items():
         cold = Toolchain(
             [list(pair) for pair in wl.sources], jobs=1,
-            engine=cfg.engine or "fast",
+            engine=cfg.engine or DEFAULT_ENGINE,
         ).build(cfg.scope)
         local_checksums[name] = artifact_checksum({
             mod.name: to_isom_text(mod)
@@ -257,7 +258,7 @@ async def _run_bench(cfg: BenchConfig) -> Tuple[dict, List[str]]:
         "clients": cfg.clients,
         "workloads": list(cfg.workloads),
         "scope": cfg.scope,
-        "engine": cfg.engine or "fast",
+        "engine": cfg.engine or DEFAULT_ENGINE,
         "connect": cfg.connect,
         "requests": recorder.requests,
         "errors": len(recorder.errors),

@@ -19,11 +19,10 @@ isoms, and the host wall time.  On top of that it measures:
   ``--trace-out`` / ``--metrics-out`` the instrumented pass also writes
   its artifacts for upload;
 - **interpreter engine speedup** — each workload runs sink-free under
-  all three engines (reference loop, pre-decoded fast engine,
-  source-emitting codegen engine), one untimed warmup then best-of-N
-  interleaved walls (``--repeat``).  Two ratios gate in-run: fast must
-  stay ≥ 2× the reference and codegen ≥ 2× fast on every workload —
-  the acceptance bars each engine shipped against.
+  both engines (reference loop, pre-decoded fast engine), one untimed
+  warmup then best-of-N interleaved walls (``--repeat``).  The ratio
+  gates in-run: fast must stay ≥ 2× the reference on every workload —
+  the acceptance bar the fast engine shipped against.
   ``interp.steps_per_sec`` and the plan-cache counters land in the
   report on the canonical ``interp.*`` metric names.
 
@@ -56,12 +55,11 @@ import tempfile
 import time
 from typing import List, Optional, Sequence, Tuple
 
-SCHEMA_VERSION = 9
+SCHEMA_VERSION = 10
 DEFAULT_WORKLOADS = ("compress", "sc", "vortex")
 DEFAULT_SCOPE = "cp"
 REGRESSION_THRESHOLD = 0.15
 MIN_INTERP_SPEEDUP = 2.0
-MIN_CODEGEN_SPEEDUP = 2.0
 INTERP_REPEATS = 5
 
 
@@ -193,20 +191,18 @@ def _measure_observability(
 def _measure_interp(
     names: Sequence[str], repeats: int = INTERP_REPEATS
 ) -> dict:
-    """All three engines on the same host run, sink-free, best-of-N.
+    """Both engines on the same host run, sink-free, best-of-N.
 
     Runs each workload's un-optimized program (front end only — engine
     throughput is a property of the interpreter, not of HLO) on its
-    reference input under the reference loop, the pre-decoded fast
-    engine, and the source-emitting codegen engine.  The per-workload
-    *speedups* are the portable figures: all walls come from the same
-    host and run, so their ratios survive machine changes where raw
-    steps/sec cannot.  Two ratios are gated in-run: fast over reference
-    (≥ ``MIN_INTERP_SPEEDUP``) and codegen over fast
-    (≥ ``MIN_CODEGEN_SPEEDUP``).  The fast-engine figures are read back
-    through the canonical ``interp.*`` metric names
-    (:func:`repro.obs.metrics.collect_interp_metrics`) so the report and
-    ``--metrics-out`` consumers agree on spelling.
+    reference input under the reference loop and the pre-decoded fast
+    engine.  The per-workload *speedup* is the portable figure: both
+    walls come from the same host and run, so their ratio survives
+    machine changes where raw steps/sec cannot.  It is gated in-run:
+    fast over reference (≥ ``MIN_INTERP_SPEEDUP``).  The fast-engine
+    figures are read back through the canonical ``interp.*`` metric
+    names (:func:`repro.obs.metrics.collect_interp_metrics`) so the
+    report and ``--metrics-out`` consumers agree on spelling.
     """
     import gc
 
@@ -215,9 +211,9 @@ def _measure_interp(
     from ..obs.metrics import collect_interp_metrics
     from ..workloads.suite import get_workload
 
-    engines = ("fast", "codegen", "reference")
+    engines = ("fast", "reference")
     per = {}
-    plans = {name: [0, 0] for name in ("fast", "codegen")}
+    plans_compiled = plan_cache_hits = 0
     for name in names:
         workload = get_workload(name)
         program = workload.compile()
@@ -228,12 +224,11 @@ def _measure_interp(
         for engine in engines:
             interp = Interpreter(program, workload.ref_input, engine=engine)
             interp.run()
-            if engine in plans:
-                plans[engine][0] += interp.plans_compiled
-                plans[engine][1] += interp.plan_cache_hits
+            plans_compiled += interp.plans_compiled
+            plan_cache_hits += interp.plan_cache_hits
         # Timed rounds interleave the engines so temporal drift (turbo
-        # decay, a background process waking up) lands on all equally
-        # instead of skewing the ratios; GC is parked so a collection
+        # decay, a background process waking up) lands on both equally
+        # instead of skewing the ratio; GC is parked so a collection
         # pause cannot charge one engine for another's garbage.
         walls = {engine: None for engine in engines}
         last_fast = None
@@ -250,8 +245,7 @@ def _measure_interp(
                     wall = time.perf_counter() - started
                     best = walls[engine]
                     walls[engine] = wall if best is None else min(best, wall)
-                    if engine in plans:
-                        plans[engine][1] += interp.plan_cache_hits
+                    plan_cache_hits += interp.plan_cache_hits
                     if engine == "fast":
                         last_fast = interp
                 gc.collect()
@@ -261,30 +255,21 @@ def _measure_interp(
         steps = last_fast.steps
         fast_sps = steps / walls["fast"] if walls["fast"] else 0.0
         ref_sps = steps / walls["reference"] if walls["reference"] else 0.0
-        cg_sps = steps / walls["codegen"] if walls["codegen"] else 0.0
         reg = collect_interp_metrics(last_fast, steps_per_sec=fast_sps)
         per[name] = {
             "steps": reg.value(metric_names.INTERP_STEPS),
             "steps_per_sec": reg.value(metric_names.INTERP_STEPS_PER_SEC),
             "reference_steps_per_sec": round(ref_sps, 1),
             "speedup": round(fast_sps / ref_sps, 3) if ref_sps else 0.0,
-            "codegen_steps_per_sec": round(cg_sps, 1),
-            "codegen_speedup": round(cg_sps / fast_sps, 3) if fast_sps else 0.0,
         }
     speedups = [entry["speedup"] for entry in per.values()]
-    cg_speedups = [entry["codegen_speedup"] for entry in per.values()]
     return {
         "engine": "fast",
         "min_speedup": MIN_INTERP_SPEEDUP,
         "mean_speedup": round(sum(speedups) / len(speedups), 3)
         if speedups else 0.0,
-        "codegen_min_speedup": MIN_CODEGEN_SPEEDUP,
-        "codegen_mean_speedup": round(sum(cg_speedups) / len(cg_speedups), 3)
-        if cg_speedups else 0.0,
-        "plans_compiled": plans["fast"][0],
-        "plan_cache_hits": plans["fast"][1],
-        "codegen_plans_compiled": plans["codegen"][0],
-        "codegen_plan_cache_hits": plans["codegen"][1],
+        "plans_compiled": plans_compiled,
+        "plan_cache_hits": plan_cache_hits,
         "repeats": repeats,
         "workloads": per,
     }
@@ -326,13 +311,6 @@ def run_smoke(
             failures.append(
                 "interp: {} fast-engine speedup {:.2f}x below the {:.1f}x "
                 "floor".format(name, entry["speedup"], MIN_INTERP_SPEEDUP)
-            )
-        if entry["codegen_speedup"] < MIN_CODEGEN_SPEEDUP:
-            failures.append(
-                "interp: {} codegen speedup {:.2f}x over fast below the "
-                "{:.1f}x floor".format(
-                    name, entry["codegen_speedup"], MIN_CODEGEN_SPEEDUP
-                )
             )
 
     cache = _measure_cache(names, scope)
@@ -410,28 +388,25 @@ def check(
         # machines and gates unconditionally; absolute steps/sec is
         # host-bound wall clock and hides behind --gate-wall-time like
         # every other raw timing.
-        for metric in ("speedup", "codegen_speedup"):
-            before, after = expected.get(metric), measured.get(metric)
-            if before and after is not None:
-                drop = (before - after) / before
-                if drop > threshold:
-                    failures.append(
-                        "{}: interp {} regressed {:.1f}% "
-                        "({} -> {}), limit {:.0f}%".format(
-                            name, metric, drop * 100, before, after,
-                            threshold * 100,
-                        )
-                    )
-        if not gate_wall_time:
-            continue
-        for metric in ("steps_per_sec", "codegen_steps_per_sec"):
-            before, after = expected.get(metric), measured.get(metric)
-            if before and after and (before - after) / before > threshold:
+        before, after = expected.get("speedup"), measured.get("speedup")
+        if before and after is not None:
+            drop = (before - after) / before
+            if drop > threshold:
                 failures.append(
-                    "{}: interp {} regressed ({} -> {})".format(
-                        name, metric, before, after
+                    "{}: interp speedup regressed {:.1f}% "
+                    "({} -> {}), limit {:.0f}%".format(
+                        name, drop * 100, before, after, threshold * 100,
                     )
                 )
+        if not gate_wall_time:
+            continue
+        before, after = expected.get("steps_per_sec"), measured.get("steps_per_sec")
+        if before and after and (before - after) / before > threshold:
+            failures.append(
+                "{}: interp steps_per_sec regressed ({} -> {})".format(
+                    name, before, after
+                )
+            )
     return failures
 
 
@@ -457,8 +432,6 @@ def baseline_view(report: dict) -> dict:
                 name: {
                     "speedup": entry["speedup"],
                     "steps_per_sec": entry["steps_per_sec"],
-                    "codegen_speedup": entry["codegen_speedup"],
-                    "codegen_steps_per_sec": entry["codegen_steps_per_sec"],
                 }
                 for name, entry in report.get("interp", {})
                 .get("workloads", {}).items()
@@ -470,35 +443,30 @@ def baseline_view(report: dict) -> dict:
 def step_summary(report: dict, failures: Sequence[str]) -> str:
     """A GitHub step-summary Markdown view of one smoke report.
 
-    Renders the per-workload engine table (steps/sec under all three
-    engines plus both gated ratios) — the numbers needed to judge a
-    bench regression without downloading ``BENCH_smoke.json``.
+    Renders the per-workload engine table (steps/sec under both engines
+    plus the gated ratio) — the numbers needed to judge a bench
+    regression without downloading ``BENCH_smoke.json``.
     """
     interp = report.get("interp", {})
     lines = [
         "## Bench smoke (schema v{})".format(report.get("schema", "?")),
         "",
-        "| workload | reference steps/s | fast steps/s | codegen steps/s "
-        "| fast/ref | codegen/fast |",
-        "|---|---:|---:|---:|---:|---:|",
+        "| workload | reference steps/s | fast steps/s | fast/ref |",
+        "|---|---:|---:|---:|",
     ]
     for name, entry in sorted(interp.get("workloads", {}).items()):
         lines.append(
-            "| {} | {:,.0f} | {:,.0f} | {:,.0f} | {:.2f}x | {:.2f}x |".format(
+            "| {} | {:,.0f} | {:,.0f} | {:.2f}x |".format(
                 name,
                 entry.get("reference_steps_per_sec", 0.0),
                 entry.get("steps_per_sec", 0.0),
-                entry.get("codegen_steps_per_sec", 0.0),
                 entry.get("speedup", 0.0),
-                entry.get("codegen_speedup", 0.0),
             )
         )
     lines += [
         "",
-        "- floors: fast ≥ {:.1f}x over reference, codegen ≥ {:.1f}x over "
-        "fast (gated in-run)".format(
+        "- floor: fast ≥ {:.1f}x over reference (gated in-run)".format(
             interp.get("min_speedup", MIN_INTERP_SPEEDUP),
-            interp.get("codegen_min_speedup", MIN_CODEGEN_SPEEDUP),
         ),
         "- timing: best of {} interleaved round(s) after one warmup per "
         "engine".format(interp.get("repeats", INTERP_REPEATS)),
@@ -600,15 +568,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             report["interp"]["min_speedup"],
             report["interp"]["plans_compiled"],
             report["interp"]["plan_cache_hits"],
-        )
-    )
-    print(
-        "interp: codegen engine mean speedup x{:.2f} over fast "
-        "(floor x{:.1f}; {} plans compiled, {} cache hits)".format(
-            report["interp"]["codegen_mean_speedup"],
-            report["interp"]["codegen_min_speedup"],
-            report["interp"]["codegen_plans_compiled"],
-            report["interp"]["codegen_plan_cache_hits"],
         )
     )
     for failure in failures:

@@ -1066,9 +1066,8 @@ def build_parser() -> argparse.ArgumentParser:
     def engine_flag(p):
         p.add_argument("--engine", choices=ENGINES, default=DEFAULT_ENGINE,
                        help="interpreter engine: 'fast' pre-decodes to "
-                       "threaded code, 'codegen' compiles procedures to "
-                       "Python code objects, 'reference' is the plain "
-                       "loop (default {})".format(DEFAULT_ENGINE))
+                       "threaded code, 'reference' is the plain loop "
+                       "(default {})".format(DEFAULT_ENGINE))
 
     def observability(p):
         p.add_argument("--trace-out", metavar="FILE",

@@ -1,7 +1,6 @@
-"""Differential harness: optimized engines against the reference engine.
+"""Differential harness: the optimized engine against the reference engine.
 
-The pre-decoded engine (:mod:`repro.interp.engine`) and the
-source-emitting engine (:mod:`repro.interp.codegen`) carry a strong
+The pre-decoded engine (:mod:`repro.interp.engine`) carries a strong
 claim — bit-identical observable behaviour to the reference loop: the
 same :class:`~repro.interp.interpreter.Result` (exit code, output,
 steps, every counter), the same sink event stream, and the same
@@ -22,18 +21,18 @@ from typing import Any, List, Optional, Sequence, Tuple, Union
 from ..ir.program import Program
 from .errors import ExecError, StepLimitExceeded
 from .events import RecordingSink
-from .interpreter import DEFAULT_MAX_STEPS, run_program
+from .interpreter import DEFAULT_ENGINE, DEFAULT_MAX_STEPS, run_program
 
 InputVector = Sequence[Union[int, float]]
 
 #: Engines with the bit-identity claim against "reference".
-OPTIMIZED_ENGINES = ("fast", "codegen")
+OPTIMIZED_ENGINES = ("fast",)
 
 
 def run_outcome(
     program: Program,
     inputs: InputVector = (),
-    engine: str = "fast",
+    engine: str = DEFAULT_ENGINE,
     entry: str = "main",
     max_steps: int = DEFAULT_MAX_STEPS,
     record_events: bool = True,
@@ -82,7 +81,7 @@ def diff_engines(
     entry: str = "main",
     max_steps: int = DEFAULT_MAX_STEPS,
     record_events: bool = True,
-    engine: str = "fast",
+    engine: str = DEFAULT_ENGINE,
 ) -> List[str]:
     """Run ``engine`` and the reference; returns human-readable
     mismatches (empty = ok).
@@ -152,7 +151,7 @@ def assert_identical(
     entry: str = "main",
     max_steps: int = DEFAULT_MAX_STEPS,
     label: Optional[str] = None,
-    engine: str = "fast",
+    engine: str = DEFAULT_ENGINE,
 ) -> None:
     """Assert ``engine`` and the reference agree, with and without an
     event sink."""

@@ -10,16 +10,16 @@ Capability negotiation
 ----------------------
 
 A sink *declares* which callbacks it consumes through the class-level
-``needs_*`` flags.  All three execution engines read the flags once per run
+``needs_*`` flags.  Both execution engines read the flags once per run
 and skip the corresponding callback entirely when a sink does not need
 it, so a sink that only counts calls pays nothing per instruction.  The
 defaults are conservative (everything on): a sink written before the
 flags existed keeps exact semantics.
 
 ``batch_instr`` is a stronger opt-in for order-insensitive sinks: the
-fast and codegen engines may *replay* a straight-line run's ``on_instr``
-events in one batch at the start of the run instead of interleaving
-them with execution.  The event sequence delivered for any normally
+fast engine may *replay* a straight-line run's ``on_instr`` events in
+one batch at the start of the run instead of interleaving them with
+execution.  The event sequence delivered for any normally
 terminating program is identical (only ``on_instr`` events occur inside
 a straight-line run, and they are replayed in order before the run's
 call/branch event fires); a sink that inspects interpreter side effects
@@ -49,8 +49,8 @@ class EventSink:
     needs_return = True
     needs_mem = True
     # Opt-in: on_instr events for a straight-line run may be delivered
-    # as one in-order batch at the start of the run (fast and codegen
-    # engines; the reference engine always interleaves).
+    # as one in-order batch at the start of the run (fast engine; the
+    # reference engine always interleaves).
     batch_instr = False
 
     def on_instr(self, proc: "Procedure", label: str, index: int, instr: "Instr") -> None:

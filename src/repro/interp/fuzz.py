@@ -3,7 +3,7 @@
 The per-PR differential suite (``tests/interp/test_engine_diff.py``)
 pins 50 generator seeds against the no-sink and recording-sink
 configurations.  This CLI is the wide version CI runs on a schedule:
-hundreds of generator seeds, each executed under every optimized
+hundreds of generator seeds, each executed under the optimized
 engine × every sink *family* — no sink, :class:`CountingSink` (the
 batched-``on_instr`` capability), :class:`SamplingSink` (exact
 ``on_instr`` + call/return, jittered sampling state), the
@@ -252,7 +252,6 @@ def fuzz_one(
 
 def run_fuzz(
     seeds: Sequence[int],
-    engines: Sequence[str] = OPTIMIZED_ENGINES,
     kinds: Sequence[str] = SINK_KINDS,
     max_steps: int = DEFAULT_MAX_STEPS,
     artifact_dir: Optional[str] = None,
@@ -262,7 +261,9 @@ def run_fuzz(
     """Fuzz every seed; write one artifact per failure; return failures."""
     failures: List[dict] = []
     for count, seed in enumerate(seeds, start=1):
-        failures.extend(fuzz_one(seed, engines, kinds, max_steps, strategies))
+        failures.extend(
+            fuzz_one(seed, OPTIMIZED_ENGINES, kinds, max_steps, strategies)
+        )
         if progress_every and count % progress_every == 0:
             print(
                 "fuzz: {}/{} seeds, {} failure(s)".format(
@@ -295,10 +296,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                         help="number of generator seeds (default 100)")
     parser.add_argument("--start", type=int, default=0, metavar="S",
                         help="first seed (default 0)")
-    parser.add_argument("--engines", default=",".join(OPTIMIZED_ENGINES),
-                        help="comma-separated engines to diff against the "
-                        "reference (default {})".format(
-                            ",".join(OPTIMIZED_ENGINES)))
     parser.add_argument("--sinks", default=",".join(SINK_KINDS),
                         help="comma-separated sink kinds (default {})".format(
                             ",".join(SINK_KINDS)))
@@ -311,7 +308,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                         help="write one JSON repro per failure here")
     args = parser.parse_args(argv)
 
-    engines = [e.strip() for e in args.engines.split(",") if e.strip()]
     kinds = [k.strip() for k in args.sinks.split(",") if k.strip()]
     for kind in kinds:
         if kind not in SINK_KINDS + ("recording",):
@@ -322,13 +318,13 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             parser.error("unknown strategy {!r}".format(strategy))
     seeds = range(args.start, args.start + args.seeds)
     failures = run_fuzz(
-        seeds, engines=engines, kinds=kinds, max_steps=args.max_steps,
+        seeds, kinds=kinds, max_steps=args.max_steps,
         artifact_dir=args.artifact_dir, strategies=strategies,
     )
     print(
         "fuzz: {} seed(s) x {} strategy(ies) x {} engine(s) x {} sink(s): "
         "{} failure(s)".format(
-            len(seeds), len(strategies), len(engines), len(kinds),
+            len(seeds), len(strategies), len(OPTIMIZED_ENGINES), len(kinds),
             len(failures)
         )
     )

@@ -46,10 +46,10 @@ DEFAULT_MAX_STEPS = 50_000_000
 STACK_LIMIT_FRAMES = 8_000
 
 # Execution engines.  "fast" is the pre-decoded threaded-dispatch engine
-# (repro.interp.engine); "reference" is the direct-over-IR loop below,
-# kept as the semantics oracle the fast engine is differentially tested
-# against.
-ENGINES = ("fast", "codegen", "reference")
+# (repro.interp.engine) and the only optimized one; "reference" is the
+# direct-over-IR loop below, kept as the semantics oracle the fast
+# engine is differentially tested against.
+ENGINES = ("fast", "reference")
 DEFAULT_ENGINE = "fast"
 
 
@@ -151,7 +151,7 @@ class Interpreter:
         self.plans_compiled = 0
         self.plan_cache_hits = 0
 
-        # Sink capability negotiation: all three engines honour the sink's
+        # Sink capability negotiation: both engines honour the sink's
         # declared needs_* flags, so a sink that does not consume a
         # callback never pays for it (and every engine delivers the same
         # stream for any given sink, which the differential harness
@@ -216,10 +216,6 @@ class Interpreter:
             from .engine import execute
 
             return execute(self, proc, list(args))
-        if self.engine == "codegen":
-            from .codegen import execute as execute_codegen
-
-            return execute_codegen(self, proc, list(args))
         frame = self._push_frame(proc, list(args), dest=None)
         exit_code = 0
         try:

@@ -49,25 +49,18 @@ class Program:
         # procedure fingerprint, so this only needs explicit clearing to
         # release memory.
         self._plan_cache = None
-        # Same idea for the codegen engine's compiled-source plans
-        # (repro.interp.codegen); invalidation covers both.
-        self._codegen_cache = None
         for mod in modules or []:
             self.add_module(mod)
 
     def invalidate_plans(self) -> None:
-        """Drop any cached execution plans (see ``repro.interp.engine``
-        and ``repro.interp.codegen``)."""
+        """Drop any cached execution plans (see ``repro.interp.engine``)."""
         self._plan_cache = None
-        self._codegen_cache = None
 
     def __getstate__(self):
-        # Execution plans hold closures and exec-compiled code objects,
-        # neither of which pickles; strip them so Programs cross process
-        # boundaries and rebuild lazily.
+        # Execution plans hold closures, which do not pickle; strip them
+        # so Programs cross process boundaries and rebuild lazily.
         state = self.__dict__.copy()
         state["_plan_cache"] = None
-        state["_codegen_cache"] = None
         return state
 
     # ------------------------------------------------------------------

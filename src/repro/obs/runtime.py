@@ -13,12 +13,11 @@ wants.  Call edges are tallied exactly on the side (every executed
 call already passes through the event stream), so caller→callee
 counts carry no sampling noise.
 
-Because all three engines — reference, fast, codegen — deliver
-byte-identical event streams per sink mode (the differential fuzz
-harness pins this), the same profiler attached to the same program,
-inputs, and seed produces the *same samples* on every engine; the
-flamegraph is a property of the execution, not of the engine that ran
-it.
+Because both engines — reference and fast — deliver byte-identical
+event streams per sink mode (the differential fuzz harness pins this),
+the same profiler attached to the same program, inputs, and seed
+produces the *same samples* on every engine; the flamegraph is a
+property of the execution, not of the engine that ran it.
 
 Exports: collapsed-stack text (``main;hot;inner 1234``, one context
 per line — Brendan Gregg's ``flamegraph.pl`` / ``inferno`` input) and

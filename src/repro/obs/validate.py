@@ -351,7 +351,7 @@ def validate_series_jsonl(text: str) -> List[str]:
 
 
 def validate_bench(obj) -> List[str]:
-    """Problems with a schema-9 ``BENCH_smoke.json`` report (empty = valid)."""
+    """Problems with a schema-10 ``BENCH_smoke.json`` report (empty = valid)."""
     errors: List[str] = []
     if not isinstance(obj, dict):
         return ["bench: top level must be an object"]
@@ -381,9 +381,7 @@ def validate_bench(obj) -> List[str]:
         if not isinstance(interp.get("engine"), str):
             errors.append("bench: interp missing string 'engine'")
         for key in ("min_speedup", "mean_speedup", "plans_compiled",
-                    "plan_cache_hits", "codegen_min_speedup",
-                    "codegen_mean_speedup", "codegen_plans_compiled",
-                    "codegen_plan_cache_hits"):
+                    "plan_cache_hits"):
             if not isinstance(interp.get(key), (int, float)):
                 errors.append("bench: interp missing numeric {!r}".format(key))
         per = interp.get("workloads")
@@ -396,18 +394,16 @@ def validate_bench(obj) -> List[str]:
                     errors.append(where + " is not an object")
                     continue
                 for key in ("steps", "steps_per_sec",
-                            "reference_steps_per_sec", "speedup",
-                            "codegen_steps_per_sec", "codegen_speedup"):
+                            "reference_steps_per_sec", "speedup"):
                     if not isinstance(entry.get(key), (int, float)):
                         errors.append(
                             "{} missing numeric {!r}".format(where, key)
                         )
-                for key in ("speedup", "codegen_speedup"):
-                    value = entry.get(key)
-                    if isinstance(value, (int, float)) and value <= 0:
-                        errors.append(
-                            "{} {} {} is not positive".format(where, key, value)
-                        )
+                speedup = entry.get("speedup")
+                if isinstance(speedup, (int, float)) and speedup <= 0:
+                    errors.append(
+                        "{} speedup {} is not positive".format(where, speedup)
+                    )
     return errors
 
 

@@ -27,6 +27,7 @@ import socket
 import time
 from typing import Optional, Sequence, Tuple
 
+from ..interp.interpreter import DEFAULT_ENGINE
 from ..linker.isom import from_isom_text
 from ..linker.linker import link_modules
 from ..linker.toolchain import BuildDiagnostics, BuildResult, BuildStats
@@ -103,7 +104,7 @@ def build_result_from_reply(fields: dict) -> BuildResult:
         stats,
         None,
         diagnostics,
-        engine=fields.get("engine", "fast"),
+        engine=fields.get("engine", DEFAULT_ENGINE),
     )
 
 

@@ -1,5 +1,7 @@
 """The pre-decoded engine: selection, plan caching, capabilities, metrics."""
 
+import pickle
+
 import pytest
 
 from repro.frontend import compile_program
@@ -13,6 +15,8 @@ from repro.interp import (
 )
 from repro.ir import Imm
 from repro.ir.instructions import Ret
+from repro.parallel.executor import parallel_map
+from repro.workloads.suite import get_workload
 
 from ..conftest import single_proc_program
 
@@ -33,7 +37,7 @@ class TestEngineSelection:
         assert Interpreter(single_proc_program(lambda b: b.ret(1))).engine == "fast"
 
     def test_engines_tuple(self):
-        assert set(ENGINES) == {"fast", "codegen", "reference"}
+        assert set(ENGINES) == {"fast", "reference"}
 
     def test_explicit_reference(self):
         program = single_proc_program(lambda b: b.ret(5))
@@ -43,8 +47,9 @@ class TestEngineSelection:
 
     def test_unknown_engine_rejected(self):
         program = single_proc_program(lambda b: b.ret(1))
-        with pytest.raises(ValueError):
-            Interpreter(program, engine="turbo")
+        for engine in ("turbo", "codegen"):
+            with pytest.raises(ValueError):
+                Interpreter(program, engine=engine)
 
     def test_run_program_engine_kwarg(self):
         program = compile_program(COUNT_SRC)
@@ -121,6 +126,52 @@ class TestPlanCache:
         again = Interpreter(program, sink=CountingSink())
         again.run()
         assert again.plans_compiled == 0
+        # A disabled profiler negotiates the no-sink mode, so it runs on
+        # the no-sink plans: attaching one costs nothing until enabled.
+        from repro.obs.runtime import RuntimeProfiler
+
+        disabled = Interpreter(program, sink=RuntimeProfiler(enabled=False))
+        disabled.run()
+        assert disabled.plans_compiled == 0
+        assert disabled.plan_cache_hits == 2
+
+
+def _run_shard(item):
+    """Worker body: run one input vector on a Program that arrived by pickle."""
+    program, inputs = item
+    interp = Interpreter(program, inputs)
+    result = interp.run()
+    return result.steps, interp.plans_compiled
+
+
+class TestPickling:
+    def test_warm_program_pickles_with_caches_stripped(self):
+        program = compile_program(COUNT_SRC)
+        want = run_program(program)
+        assert program._plan_cache.plans  # warm: holds unpicklable plans
+        clone = pickle.loads(pickle.dumps(program))
+        assert clone._plan_cache is None
+        got = run_program(clone)
+        assert got.output == want.output
+        assert got.steps == want.steps
+        assert clone._plan_cache.plans_compiled > 0
+
+    def test_sharded_workers_rebuild_plans(self):
+        # One shard per input vector, each run in a worker process.  The
+        # Program is warmed first, so a nonzero plans_compiled in every
+        # worker proves the cache was stripped in transit and rebuilt
+        # from the IR on the far side.
+        workload = get_workload("compress")
+        program = workload.compile()
+        vectors = [list(t) for t in workload.train_inputs]
+        vectors.append(list(workload.ref_input))
+        serial = [run_program(program, v).steps for v in vectors]
+        shards, outcome = parallel_map(
+            _run_shard, [(program, v) for v in vectors], jobs=2
+        )
+        assert not outcome.fell_back
+        assert all(compiled > 0 for _steps, compiled in shards)
+        assert [steps for steps, _compiled in shards] == serial
 
 
 class TestCapabilityNegotiation:
@@ -188,7 +239,7 @@ class TestToolchainAndMetrics:
         from repro.obs.validate import validate_bench
 
         report = {
-            "schema": 9,
+            "schema": 10,
             "workloads": {"w": {"compile_units": 1, "cycles": 2,
                                 "wall_s": 0.1, "checksum": "x"}},
             "totals": {}, "build": {}, "cache": {}, "observability": {},
@@ -198,13 +249,9 @@ class TestToolchainAndMetrics:
         report["interp"] = {
             "engine": "fast", "min_speedup": 2.0, "mean_speedup": 2.4,
             "plans_compiled": 3, "plan_cache_hits": 9,
-            "codegen_min_speedup": 2.1, "codegen_mean_speedup": 2.5,
-            "codegen_plans_compiled": 3, "codegen_plan_cache_hits": 9,
             "workloads": {"w": {"steps": 100, "steps_per_sec": 5.0,
                                 "reference_steps_per_sec": 2.0,
-                                "speedup": 2.5,
-                                "codegen_steps_per_sec": 12.0,
-                                "codegen_speedup": 2.4}},
+                                "speedup": 2.5}},
         }
         assert validate_bench(report) == []
 
@@ -232,25 +279,6 @@ class TestToolchainAndMetrics:
         assert any(
             "steps_per_sec" in f
             for f in check(good, baseline, gate_wall_time=True)
-        )
-
-    def test_bench_check_gates_codegen_steps_per_sec(self):
-        from repro.bench.smoke import check
-
-        baseline = {
-            "workloads": {},
-            "interp": {"workloads": {"w": {"codegen_speedup": 2.5,
-                                           "codegen_steps_per_sec": 1000.0}}},
-        }
-        slow = {
-            "workloads": {},
-            "interp": {"workloads": {"w": {"codegen_speedup": 2.5,
-                                           "codegen_steps_per_sec": 100.0}}},
-        }
-        assert check(slow, baseline) == []
-        assert any(
-            "codegen_steps_per_sec" in f
-            for f in check(slow, baseline, gate_wall_time=True)
         )
 
     def test_bench_check_without_baseline_is_a_usage_error(self, capsys):

@@ -1,9 +1,8 @@
 """Differential suite: every optimized engine must be observably identical.
 
 Every test runs the same program under each engine in
-``OPTIMIZED_ENGINES`` (the pre-decoded ``fast`` engine and the
-source-compiling ``codegen`` engine) against ``engine="reference"``
-(via :mod:`repro.interp.diff`) and asserts the
+``OPTIMIZED_ENGINES`` (the pre-decoded ``fast`` engine) against
+``engine="reference"`` (via :mod:`repro.interp.diff`) and asserts the
 complete observable outcome matches: Result fields including every
 counter, the RecordingSink event stream, and — on trapping or
 step-limited runs — the exception type and message.  Coverage comes

@@ -1,6 +1,6 @@
-"""Engine × sink matrix: all three engines under every sink family.
+"""Engine × sink matrix: both engines under every sink family.
 
-The differential suite pins the optimized engines against the
+The differential suite pins the optimized engine against the
 reference with no sink and a recording sink; this file sweeps the full
 capability matrix CI's ``engine-matrix`` job runs — each engine in
 ``ENGINES`` under no sink, :class:`CountingSink` (batched ``on_instr``),
@@ -21,17 +21,17 @@ from __future__ import annotations
 import pytest
 
 from repro.frontend import compile_program
+from repro.interp.diff import OPTIMIZED_ENGINES
 from repro.interp.fuzz import SINK_KINDS, fuzz_one, observe
 from repro.interp.interpreter import ENGINES
 from repro.workloads.generator import generate_sources
 from repro.workloads.suite import get_workload
 
-OPTIMIZED = tuple(e for e in ENGINES if e != "reference")
 MATRIX_SEEDS = (0, 3, 9, 14, 23, 31, 42)
 
 
 @pytest.mark.parametrize("kind", SINK_KINDS)
-@pytest.mark.parametrize("engine", OPTIMIZED)
+@pytest.mark.parametrize("engine", OPTIMIZED_ENGINES)
 class TestGeneratedMatrix:
     def test_generated_seeds_identical(self, engine, kind):
         failures = []
@@ -41,11 +41,11 @@ class TestGeneratedMatrix:
 
 
 @pytest.mark.parametrize("strategy", ("global", "demand"))
-@pytest.mark.parametrize("engine", OPTIMIZED)
+@pytest.mark.parametrize("engine", OPTIMIZED_ENGINES)
 class TestStrategyMatrix:
     # The fuzz harness's strategy dimension: run full HLO under each
-    # strategy first, then demand byte-identical outcomes across all
-    # three engines and every sink family — plus the harness's built-in
+    # strategy first, then demand byte-identical outcomes across both
+    # engines and every sink family — plus the harness's built-in
     # check that the transformed program prints and exits exactly like
     # the unoptimized one.
     def test_hlo_outputs_identical(self, engine, strategy):
@@ -69,7 +69,7 @@ class TestWorkloadMatrix:
             for engine in ENGINES
         }
         want = observations["reference"]
-        for engine in OPTIMIZED:
+        for engine in OPTIMIZED_ENGINES:
             assert observations[engine] == want, (
                 "{} diverges from reference on {} under {!r} sink".format(
                     engine, name, kind
@@ -94,7 +94,7 @@ class TestTrapMatrix:
         program = compile_program([("m", self.TRAP)])
         want = observe(program, [], "reference", kind)
         assert want[0][0] == "execerror"
-        for engine in OPTIMIZED:
+        for engine in OPTIMIZED_ENGINES:
             assert observe(program, [], engine, kind) == want
 
     def test_step_limit_mid_run(self, kind):
@@ -102,7 +102,7 @@ class TestTrapMatrix:
         for max_steps in (1, 7, 19):
             want = observe(program, [], "reference", kind, max_steps)
             assert want[0][0] == "steplimit"
-            for engine in OPTIMIZED:
+            for engine in OPTIMIZED_ENGINES:
                 got = observe(program, [], engine, kind, max_steps)
                 assert got == want, "max_steps={}".format(max_steps)
 
@@ -110,12 +110,11 @@ class TestTrapMatrix:
 class TestZeroCostWhenOff:
     """An unobserved run must carry zero observability residue.
 
-    The codegen engine emits specialized Python per sink capability
-    mode; with no sink — or a constructed-but-disabled
-    :class:`RuntimeProfiler` — the emitted source must contain no
-    callback calls at all, and the disabled profiler must compile to
-    the *same* plan as no sink (so attaching one costs nothing until
-    it is enabled).
+    The fast engine compiles one plan per sink capability mode; a
+    constructed-but-disabled :class:`RuntimeProfiler` negotiates the
+    no-sink mode, so it runs on the *same* plan as no sink (attaching
+    one costs nothing until it is enabled; ``test_engine.py``'s
+    ``test_per_sink_mode_plans`` pins the plan reuse).
     """
 
     SOURCES = [(
@@ -125,20 +124,6 @@ class TestZeroCostWhenOff:
         "  while (i < 50) { acc = acc + helper(i); i = i + 1; }\n"
         "  print_int(acc); return 0; }\n",
     )]
-
-    def test_emitted_source_has_no_callbacks(self):
-        from repro.interp.codegen import emitted_source
-        from repro.obs.runtime import RuntimeProfiler
-
-        program = compile_program(self.SOURCES)
-        unobserved = emitted_source(program, "main", sink=None)
-        for callback in ("on_instr", "on_call", "on_return",
-                         "on_branch", "on_mem"):
-            assert callback not in unobserved
-        disabled = emitted_source(
-            program, "main", sink=RuntimeProfiler(enabled=False)
-        )
-        assert disabled == unobserved
 
     def test_disabled_profiler_costs_nothing_measurable(self):
         # Same engine plan either way, so the walls should be
@@ -157,13 +142,11 @@ class TestZeroCostWhenOff:
             for _ in range(3):
                 start = time.perf_counter()
                 for _burst in range(5):
-                    run_program(
-                        program, inputs, sink=sink, engine="codegen"
-                    )
+                    run_program(program, inputs, sink=sink, engine="fast")
                 walls.append(time.perf_counter() - start)
             return min(walls)
 
-        run_program(program, inputs, engine="codegen")  # warm the plan
+        run_program(program, inputs, engine="fast")  # warm the plan
         off = best_wall(None)
         disabled = best_wall(RuntimeProfiler(enabled=False))
         assert disabled <= off * 1.5
@@ -174,7 +157,7 @@ class TestZeroCostWhenOff:
 
         program = compile_program(self.SOURCES)
         profiler = RuntimeProfiler(rate=1, seed=0)
-        run_program(program, [], sink=profiler, engine="codegen")
+        run_program(program, [], sink=profiler, engine="fast")
         assert profiler.events > 0
         assert profiler.call_edges[("main", "helper")] == 50
 

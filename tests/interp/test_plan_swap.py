@@ -1,12 +1,9 @@
 """Plan-cache behaviour under hot swap: the fleet's correctness anchor.
 
 The continuous-profiling loop hot-swaps new builds into running
-instances (``FleetSupervisor.swap_all``); neither optimized engine's
-plan cache may ever serve a plan for code that changed underneath it.
-Every test here runs against both the pre-decoded ``fast`` engine
-(``Program._plan_cache``) and the source-compiling ``codegen`` engine
-(``Program._codegen_cache``) — the two caches share one invalidation
-contract.  Three mechanisms cover the matrix:
+instances (``FleetSupervisor.swap_all``); the optimized engine's plan
+cache (``Program._plan_cache``) may never serve a plan for code that
+changed underneath it.  Three mechanisms cover the matrix:
 
 - plans self-validate against the procedure's content fingerprint on
   every *run's first* lookup, so an in-place procedure swap is picked
@@ -29,16 +26,10 @@ from repro.interp.diff import OPTIMIZED_ENGINES
 from repro.interp.events import EventSink
 from repro.interp.interpreter import Interpreter, run_program
 
-_CACHE_ATTR = {"fast": "_plan_cache", "codegen": "_codegen_cache"}
-
 
 @pytest.fixture(params=OPTIMIZED_ENGINES)
 def engine(request):
     return request.param
-
-
-def _cache(program, engine):
-    return getattr(program, _CACHE_ATTR[engine])
 
 
 def _sources(bonus: int) -> list:
@@ -69,19 +60,19 @@ def _swap_helper(program, bonus: int) -> None:
 def test_fingerprint_change_invalidates_between_runs(engine):
     program = compile_program(_sources(1))
     assert run_program(program, engine=engine).output == [44]
-    cache = _cache(program, engine)
+    cache = program._plan_cache
     compiled_before = cache.plans_compiled
     _swap_helper(program, 100)
     # Same Program object, same cache: the stale plan must lose.
     assert run_program(program, engine=engine).output == [440]
-    assert _cache(program, engine) is cache
+    assert program._plan_cache is cache
     assert cache.plans_compiled > compiled_before
 
 
 def test_unchanged_procs_hit_the_cache_after_swap(engine):
     program = compile_program(_sources(1))
     run_program(program, engine=engine)
-    cache = _cache(program, engine)
+    cache = program._plan_cache
     _swap_helper(program, 100)
     hits_before = cache.cache_hits
     run_program(program, engine=engine)
@@ -96,7 +87,7 @@ def test_globals_layout_change_clears_whole_cache(engine):
     ]
     program = compile_program(_sources(1))
     run_program(program, engine=engine)
-    cache = _cache(program, engine)
+    cache = program._plan_cache
     assert cache.plans
     # Splice in a module variant that declares a global: the layout
     # signature shifts, so every plan's embedded addresses are stale.
@@ -104,7 +95,7 @@ def test_globals_layout_change_clears_whole_cache(engine):
     program.modules["lib"] = donor.modules["lib"]
     result = run_program(program, engine=engine)
     assert result.output == [44]
-    assert _cache(program, engine) is cache  # cleared in place, not replaced
+    assert program._plan_cache is cache  # cleared in place, not replaced
     assert cache.globals_sig == tuple(
         (g.name, g.size) for g in program.all_globals()
     )
@@ -113,25 +104,11 @@ def test_globals_layout_change_clears_whole_cache(engine):
 def test_invalidate_plans_drops_the_cache_object(engine):
     program = compile_program(_sources(1))
     run_program(program, engine=engine)
-    assert _cache(program, engine) is not None
-    program.invalidate_plans()
-    assert _cache(program, engine) is None
-    # And the next run rebuilds from nothing, correctly.
-    assert run_program(program, engine=engine).output == [44]
-
-
-def test_caches_are_independent_per_engine():
-    # One program served by both optimized engines keeps two separate
-    # caches; invalidate_plans drops both at once.
-    program = compile_program(_sources(1))
-    assert run_program(program, engine="fast").output == [44]
-    assert run_program(program, engine="codegen").output == [44]
     assert program._plan_cache is not None
-    assert program._codegen_cache is not None
-    assert program._plan_cache is not program._codegen_cache
     program.invalidate_plans()
     assert program._plan_cache is None
-    assert program._codegen_cache is None
+    # And the next run rebuilds from nothing, correctly.
+    assert run_program(program, engine=engine).output == [44]
 
 
 class _MidRunSwapper(EventSink):

@@ -52,6 +52,7 @@ def test_from_payload_normalizes():
         {"sources": [["main", 42]]},
         {"scope": "zz"},
         {"engine": "warp"},
+        {"engine": "codegen"},
         {"budget_percent": "lots"},
         {"profile": 42},
         {"max_steps": 0},
