@@ -22,7 +22,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..analysis.manager import AnalysisManager
 
 from ..analysis.callgraph import CallGraph, CallSite
-from ..analysis.freq import context_block_freqs, entry_counts, site_weight
+from ..analysis.freq import context_block_freqs, site_weight
 from ..ir.instructions import Branch, Call, ICall
 from ..ir.procedure import Procedure
 from ..ir.program import Program
@@ -38,6 +38,18 @@ from .report import HLOReport
 from .transplant import copy_into_new_proc, subtract_moved_counts, transfer_ratio
 
 SpecKey = Tuple[str, Tuple[Tuple[int, Tuple], ...]]
+
+# Use-kind weights for the callee-side analysis: a parameter that
+# reaches an indirect call's function position is worth the most (a
+# constant there devirtualizes the call), one that steers a branch
+# more than a plain data use.
+PLAIN_USE_WEIGHT = 1.0
+BRANCH_USE_WEIGHT = 3.0
+INDIRECT_CALL_BONUS = 10.0
+
+# A clone group is a candidate only when its estimated benefit
+# exceeds this.
+MIN_CLONE_BENEFIT = 1e-9
 
 
 def operand_key(op: Operand) -> Tuple:
@@ -143,16 +155,16 @@ def param_usage_weights(
             if isinstance(instr, ICall) and isinstance(instr.func, Reg):
                 pos = names.get(instr.func.name)
                 if pos is not None:
-                    weights[pos] += config.indirect_call_bonus * block_rel
+                    weights[pos] += INDIRECT_CALL_BONUS * block_rel
             if isinstance(instr, Branch) and isinstance(instr.cond, Reg):
                 pos = names.get(instr.cond.name)
                 if pos is not None:
-                    weights[pos] += config.branch_use_weight * block_rel
+                    weights[pos] += BRANCH_USE_WEIGHT * block_rel
             for op in instr.uses():
                 if isinstance(op, Reg):
                     pos = names.get(op.name)
                     if pos is not None:
-                        weights[pos] += config.plain_use_weight * block_rel
+                        weights[pos] += PLAIN_USE_WEIGHT * block_rel
     return weights
 
 
@@ -208,7 +220,7 @@ def build_clone_groups(
     graph: CallGraph,
     config: HLOConfig,
     site_counts: Optional[Dict[Tuple[str, int], int]],
-    manager: Optional["AnalysisManager"] = None,
+    manager: "AnalysisManager",
     obs=NULL_OBSERVER,
     report: Optional[HLOReport] = None,
     pass_number: int = 0,
@@ -231,12 +243,8 @@ def build_clone_groups(
     """
     counts = site_counts if config.use_profile else None
     ctx_counts = context_counts if config.use_profile else None
-    if manager is not None:
-        entry = manager.entry_counts(counts)
-        freq_cache = manager.freq_cache()
-    else:
-        entry = entry_counts(program, graph, counts)
-        freq_cache = {}
+    entry = manager.entry_counts(counts)
+    freq_cache = manager.freq_cache()
     usage_cache: Dict[str, List[float]] = {}
     ctx_usage_cache: Dict[Tuple[str, str], Optional[List[float]]] = {}
     address_taken = _address_taken(program)
@@ -306,7 +314,7 @@ def build_clone_groups(
             * member_value(callee, m, spec, value)
             for m in members
         )
-        if benefit <= config.min_clone_benefit:
+        if benefit <= MIN_CLONE_BENEFIT:
             # Only the seed: ungrouped members get their own iteration.
             record_decision(
                 obs, report, "clone", pass_number, site, "rejected",
@@ -349,13 +357,13 @@ def clone_pass(
     report: HLOReport,
     pass_number: int,
     database: CloneDatabase,
-    site_counts: Optional[Dict[Tuple[str, int], int]] = None,
-    manager: Optional["AnalysisManager"] = None,
+    site_counts: Optional[Dict[Tuple[str, int], int]],
+    manager: "AnalysisManager",
     obs=NULL_OBSERVER,
     context_counts=None,
 ) -> int:
     """Run one cloning pass; returns the number of sites retargeted."""
-    graph = manager.callgraph() if manager is not None else CallGraph(program)
+    graph = manager.callgraph()
     groups = build_clone_groups(
         program, graph, config, site_counts, manager, obs, report, pass_number,
         context_counts=context_counts,
@@ -500,7 +508,7 @@ def clone_pass(
             if proc is not None:
                 optimize_proc(program, proc)
     budget.recalibrate(program)
-    if manager is not None and mutated:
+    if mutated:
         manager.invalidate_procs(mutated)
     return replaced
 

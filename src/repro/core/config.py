@@ -5,6 +5,11 @@ the inliner will try to limit compile-time increases to 100% over no
 inlining"), four alternating clone/inline passes, profile use when data
 is present, and both transforms enabled.  The ablation benchmarks and
 Figure 8 sweep these knobs.
+
+Only values some caller sets are fields here.  Fixed heuristics are
+module constants next to their one reader: the benefit thresholds in
+``inliner`` and ``cloner``, the use-kind weights in ``cloner`` and the
+region-formation limits in ``regions``.
 """
 
 from __future__ import annotations
@@ -33,15 +38,9 @@ class HLOConfig:
     use_profile: bool = True
 
     # Inline heuristics.
-    inline_recursive: bool = True
     cold_penalty: float = 0.25  # benefit multiplier for colder-than-entry sites
-    min_inline_benefit: float = 1e-9
 
-    # Clone heuristics: use-kind weights for the callee-side analysis.
-    plain_use_weight: float = 1.0
-    branch_use_weight: float = 3.0
-    indirect_call_bonus: float = 10.0
-    min_clone_benefit: float = 1e-9
+    # Clone heuristics.
     clone_groups: bool = True  # greedy sharing of clones across sites
     clone_database: bool = True  # cross-pass clone reuse
 
@@ -61,13 +60,9 @@ class HLOConfig:
     outline_min_block_size: int = 4
 
     # ------------------------------------------------------------------
-    # Resilience (docs/resilience.md): the guarded pass manager.
+    # Resilience (docs/resilience.md).  Every pass runs behind the
+    # guard's snapshot/rollback; these two knobs only tune it.
     # ------------------------------------------------------------------
-
-    # Isolate every pass behind snapshot/rollback.  On by default: a
-    # healthy build pays one procedure copy per pass application and
-    # nothing else; an unhealthy build degrades instead of aborting.
-    guarded: bool = True
 
     # Turn every degradation (pass rollback, quarantine) into a hard
     # error — the CI / debugging mode.
@@ -77,23 +72,10 @@ class HLOConfig:
     # exit.  Slower; catches corruption at the corrupting pass.
     verify_each_pass: bool = False
 
-    # Failures of one pass before the guard quarantines it.
-    max_pass_failures: int = 2
-
     # Modules forced back to module-at-a-time scope (their isoms were
     # corrupt or version-skewed); inline/clone never crosses their
     # boundary even in a cross_module build.
     local_modules: Tuple[str, ...] = ()
-
-    # ------------------------------------------------------------------
-    # Performance (docs/performance.md): analysis memoization.
-    # ------------------------------------------------------------------
-
-    # Reuse call graph / frequency / entry-count analyses across HLO
-    # stages and passes, invalidating only what a transform mutated.
-    # Off = recompute everything from scratch every stage (the ablation
-    # and equivalence-testing mode).
-    memoize_analyses: bool = True
 
     # ------------------------------------------------------------------
     # Inlining strategy (docs/performance.md "Inlining strategies").
@@ -105,15 +87,10 @@ class HLOConfig:
     # work scales with the hot footprint instead of program size.
     strategy: str = "global"
 
-    # Demand-strategy region formation: a procedure (or block) is hot
-    # when its absolute heat reaches this fraction of the hottest
-    # procedure's entry count.  Regions grow along dominator / loop
-    # structure through hot call sites until the summed member size
-    # reaches region_size_cap; at most region_limit regions form, so
-    # planner work is bounded regardless of program size.
-    region_hot_fraction: float = 0.001
+    # Demand-strategy region formation (repro.core.regions): regions
+    # grow along dominator / loop structure through hot call sites
+    # until the summed member size reaches region_size_cap.
     region_size_cap: int = 200
-    region_limit: int = 64
 
     # Per-region compile-cost allowance, as a percentage of the
     # region's own quadratic cost (the region-local analogue of

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from typing import Dict, Optional, Tuple
 
-from ..analysis.callgraph import CallGraph
+from ..analysis.manager import AnalysisManager
 from ..ir.instructions import ICall
 from ..ir.program import Program
 from ..ir.verifier import verify_program
@@ -61,11 +61,11 @@ def run_hlo(
     a decision on the inlining ledger.  ``None`` (the default) is the
     no-op fast path.
 
-    With ``config.guarded`` (the default) every stage runs behind the
-    resilience layer's :class:`~repro.resilience.PassGuard`: a failing
-    pass rolls back to the last good IR and the build continues,
-    recording a :class:`~repro.core.report.PassFailure` on the report.
-    Under ``config.strict`` the first failure raises instead.
+    Every stage runs behind the resilience layer's
+    :class:`~repro.resilience.PassGuard`: a failing pass rolls back to
+    the last good IR and the build continues, recording a
+    :class:`~repro.core.report.PassFailure` on the report.  Under
+    ``config.strict`` the first failure raises instead.
     """
     config = config or HLOConfig()
     if config.strategy not in ("global", "demand"):
@@ -73,19 +73,12 @@ def run_hlo(
     report = HLOReport()
     obs = observer if observer is not None else NULL_OBSERVER
 
-    guard = None
-    if config.guarded:
-        from ..resilience.guard import GuardConfig, PassGuard
+    from ..resilience.guard import PassGuard
 
-        guard = PassGuard(
-            GuardConfig(
-                verify_each_pass=config.verify_each_pass,
-                max_failures=config.max_pass_failures,
-                strict=config.strict,
-            ),
-            report,
-            observer=obs,
-        )
+    guard = PassGuard(
+        report, observer=obs, strict=config.strict,
+        verify_each_pass=config.verify_each_pass,
+    )
 
     icalls_before = _count_icalls(program)
 
@@ -93,7 +86,11 @@ def run_hlo(
     # elimination, before any budget measurement.
     with obs.tracer.span("input-stage", cat="hlo"):
         optimize_program(program, pipeline, guard=guard, phase="input")
-        _delete_unreachable(program, report, config.cross_module)
+        # A throwaway manager: the shared one below starts counting
+        # only after the input stage.
+        _delete_unreachable(
+            program, report, config.cross_module, AnalysisManager(program)
+        )
 
     if config.enable_outlining:
         # Section 5's complement: shrink hot routines by extracting cold
@@ -110,20 +107,13 @@ def run_hlo(
             )
 
         with obs.tracer.span("outline", cat="hlo"):
-            if guard is not None:
-                guard.run_program_stage(program, "outline", run_outline, phase="input")
-            else:
-                run_outline()
+            guard.run_program_stage(program, "outline", run_outline, phase="input")
 
     # Analyses computed from here on are memoized across stages and
     # passes; the inliner/cloner invalidate exactly what they mutate
     # (docs/performance.md).  Created after the input stage so the
     # scalar clean-up above never leaves stale entries behind.
-    manager = None
-    if config.memoize_analyses:
-        from ..analysis.manager import AnalysisManager
-
-        manager = AnalysisManager(program)
+    manager = AnalysisManager(program)
 
     budget = Budget(program, config.budget_percent, config.pass_limit)
     report.initial_cost = budget.initial_cost
@@ -157,7 +147,7 @@ def run_hlo(
         with obs.tracer.span("demand-stage", cat="hlo"):
             demand_stage(
                 program, config, budget, report, database, site_counts,
-                manager, obs, context_counts, guard, pipeline,
+                manager, guard, obs, context_counts, pipeline,
             )
         with obs.tracer.span("unreachable-sweep", cat="hlo"):
             _delete_unreachable(program, report, config.cross_module, manager)
@@ -238,17 +228,15 @@ def run_hlo(
     # memoized analysis is stale afterwards.
     with obs.tracer.span("output-stage", cat="hlo"):
         optimize_program(program, pipeline, guard=guard, phase="output")
-        if manager is not None:
-            manager.invalidate_all()
+        manager.invalidate_all()
         _delete_unreachable(program, report, config.cross_module, manager)
     budget.recalibrate(program)
     report.final_cost = budget.current
     report.clone_db_hits = database.hits
     report.devirtualized = max(0, icalls_before - _count_icalls(program))
-    if manager is not None:
-        report.analysis_hits = manager.hits
-        report.analysis_misses = manager.misses
-        report.analysis_invalidations = manager.invalidations
+    report.analysis_hits = manager.hits
+    report.analysis_misses = manager.misses
+    report.analysis_invalidations = manager.invalidations
 
     if verify:
         verify_program(program)
@@ -272,7 +260,7 @@ def _guarded_stage(
     report: HLOReport,
     budget: Budget,
     database: CloneDatabase,
-    manager=None,
+    manager: AnalysisManager,
     obs=NULL_OBSERVER,
 ) -> int:
     """Run one clone/inline stage, unwinding side-state on rollback.
@@ -283,8 +271,6 @@ def _guarded_stage(
     phantom ledger decisions, or charged cost.  A rollback replaces
     procedure *objects*, so every memoized analysis is dropped too.
     """
-    if guard is None:
-        return run()
     report_mark = report.mark()
     db_mark = database.mark()
     ledger_mark = obs.ledger.mark()
@@ -298,8 +284,7 @@ def _guarded_stage(
         database.rollback_to(db_mark)
         obs.ledger.rollback_to(ledger_mark)
         budget.recalibrate(program)
-        if manager is not None:
-            manager.invalidate_all()
+        manager.invalidate_all()
         return 0
     return result
 
@@ -314,7 +299,8 @@ def _count_icalls(program: Program) -> int:
 
 
 def _delete_unreachable(
-    program: Program, report: HLOReport, whole_program: bool, manager=None
+    program: Program, report: HLOReport, whole_program: bool,
+    manager: AnalysisManager,
 ) -> None:
     """Delete routines unreachable from the roots.
 
@@ -326,7 +312,7 @@ def _delete_unreachable(
     """
     if program.proc("main") is None:
         return
-    graph = manager.callgraph() if manager is not None else CallGraph(program)
+    graph = manager.callgraph()
     if whole_program:
         roots = ["main"]
     else:
@@ -340,5 +326,5 @@ def _delete_unreachable(
             program.delete_proc(proc.name)
             report.record_deletion(proc.name)
             deleted.append(proc.name)
-    if manager is not None and deleted:
+    if deleted:
         manager.invalidate_procs(deleted)

@@ -14,9 +14,6 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Dict, List, Optional, Set, Tuple
 
-from ..analysis.callgraph import CallGraph
-from ..analysis.freq import entry_counts
-
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..analysis.manager import AnalysisManager
 from ..ir.basicblock import BasicBlock
@@ -43,6 +40,10 @@ from .transplant import (
 GLUE_PER_ARG = 1
 GLUE_FIXED = 2
 
+# A site is a candidate only when its run-time figure of merit exceeds
+# this (a site that never runs has benefit 0).
+MIN_INLINE_BENEFIT = 1e-9
+
 
 class ScheduledInline:
     __slots__ = ("ranked", "caller", "callee", "site_id")
@@ -60,35 +61,29 @@ def inline_pass(
     budget: Budget,
     report: HLOReport,
     pass_number: int,
-    site_counts: Optional[Dict[Tuple[str, int], int]] = None,
-    manager: Optional["AnalysisManager"] = None,
+    site_counts: Optional[Dict[Tuple[str, int], int]],
+    manager: "AnalysisManager",
     obs=NULL_OBSERVER,
 ) -> int:
     """Run one inline pass; returns the number of inlines performed.
 
-    With an :class:`~repro.analysis.AnalysisManager`, the call graph,
-    entry counts, and block frequencies are reused from earlier stages
-    when still valid; the pass reports every procedure it mutated back
-    to the manager so the caches stay honest.  ``obs`` is the
-    observability bundle: every site evaluated here leaves a decision
-    on its ledger (and bumps ``report.sites_considered``).
+    The :class:`~repro.analysis.AnalysisManager` hands out the call
+    graph, entry counts, and block frequencies, reused from earlier
+    stages when still valid; the pass reports every procedure it
+    mutated back to the manager so the caches stay honest.  ``obs`` is
+    the observability bundle: every site evaluated here leaves a
+    decision on its ledger (and bumps ``report.sites_considered``).
     """
     counts = site_counts if config.use_profile else None
-    if manager is not None:
-        graph = manager.callgraph()
-        entry = manager.entry_counts(counts)
-        freq_cache = manager.freq_cache()
-    else:
-        graph = CallGraph(program)
-        entry = entry_counts(program, graph, counts)
-        freq_cache = {}
+    graph = manager.callgraph()
+    entry = manager.entry_counts(counts)
+    freq_cache = manager.freq_cache()
 
     # Screen and rank (Figure 4: "screen inline candidates").
     candidates: List[RankedSite] = []
     for site in graph.sites:
         blocker = inline_blocker(
-            program, site, config.cross_module, config.inline_recursive,
-            config.local_modules,
+            program, site, config.cross_module, config.local_modules
         )
         if blocker is not None:
             record_decision(
@@ -96,7 +91,7 @@ def inline_pass(
             )
             continue
         ranked = rank_site(site, entry, config, counts, freq_cache)
-        if ranked.always_inline or ranked.benefit > config.min_inline_benefit:
+        if ranked.always_inline or ranked.benefit > MIN_INLINE_BENEFIT:
             candidates.append(ranked)
         else:
             record_decision(
@@ -186,7 +181,7 @@ def inline_pass(
             if proc is not None:
                 optimize_proc(program, proc)
     budget.recalibrate(program)
-    if manager is not None and mutated:
+    if mutated:
         manager.invalidate_procs(mutated)
     return performed
 

@@ -37,7 +37,6 @@ REASON_CLASSES = (
     ("indirect call", "indirect"),
     ("not a direct call", "indirect"),
     ("external callee", "external"),
-    ("self-recursive site", "recursion"),
     ("cross-module site", "scope"),
     ("module compiled module-at-a-time", "isom-fallback"),
     ("argument arity difference", "arity-mismatch"),
@@ -61,7 +60,6 @@ def inline_blocker(
     program: Program,
     site: CallSite,
     cross_module: bool = True,
-    inline_recursive: bool = True,
     local_modules: Sequence[str] = (),
 ) -> Optional[str]:
     """Why this site cannot be inlined, or None when it can."""
@@ -72,8 +70,6 @@ def inline_blocker(
     callee = site.callee
     caller = site.caller
 
-    if callee.name == caller.name and not inline_recursive:
-        return "self-recursive site (disabled by configuration)"
     if not cross_module and callee.module != caller.module:
         return "cross-module site outside current optimization scope"
     blocked = _local_module_blocker(caller, callee, local_modules)

@@ -11,7 +11,7 @@ bound work by region size.  This module is that strategy:
   blocks, widens the hot set along dominator / loop structure
   (control-equivalent classes and natural-loop bodies), and grows the
   region through its hottest interior call sites until a per-region
-  size cap — at most ``region_limit`` regions, so planner work is
+  size cap — at most ``REGION_LIMIT`` regions, so planner work is
   bounded regardless of program size;
 - :func:`demand_stage` walks only region-interior call sites,
   requesting inlines and clones from the existing legality / benefit /
@@ -29,11 +29,11 @@ decisions and analyses.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Set, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Set, Tuple
 
 from ..analysis.callgraph import CallGraph, CallSite
 from ..analysis.dominators import control_equivalent_classes
-from ..analysis.freq import entry_counts, site_weight
+from ..analysis.freq import site_weight
 from ..analysis.loops import find_loops
 from ..ir.instructions import Call
 from ..ir.procedure import LINK_STATIC
@@ -44,6 +44,7 @@ from ..opt.pass_manager import default_pipeline, optimize_proc
 from .benefit import cached_block_freqs, rank_site
 from .budget import Budget
 from .cloner import (
+    MIN_CLONE_BENEFIT,
     CloneDatabase,
     _address_taken,
     _entry_count,
@@ -54,12 +55,23 @@ from .cloner import (
     spec_key,
 )
 from .config import HLOConfig
-from .inliner import GLUE_FIXED, GLUE_PER_ARG, perform_inline
+from .inliner import GLUE_FIXED, GLUE_PER_ARG, MIN_INLINE_BENEFIT, perform_inline
 from .legality import clone_blocker, inline_blocker
 from .report import HLOReport, PassTrace
 from .transplant import copy_into_new_proc, subtract_moved_counts, transfer_ratio
 
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from ..analysis.manager import AnalysisManager
+    from ..resilience.guard import PassGuard
+
 SiteCounts = Dict[Tuple[str, int], int]
+
+# A procedure (or block) is hot when its absolute heat reaches this
+# fraction of the hottest procedure's.
+REGION_HOT_FRACTION = 0.001
+# At most this many regions form, so planner work is bounded whatever
+# the program size.
+REGION_LIMIT = 64
 
 
 class Region:
@@ -188,7 +200,7 @@ def form_regions(
     max_heat = max(heat.values(), default=0.0)
     if max_heat <= 0.0:
         return []
-    cut = max_heat * config.region_hot_fraction
+    cut = max_heat * REGION_HOT_FRACTION
 
     hot_procs = sorted(
         (name for name, value in heat.items()
@@ -207,7 +219,7 @@ def form_regions(
     for seed in hot_procs:
         if seed in assigned:
             continue
-        if config.region_limit and len(regions) >= config.region_limit:
+        if len(regions) >= REGION_LIMIT:
             break
         region = Region(len(regions), seed, cut)
         region.procs.add(seed)
@@ -371,11 +383,11 @@ def demand_stage(
     budget: Budget,
     report: HLOReport,
     database: CloneDatabase,
-    site_counts: Optional[SiteCounts] = None,
-    manager=None,
+    site_counts: Optional[SiteCounts],
+    manager: "AnalysisManager",
+    guard: "PassGuard",
     obs=NULL_OBSERVER,
     context_counts=None,
-    guard=None,
     pipeline=None,
 ) -> int:
     """Form regions and optimize each under its own budget.
@@ -390,14 +402,9 @@ def demand_stage(
     transforms performed.
     """
     counts = site_counts if config.use_profile else None
-    if manager is not None:
-        graph = manager.callgraph()
-        entry = manager.entry_counts(counts)
-        freq_cache = manager.freq_cache()
-    else:
-        graph = CallGraph(program)
-        entry = entry_counts(program, graph, counts)
-        freq_cache = {}
+    graph = manager.callgraph()
+    entry = manager.entry_counts(counts)
+    freq_cache = manager.freq_cache()
 
     regions = form_regions(program, config, graph, entry, freq_cache, counts)
     report.regions_formed = len(regions)
@@ -422,64 +429,54 @@ def demand_stage(
                 entry, freq_cache, counts, obs, context_counts, address_taken,
             )
 
-        if guard is None:
-            performed, mutated = run_region()
-        else:
-            report_mark = report.mark()
-            promoted_mark = len(report.promoted_symbols)
-            db_mark = database.mark()
-            ledger_mark = obs.ledger.mark()
-            # Shallow snapshot of the frequency memo table: the region
-            # loop pops and refills entries mid-run, so on rollback the
-            # table must return to exactly its pre-region state (values
-            # are never mutated in place, so sharing them is safe).
-            freq_mark = dict(freq_cache)
-            failures_before = len(guard.failures)
-            with obs.tracer.span(
-                "demand:{}".format(region.name) if obs.tracer.enabled else "",
-                cat="hlo", region=region.name,
-            ):
-                result = guard.run_region_stage(
-                    program, region.procs, "demand", run_region, region.index,
-                    "demand", default=None,
-                    bisect_pipeline=pipeline or default_pipeline(),
-                )
-            if len(guard.failures) > failures_before:
-                # Region-scoped rollback: the guard restored the IR;
-                # unwind only this region's side state.  Frequency
-                # memos added during the failed run (clones, procs
-                # analyzed post-mutation) describe IR that no longer
-                # exists, so they go too; everything cached before the
-                # region ran still matches the restored IR.
-                _undo_outside(
-                    program, region, report.promoted_symbols[promoted_mark:]
-                )
-                report.rollback_to(report_mark)
-                database.rollback_to(db_mark)
-                obs.ledger.rollback_to(ledger_mark)
-                obs.ledger.truncate_region(region.name)
-                freq_cache.clear()
-                freq_cache.update(freq_mark)
-                if manager is not None:
-                    manager.invalidate_region(
-                        region.procs | set(region.saved_counts)
-                    )
-                # No budget resync needed: only the *region* budget is
-                # charged while a region runs, and the guard restored
-                # the IR, so the shared budget still matches the program.
-                continue
-            performed, mutated = result if result is not None else (0, set())
+        report_mark = report.mark()
+        promoted_mark = len(report.promoted_symbols)
+        db_mark = database.mark()
+        ledger_mark = obs.ledger.mark()
+        # Shallow snapshot of the frequency memo table: the region
+        # loop pops and refills entries mid-run, so on rollback the
+        # table must return to exactly its pre-region state (values
+        # are never mutated in place, so sharing them is safe).
+        freq_mark = dict(freq_cache)
+        failures_before = len(guard.failures)
+        with obs.tracer.span(
+            "demand:{}".format(region.name) if obs.tracer.enabled else "",
+            cat="hlo", region=region.name,
+        ):
+            result = guard.run_region_stage(
+                program, region.procs, "demand", run_region, region.index,
+                "demand", default=None,
+                bisect_pipeline=pipeline or default_pipeline(),
+            )
+        if len(guard.failures) > failures_before:
+            # Region-scoped rollback: the guard restored the IR;
+            # unwind only this region's side state.  Frequency
+            # memos added during the failed run (clones, procs
+            # analyzed post-mutation) describe IR that no longer
+            # exists, so they go too; everything cached before the
+            # region ran still matches the restored IR.
+            _undo_outside(
+                program, region, report.promoted_symbols[promoted_mark:]
+            )
+            report.rollback_to(report_mark)
+            database.rollback_to(db_mark)
+            obs.ledger.rollback_to(ledger_mark)
+            obs.ledger.truncate_region(region.name)
+            freq_cache.clear()
+            freq_cache.update(freq_mark)
+            manager.invalidate_region(region.procs | set(region.saved_counts))
+            # No budget resync needed: only the *region* budget is
+            # charged while a region runs, and the guard restored
+            # the IR, so the shared budget still matches the program.
+            continue
+        performed, mutated = result if result is not None else (0, set())
 
         performed_total += performed
         if mutated:
             all_mutated |= mutated
             # One region's mutation invalidates only its own memos; the
             # rest of the pool stays warm for the remaining regions.
-            if manager is not None:
-                manager.invalidate_region(mutated)
-            else:
-                for name in mutated:
-                    freq_cache.pop(name, None)
+            manager.invalidate_region(mutated)
         if rbudget.ran_out:
             report.region_budget_exhausted += 1
         # Incremental shared-budget accounting: the program-cost delta
@@ -505,7 +502,7 @@ def demand_stage(
     # The plan-time graph / entry snapshot is now stale wherever the
     # regions transformed; later consumers (unreachable sweep, output
     # stage) need fresh program-level analyses.
-    if manager is not None and all_mutated:
+    if all_mutated:
         manager.invalidate_procs(all_mutated)
     return performed_total
 
@@ -643,7 +640,7 @@ def _clone_in_region(
             site_weight(m, entry, counts, config.use_profile) * value
             for m in members
         )
-        if benefit <= config.min_clone_benefit:
+        if benefit <= MIN_CLONE_BENEFIT:
             record_decision(
                 obs, report, "clone", region.index, site, "rejected",
                 "benefit below threshold", reason_class="benefit",
@@ -765,8 +762,7 @@ def _inline_in_region(
     for stale in sites:
         site = _refresh_site(program, stale)
         blocker = inline_blocker(
-            program, site, config.cross_module, config.inline_recursive,
-            config.local_modules,
+            program, site, config.cross_module, config.local_modules
         )
         if blocker is not None:
             record_decision(
@@ -775,7 +771,7 @@ def _inline_in_region(
             )
             continue
         ranked = rank_site(site, entry, config, counts, freq_cache)
-        if ranked.always_inline or ranked.benefit > config.min_inline_benefit:
+        if ranked.always_inline or ranked.benefit > MIN_INLINE_BENEFIT:
             candidates.append(ranked)
         else:
             record_decision(

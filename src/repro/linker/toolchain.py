@@ -63,11 +63,6 @@ SCOPES = ("base", "c", "p", "cp")
 # free — the paper folds them into the profile-compile times).
 TRAIN_STEP_UNITS = 0.05
 
-# A sampled training run skips the instrumenting rewrite and the probe
-# execution overhead; the residual per-step charge is the bare
-# interpreter plus the (rare) sample bookkeeping.
-SAMPLED_STEP_UNITS = 0.01
-
 InputVector = Sequence[Union[int, float]]
 
 
@@ -280,6 +275,13 @@ class Toolchain:
     hook — it corrupts serialized isom/profile text at exactly the
     points real corruption would enter the pipeline, and substitutes
     sabotaged scalar passes.
+
+    Training is the paper's instrumenting compile plus one run per
+    training input, each capped at ``DEFAULT_MAX_STEPS``.  A sampled
+    profile (:func:`repro.sampling.sample_train`, or the fleet's merged
+    evidence) enters through :meth:`rebuild_with_profile` instead, and
+    falls back to static estimates when its confidence is below
+    ``MIN_PROFILE_CONFIDENCE``.
     """
 
     def __init__(
@@ -287,16 +289,11 @@ class Toolchain:
         sources: SourceList,
         train_inputs: Sequence[InputVector] = (),
         config: Optional[HLOConfig] = None,
-        max_train_steps: int = DEFAULT_MAX_STEPS,
         strict: bool = False,
         fault_injector: Optional[FaultInjector] = None,
         jobs: Optional[int] = None,
         cache_dir: Optional[str] = None,
         cache: Optional["object"] = None,
-        sample_rate: Optional[int] = None,
-        context_depth: Optional[int] = None,
-        sample_seed: int = 0,
-        min_profile_confidence: float = MIN_PROFILE_CONFIDENCE,
         engine: str = DEFAULT_ENGINE,
         compile_timeout: Optional[float] = None,
         cache_max_mb: Optional[float] = None,
@@ -313,7 +310,6 @@ class Toolchain:
         self.state = state
         self.train_inputs = [list(v) for v in train_inputs]
         self.base_config = config or HLOConfig()
-        self.max_train_steps = max_train_steps
         self.strict = strict
         self.fault_injector = fault_injector
         # The parallel/incremental pipeline (docs/performance.md) is
@@ -332,14 +328,6 @@ class Toolchain:
             from ..parallel.cache import ModuleCache
 
             self.cache = ModuleCache(cache_dir, max_mb=cache_max_mb)
-        # Sampled PGO (repro.sampling): a rate switches the training
-        # phase from the instrumenting two-compile workflow to the
-        # sampling profiler — no rewrite, k-deep calling contexts, and
-        # confidence-gated feedback (the low-confidence rung below).
-        self.sample_rate = sample_rate
-        self.context_depth = context_depth
-        self.sample_seed = sample_seed
-        self.min_profile_confidence = min_profile_confidence
         # Which interpreter engine training runs (and BuildResult.run)
         # execute under; "reference" forces the un-pre-decoded loop.
         self.engine = engine
@@ -389,24 +377,24 @@ class Toolchain:
                     profile, train_units = self._train(cfg, diagnostics, obs)
                     compile_units += train_units
                     profile = self._reload_profile(profile, diagnostics)
-            if use_profile:
-                if profile is not None and profile.sampled:
-                    confidence = profile.overall_confidence()
-                    if confidence < self.min_profile_confidence:
-                        # Low-confidence rung: too few samples landed to
-                        # trust the estimates; static frequency analysis
-                        # beats amplified sampling noise.
-                        self._degrade_profile(
-                            diagnostics,
-                            "low-confidence sampled profile: confidence "
-                            "{:.2f} below minimum {:.2f}".format(
-                                confidence, self.min_profile_confidence
-                            ),
-                        )
-                        obs.tracer.instant(
-                            "profile-low-confidence", cat="resilience"
-                        )
-                        profile = None
+            if profile is not None and profile.sampled:
+                # Low-confidence rung (a sampled profile only arrives as
+                # a profile_override): too few samples landed to trust
+                # the estimates; static frequency analysis beats
+                # amplified sampling noise.
+                confidence = profile.overall_confidence()
+                if confidence < MIN_PROFILE_CONFIDENCE:
+                    self._degrade_profile(
+                        diagnostics,
+                        "low-confidence sampled profile: confidence "
+                        "{:.2f} below minimum {:.2f}".format(
+                            confidence, MIN_PROFILE_CONFIDENCE
+                        ),
+                    )
+                    obs.tracer.instant(
+                        "profile-low-confidence", cat="resilience"
+                    )
+                    profile = None
 
             # The final compile: front end, then (for cross-module scopes)
             # the isom round trip and link, then HLO.
@@ -643,19 +631,9 @@ class Toolchain:
         diagnostics: Optional[BuildDiagnostics] = None,
         observer=None,
     ) -> Tuple[ProfileDatabase, float]:
-        """Training-phase profile collection (cached per toolchain).
-
-        Without a ``sample_rate`` this is the paper's instrumenting
-        compile + training runs.  With one, the sampling profiler
-        (:mod:`repro.sampling`) runs the *unmodified* program under the
-        interpreter's event stream instead — cheaper per step, no
-        instrumenting rewrite, and the database carries contexts and
-        confidence for the consumers downstream.
-        """
+        """Training-phase profile collection (cached per toolchain): the
+        paper's instrumenting compile + training runs."""
         if self._profile_cache is not None:
-            return self._profile_cache
-        if self.sample_rate is not None:
-            self._profile_cache = self._train_sampled(cfg, diagnostics, observer)
             return self._profile_cache
         db = ProfileDatabase()
         units = 0.0
@@ -665,41 +643,10 @@ class Toolchain:
             if index == 0:
                 units += program_cost(program)  # one instrumenting compile
             result = run_program(
-                program, inputs, max_steps=self.max_train_steps,
+                program, inputs, max_steps=DEFAULT_MAX_STEPS,
                 engine=self.engine,
             )
             db.merge_run(program, probe_map, result.probe_counts, result.steps)
         units += db.training_steps * TRAIN_STEP_UNITS
         self._profile_cache = (db, units)
         return self._profile_cache
-
-    def _train_sampled(
-        self,
-        cfg: Optional[HLOConfig] = None,
-        diagnostics: Optional[BuildDiagnostics] = None,
-        observer=None,
-    ) -> Tuple[ProfileDatabase, float]:
-        from ..sampling.sampler import (
-            DEFAULT_CONTEXT_DEPTH,
-            SampledProfile,
-            sample_run,
-        )
-
-        depth = (
-            self.context_depth
-            if self.context_depth is not None
-            else DEFAULT_CONTEXT_DEPTH
-        )
-        acc = SampledProfile(
-            rate=self.sample_rate, context_depth=depth, seed=self.sample_seed
-        )
-        program = self._frontend(cfg, diagnostics, observer)
-        units = program_cost(program)  # one plain (non-instrumenting) compile
-        for inputs in self.train_inputs:
-            sample_run(
-                program, inputs, profile=acc, max_steps=self.max_train_steps,
-                engine=self.engine,
-            )
-        db = acc.to_database(self._frontend(cfg, diagnostics, observer))
-        units += db.training_steps * SAMPLED_STEP_UNITS
-        return db, units

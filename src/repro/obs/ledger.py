@@ -12,11 +12,12 @@ class:
 
 - a legality class — one of the Section 2.4 screens (``indirect``,
   ``external``, ``varargs``, ``arity-mismatch``, ``fp-reassoc``,
-  ``alloca``, ``user-directive``, ``recursion``, ``scope``,
-  ``isom-fallback``, ``entry-point``);
+  ``alloca``, ``user-directive``, ``scope``, ``isom-fallback``,
+  ``entry-point``);
 - ``benefit`` — the site passed the screens but its run-time figure of
-  merit fell at or below the configured threshold (or, for cloning, no
-  caller-supplied constant met an interesting parameter);
+  merit fell at or below the threshold (``MIN_INLINE_BENEFIT`` /
+  ``MIN_CLONE_BENEFIT``; or, for cloning, no caller-supplied constant
+  met an interesting parameter);
 - ``budget`` — viable, but the staged compile-time budget was
   exhausted before the site's turn (includes the Figure 8
   ``stop_after`` validation knob);

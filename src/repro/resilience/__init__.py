@@ -17,14 +17,13 @@ from .errors import (
     StrictModeError,
 )
 from .faults import CORRUPTION_MODES, SHARD_FAULTS, FaultInjector
-from .guard import PROGRAM_SCOPE, GuardConfig, PassGuard, bisect_failure
+from .guard import PROGRAM_SCOPE, PassGuard, bisect_failure
 from .snapshot import ProcedureSnapshot, ProgramSnapshot
 
 __all__ = [
     "CORRUPTION_MODES",
     "FaultInjector",
     "FrameFormatError",
-    "GuardConfig",
     "InjectedFault",
     "IsomError",
     "PassGuard",

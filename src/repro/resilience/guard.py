@@ -12,17 +12,21 @@ contract mechanically:
    snapshot, record a structured :class:`~repro.core.report.PassFailure`
    on the report, and let the remaining pipeline continue.
 
-A pass that fails ``max_failures`` times is **quarantined**: the guard
-stops running it for the rest of the build, so one buggy pass cannot
-turn every procedure's compile into a snapshot/rollback treadmill.
+A pass that fails :data:`MAX_FAILURES` times is **quarantined**: the
+guard stops running it for the rest of the build, so one buggy pass
+cannot turn every procedure's compile into a snapshot/rollback
+treadmill.  A failed program or region stage is bisected to the
+minimal failing (pass, procedure) pair for the diagnostic.
 
 Under ``strict`` the first failure re-raises instead of degrading —
 the CI / debugging mode where you want the crash, not the save.
+``verify_each_pass`` verifies the IR after every guarded pass
+application, catching a corrupting pass at the point of corruption
+instead of at HLO exit.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, TypeVar
 
 from ..core.report import HLOReport, PassFailure
@@ -38,37 +42,20 @@ ProcPass = Callable[[Program, Procedure], bool]
 
 PROGRAM_SCOPE = "<program>"
 
-
-@dataclass
-class GuardConfig:
-    """Knobs for the guarded pass runner."""
-
-    # Verify IR after every guarded pass application (a checkpoint per
-    # pass, not just at the end of HLO).  Catches IR-corrupting passes
-    # at the point of corruption instead of at program exit.
-    verify_each_pass: bool = False
-
-    # Failures of one pass before it is quarantined for the build.
-    max_failures: int = 2
-
-    # Re-raise the first failure instead of rolling back.
-    strict: bool = False
-
-    # On a program-level stage failure, bisect to the minimal failing
-    # (pass, procedure) pair for the diagnostic.
-    bisect: bool = True
+# Failures of one pass before it is quarantined for the build.
+MAX_FAILURES = 2
 
 
 class PassGuard:
     """Per-build failure containment shared by every guarded stage."""
 
-    def __init__(self, config: Optional[GuardConfig] = None,
-                 report: Optional[HLOReport] = None,
-                 observer=None):
+    def __init__(self, report: Optional[HLOReport] = None, observer=None,
+                 strict: bool = False, verify_each_pass: bool = False):
         from ..obs import NULL_OBSERVER
 
-        self.config = config or GuardConfig()
         self.report = report
+        self.strict = strict
+        self.verify_each_pass = verify_each_pass
         self.observer = observer if observer is not None else NULL_OBSERVER
         self.failure_counts: Dict[str, int] = {}
         self.failures: List[PassFailure] = []
@@ -93,11 +80,11 @@ class PassGuard:
         snapshot = ProcedureSnapshot(proc)
         try:
             changed = bool(run(program, proc))
-            if self.config.verify_each_pass:
+            if self.verify_each_pass:
                 verify_proc(program, proc)
             return changed
         except Exception as exc:
-            if self.config.strict:
+            if self.strict:
                 raise
             snapshot.restore(proc)
             self._record(name, proc.name, pass_number, phase, exc)
@@ -124,17 +111,13 @@ class PassGuard:
         snapshot = ProgramSnapshot(program)
         try:
             result = run()
-            if self.config.verify_each_pass:
+            if self.verify_each_pass:
                 verify_program(program)
             return result
         except Exception as exc:
-            if self.config.strict:
+            if self.strict:
                 raise
-            culprit = ""
-            if self.config.bisect and bisect_pipeline is not None:
-                pair = bisect_failure(program, bisect_pipeline)
-                if pair is not None:
-                    culprit = "{} on @{}".format(pair[0], pair[1])
+            culprit = _culprit(program, bisect_pipeline)
             snapshot.restore(program)
             self._record(name, PROGRAM_SCOPE, pass_number, phase, exc, culprit=culprit)
             return default
@@ -170,17 +153,13 @@ class PassGuard:
         names_before = {proc.name for proc in program.all_procs()}
         try:
             result = run()
-            if self.config.verify_each_pass:
+            if self.verify_each_pass:
                 verify_program(program)
             return result
         except Exception as exc:
-            if self.config.strict:
+            if self.strict:
                 raise
-            culprit = ""
-            if self.config.bisect and bisect_pipeline is not None:
-                pair = bisect_failure(program, bisect_pipeline)
-                if pair is not None:
-                    culprit = "{} on @{}".format(pair[0], pair[1])
+            culprit = _culprit(program, bisect_pipeline)
             for proc in list(program.all_procs()):
                 if proc.name not in names_before:
                     program.delete_proc(proc.name)
@@ -206,7 +185,7 @@ class PassGuard:
     ) -> None:
         count = self.failure_counts.get(name, 0) + 1
         self.failure_counts[name] = count
-        quarantined = count >= self.config.max_failures
+        quarantined = count >= MAX_FAILURES
         if quarantined:
             self.quarantined.add(name)
         failure = PassFailure(
@@ -235,6 +214,14 @@ class PassGuard:
             quarantined=quarantined,
         )
         self.observer.metrics.count(names.RESILIENCE_ROLLBACKS)
+
+
+def _culprit(
+    program: Program, pipeline: Optional[Sequence[Tuple[str, ProcPass]]]
+) -> str:
+    """The bisected "pass on @proc" diagnostic, or "" when unknown."""
+    pair = bisect_failure(program, pipeline) if pipeline is not None else None
+    return "{} on @{}".format(pair[0], pair[1]) if pair is not None else ""
 
 
 def bisect_failure(

@@ -2,11 +2,16 @@
 
 from __future__ import annotations
 
-from repro.analysis import AnalysisManager
+import pytest
+
+from repro.analysis import AnalysisManager, CallGraph
+from repro.analysis.freq import entry_counts
+from repro.core import hlo
 from repro.core.config import HLOConfig
-from repro.core.hlo import run_hlo
 from repro.frontend import compile_program
 from repro.linker.isom import to_isom_text
+from repro.linker.toolchain import Toolchain
+from repro.workloads.suite import get_workload
 
 SOURCES = [
     (
@@ -63,20 +68,52 @@ def test_invalidate_procs_is_selective_for_freqs():
     assert manager.freq_cache() == {}
 
 
-def _final_isoms(memoize):
-    program = compile_program(SOURCES)
-    config = HLOConfig(memoize_analyses=memoize).with_scope(True, False)
-    report = run_hlo(program, config)
-    text = {
-        name: to_isom_text(module) for name, module in program.modules.items()
+class RecomputingManager(AnalysisManager):
+    """The unmemoized reference: every query recomputes from scratch.
+
+    It never returns a cached result, so it cannot serve a stale one;
+    a build through it is what a correctly invalidated memo must match.
+    """
+
+    def callgraph(self):
+        self.misses += 1
+        return CallGraph(self.program)
+
+    def entry_counts(self, site_counts):
+        self.misses += 1
+        return entry_counts(self.program, CallGraph(self.program), site_counts)
+
+    def freq_cache(self):
+        return {}
+
+
+def _build(toolchain, scope):
+    result = toolchain.build(scope)
+    isoms = {
+        name: to_isom_text(module)
+        for name, module in result.program.modules.items()
     }
-    return text, report
+    return isoms, result.report
 
 
-def test_memoized_hlo_is_equivalent_and_counts_reuse():
-    memo_text, memo_report = _final_isoms(True)
-    plain_text, plain_report = _final_isoms(False)
-    assert memo_text == plain_text
-    assert str(memo_report) == str(plain_report)
-    assert memo_report.analysis_hits + memo_report.analysis_misses > 0
-    assert plain_report.analysis_hits == plain_report.analysis_misses == 0
+@pytest.mark.parametrize("strategy", ["global", "demand"])
+@pytest.mark.parametrize("scope", ["c", "cp"])
+@pytest.mark.parametrize("name", ["compress", "sc", "vortex"])
+def test_memoized_hlo_is_equivalent_and_counts_reuse(
+    name, scope, strategy, monkeypatch
+):
+    workload = get_workload(name)
+    toolchain = Toolchain(
+        list(workload.sources),
+        train_inputs=[list(t) for t in workload.train_inputs],
+        config=HLOConfig(strategy=strategy),
+    )
+    memo_isoms, memo = _build(toolchain, scope)
+    monkeypatch.setattr(hlo, "AnalysisManager", RecomputingManager)
+    plain_isoms, plain = _build(toolchain, scope)
+    assert memo_isoms == plain_isoms
+    assert str(memo) == str(plain)
+    assert memo.events == plain.events
+    assert memo.pass_traces == plain.pass_traces
+    assert memo.analysis_hits > 0
+    assert plain.analysis_hits == 0 and plain.analysis_misses > 0

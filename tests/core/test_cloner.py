@@ -15,7 +15,7 @@ from repro.core import (
     param_usage_weights,
     spec_key,
 )
-from repro.analysis import CallGraph
+from repro.analysis import AnalysisManager, CallGraph
 from repro.frontend import compile_program
 from repro.interp import run_program
 from repro.ir import Call, FuncRef, Imm, verify_program
@@ -96,19 +96,25 @@ class TestDescriptors:
         assert a == b
 
 
+def clone_groups_of(program, config=None):
+    """Clone groups as clone_pass forms them, with no profile."""
+    manager = AnalysisManager(program)
+    return build_clone_groups(
+        program, manager.callgraph(), config or HLOConfig(), None, manager
+    )
+
+
 class TestGroups:
     def test_compatible_sites_grouped(self):
         program = compile_program(DISPATCH)
-        graph = CallGraph(program)
-        groups = build_clone_groups(program, graph, HLOConfig(), None)
+        groups = clone_groups_of(program)
         mode0 = next(g for g in groups if g.spec.get(0) == Imm(0))
         assert len(mode0.sites) == 2  # both compute(0, ...) sites
 
     def test_groups_disabled_yields_singletons(self):
         program = compile_program(DISPATCH)
-        graph = CallGraph(program)
         config = HLOConfig(clone_groups=False)
-        groups = build_clone_groups(program, graph, config, None)
+        groups = clone_groups_of(program, config)
         assert all(len(g.sites) == 1 for g in groups)
 
     def test_full_coverage_marks_deletable(self):
@@ -122,8 +128,7 @@ class TestGroups:
             )
         ]
         program = compile_program(sources)
-        graph = CallGraph(program)
-        groups = build_clone_groups(program, graph, HLOConfig(), None)
+        groups = clone_groups_of(program)
         assert groups and groups[0].deletes_clonee
 
     def test_address_taken_never_deletable(self):
@@ -137,8 +142,7 @@ class TestGroups:
             )
         ]
         program = compile_program(sources)
-        graph = CallGraph(program)
-        groups = build_clone_groups(program, graph, HLOConfig(), None)
+        groups = clone_groups_of(program)
         assert groups and not groups[0].deletes_clonee
 
 
@@ -148,7 +152,9 @@ class TestClonePass:
         budget = Budget(program, budget_percent)
         report = HLOReport()
         db = CloneDatabase()
-        replaced = clone_pass(program, config, budget, report, 3, db)
+        replaced = clone_pass(
+            program, config, budget, report, 3, db, None, AnalysisManager(program)
+        )
         return replaced, report, db
 
     def test_semantics_preserved(self):
@@ -177,10 +183,11 @@ class TestClonePass:
         budget = Budget(program, 2000)
         report = HLOReport()
         db = CloneDatabase()
-        clone_pass(program, config, budget, report, 3, db)
+        manager = AnalysisManager(program)
+        clone_pass(program, config, budget, report, 3, db, None, manager)
         first_clones = report.clones
         # A second pass with the same database must not recreate them.
-        clone_pass(program, config, budget, report, 3, db)
+        clone_pass(program, config, budget, report, 3, db, None, manager)
         assert report.clones == first_clones
 
     def test_zero_budget_blocks_cloning(self):

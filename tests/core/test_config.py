@@ -59,9 +59,7 @@ class TestFingerprint:
     def test_every_region_knob_changes_fingerprint(self):
         base = HLOConfig(strategy="demand")
         variants = (
-            {"region_hot_fraction": 0.01},
             {"region_size_cap": 100},
-            {"region_limit": 8},
             {"region_budget_percent": 150.0},
         )
         prints = {base.fingerprint()}

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.analysis import AnalysisManager
 from repro.core import Budget, HLOConfig, HLOReport, inline_pass, perform_inline
 from repro.frontend import compile_program
 from repro.interp import run_program
@@ -187,7 +188,9 @@ class TestInlinePass:
         # Use the final stage: on a tiny two-procedure program the
         # quadratic model makes one inline a large relative jump, so the
         # 20% first-stage allotment correctly rejects it.
-        performed = inline_pass(program, config, budget, report, 3)
+        performed = inline_pass(
+            program, config, budget, report, 3, None, AnalysisManager(program)
+        )
         assert performed >= 1
         verify_program(program)
         assert run_program(program).behavior() == before
@@ -197,13 +200,18 @@ class TestInlinePass:
         config = HLOConfig(budget_percent=0)
         budget = Budget(program, 0)
         report = HLOReport()
-        assert inline_pass(program, config, budget, report, 0) == 0
+        assert inline_pass(
+            program, config, budget, report, 0, None, AnalysisManager(program)
+        ) == 0
 
     def test_budget_never_exceeded(self):
         program = build(SIMPLE)
         config = HLOConfig(budget_percent=50, reoptimize=False)
         budget = Budget(program, 50)
-        inline_pass(program, config, budget, report := HLOReport(), 0)
+        report = HLOReport()
+        inline_pass(
+            program, config, budget, report, 0, None, AnalysisManager(program)
+        )
         from repro.core import program_cost
 
         assert program_cost(program) <= budget.limit * 1.001
@@ -223,7 +231,9 @@ class TestInlinePass:
         config = HLOConfig(budget_percent=0)
         budget = Budget(program, 0)
         report = HLOReport()
-        performed = inline_pass(program, config, budget, report, 0)
+        performed = inline_pass(
+            program, config, budget, report, 0, None, AnalysisManager(program)
+        )
         assert performed == 1
 
     def test_bottom_up_cascade(self):
@@ -246,7 +256,9 @@ class TestInlinePass:
         config = HLOConfig(budget_percent=2000)
         budget = Budget(program, 2000)
         report = HLOReport()
-        inline_pass(program, config, budget, report, 3)  # final stage: full budget
+        inline_pass(
+            program, config, budget, report, 3, None, AnalysisManager(program)
+        )  # final stage: full budget
         verify_program(program)
         assert run_program(program).behavior() == before
         # main absorbed the chain: no calls to a_fn/b_fn/c_fn remain in main.
@@ -262,5 +274,7 @@ class TestInlinePass:
         config = HLOConfig(budget_percent=2000, stop_after=1)
         budget = Budget(program, 2000)
         report = HLOReport()
-        inline_pass(program, config, budget, report, 3)
+        inline_pass(
+            program, config, budget, report, 3, None, AnalysisManager(program)
+        )
         assert report.inlines == 1

@@ -100,13 +100,12 @@ class TestInlineBlockers:
         assert inline_blocker(program, site, cross_module=True) is None
         assert "scope" in inline_blocker(program, site, cross_module=False)
 
-    def test_recursive_toggle(self):
+    def test_self_recursive_site_allowed(self):
         sources = [
             ("m", "int r(int n) { if (n <= 0) return 0; return r(n - 1); } int main() { return r(3); }")
         ]
         program, site = site_for(sources, "r", "r")
-        assert inline_blocker(program, site, inline_recursive=True) is None
-        assert inline_blocker(program, site, inline_recursive=False) is not None
+        assert inline_blocker(program, site) is None
 
 
 class TestCloneBlockers:

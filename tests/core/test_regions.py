@@ -11,15 +11,17 @@ behavior on arbitrary generated programs.
 
 import pytest
 
+from repro.analysis import AnalysisManager
 from repro.core import HLOConfig, run_hlo
 from repro.core.budget import Budget, program_cost
 from repro.core.cloner import CloneDatabase
-from repro.core.regions import demand_stage, form_regions
+from repro.core.regions import REGION_LIMIT, demand_stage, form_regions
 from repro.core.report import HLOReport
 from repro.frontend import compile_program
 from repro.interp import run_program
 from repro.ir import verify_program
 from repro.linker.toolchain import Toolchain
+from repro.resilience import PassGuard
 from repro.workloads.generator import generate_sources
 
 HOT_COLD = [(
@@ -65,7 +67,7 @@ class TestFormation:
         config = HLOConfig(strategy="demand")
         _, regions = _regions_for(HOT_COLD, config, profile.site_counts)
         assert regions
-        assert len(regions) <= config.region_limit
+        assert len(regions) <= REGION_LIMIT
         seen = set()
         for region in regions:
             assert not (region.procs & seen)
@@ -97,8 +99,8 @@ class TestDemandStage:
         budget = Budget(program, config.budget_percent, config.pass_limit)
         report = HLOReport()
         performed = demand_stage(
-            program, config, budget, report, CloneDatabase(),
-            site_counts=counts,
+            program, config, budget, report, CloneDatabase(), counts,
+            AnalysisManager(program), PassGuard(report),
         )
         return program, budget, report, performed
 

@@ -5,6 +5,7 @@ TransformEvent ordering stay coherent when guarded stages roll back or
 quarantine, and a rolled-back stage leaves no phantom ledger decisions.
 """
 
+from repro.analysis import AnalysisManager
 from repro.core.budget import Budget
 from repro.core.cloner import CloneDatabase
 from repro.core.config import HLOConfig
@@ -18,7 +19,7 @@ from repro.obs import (
     Tracer,
 )
 from repro.obs.validate import validate_ledger_jsonl, validate_trace
-from repro.resilience import FaultInjector, GuardConfig, InjectedFault, PassGuard
+from repro.resilience import FaultInjector, InjectedFault, PassGuard
 
 LIB = """
 static int twice(int x) { return x + x; }
@@ -107,10 +108,11 @@ class TestRollback:
         report = HLOReport()
         obs = full_observer()
         budget = Budget(prog, 100.0, 4)
-        guard = PassGuard(GuardConfig(), report, observer=obs)
+        guard = PassGuard(report, observer=obs)
         result = _guarded_stage(
             guard, prog, "inline", self.sabotaged_stage(obs, report),
-            0, "inline", None, report, budget, CloneDatabase(), obs=obs,
+            0, "inline", None, report, budget, CloneDatabase(),
+            AnalysisManager(prog), obs=obs,
         )
         assert result == 0
         # IR rolled back, and so did every observability side-channel:
@@ -130,10 +132,11 @@ class TestRollback:
         report = HLOReport()
         obs = full_observer()
         budget = Budget(prog, 100.0, 4)
-        guard = PassGuard(GuardConfig(), report, observer=obs)
+        guard = PassGuard(report, observer=obs)
         _guarded_stage(
             guard, prog, "inline", self.sabotaged_stage(obs, report),
-            0, "inline", None, report, budget, CloneDatabase(), obs=obs,
+            0, "inline", None, report, budget, CloneDatabase(),
+            AnalysisManager(prog), obs=obs,
         )
         assert obs.ledger.considered == report.sites_considered
 

@@ -11,11 +11,11 @@ from repro.opt.pass_manager import default_pipeline
 from repro.resilience import (
     PROGRAM_SCOPE,
     FaultInjector,
-    GuardConfig,
     InjectedFault,
     PassGuard,
     bisect_failure,
 )
+from repro.resilience.guard import MAX_FAILURES
 
 LIB = """
 static int twice(int x) { return x + x; }
@@ -60,7 +60,7 @@ class TestRunProcPass:
     def test_quarantine_stops_reinvoking(self):
         prog = program()
         proc = prog.proc("api")
-        guard = PassGuard(GuardConfig(max_failures=2))
+        guard = PassGuard()
         calls = []
 
         def counted_crash(program, proc):
@@ -69,13 +69,13 @@ class TestRunProcPass:
 
         for _ in range(5):
             guard.run_proc_pass(prog, proc, "badpass", counted_crash)
-        assert len(calls) == 2  # third and later invocations skipped
+        assert len(calls) == MAX_FAILURES  # later invocations skipped
         assert "badpass" in guard.quarantined
         assert guard.failures[-1].quarantined
 
     def test_strict_reraises(self):
         prog = program()
-        guard = PassGuard(GuardConfig(strict=True))
+        guard = PassGuard(strict=True)
         with pytest.raises(InjectedFault):
             guard.run_proc_pass(prog, prog.proc("api"), "badpass", crashing)
 
@@ -84,7 +84,7 @@ class TestRunProcPass:
         proc = prog.proc("api")
         before = print_program(prog)
         injector = FaultInjector(seed=3)
-        guard = PassGuard(GuardConfig(verify_each_pass=True))
+        guard = PassGuard(verify_each_pass=True)
         changed = guard.run_proc_pass(
             prog, proc, "corrupt", injector.corrupting_pass("corrupt")
         )
@@ -98,7 +98,7 @@ class TestRunProcPass:
         prog = program()
         proc = prog.proc("api")
         injector = FaultInjector(seed=3)
-        guard = PassGuard(GuardConfig(verify_each_pass=False))
+        guard = PassGuard(verify_each_pass=False)
         guard.run_proc_pass(prog, proc, "corrupt", injector.corrupting_pass("corrupt"))
         assert not guard.failures
 
@@ -193,8 +193,3 @@ class TestGuardedHLO:
         assert run_program(prog, [4]).behavior() == baseline
         assert report.pass_failures
         assert report.pass_failures[0].error_type == "VerifyError"
-
-    def test_unguarded_config_still_works(self):
-        prog = program()
-        report = run_hlo(prog, HLOConfig(guarded=False))
-        assert not report.pass_failures

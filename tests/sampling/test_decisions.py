@@ -17,6 +17,7 @@ import pytest
 from repro.core.config import HLOConfig
 from repro.linker.toolchain import Toolchain
 from repro.bench.smoke import DEFAULT_WORKLOADS
+from repro.sampling import sample_train
 from repro.workloads.suite import get_workload
 
 MIN_DECISION_OVERLAP = 0.9
@@ -38,13 +39,9 @@ class TestDecisionOverlap:
         exact = _decisions(
             Toolchain(sources, train_inputs=inputs, jobs=1).build("cp")
         )
+        profile = sample_train(sources, inputs, rate=SAMPLING_RATE)
         sampled = _decisions(
-            Toolchain(
-                sources,
-                train_inputs=inputs,
-                jobs=1,
-                sample_rate=SAMPLING_RATE,
-            ).build("cp")
+            Toolchain(sources, jobs=1).rebuild_with_profile(profile, "cp")
         )
         union = exact | sampled
         overlap = len(exact & sampled) / len(union) if union else 1.0
@@ -121,14 +118,12 @@ class TestContextSensitivity:
         config = HLOConfig(
             enable_inlining=False, pass_limit=1, budget_percent=60.0
         )
+        profile = sample_train(
+            CONTEXT_SOURCES, [[30]], rate=25, context_depth=context_depth
+        )
         return Toolchain(
-            CONTEXT_SOURCES,
-            train_inputs=[[30]],
-            jobs=1,
-            config=config,
-            sample_rate=25,
-            context_depth=context_depth,
-        ).build("cp")
+            CONTEXT_SOURCES, jobs=1, config=config
+        ).rebuild_with_profile(profile, "cp")
 
     def test_k2_context_profile_flips_a_cloning_decision(self):
         with_context = self._build(context_depth=2)

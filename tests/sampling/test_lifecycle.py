@@ -179,33 +179,26 @@ class TestQualityGates:
 
 
 class TestLowConfidenceRung:
+    @staticmethod
+    def _build(rate, runs, strict=False):
+        return Toolchain([("m", PROGRAM_V1)], strict=strict).rebuild_with_profile(
+            _db(runs=runs, rate=rate), "cp"
+        )
+
     def test_toolchain_degrades_on_thin_sampled_profile(self, capsys):
         # Rate far above the run length: almost no samples, confidence
         # under the floor.  The build must fall back to static
         # heuristics (degradation ladder rung), not crash.
-        result = Toolchain(
-            [("m", PROGRAM_V1)],
-            train_inputs=[[]],
-            sample_rate=5000,
-        ).build("cp")
+        result = self._build(rate=5000, runs=1)
         assert result.diagnostics.profile_fallback
         assert "confidence" in result.diagnostics.profile_fallback
 
     def test_confident_sampled_profile_is_used(self):
-        result = Toolchain(
-            [("m", PROGRAM_V1)],
-            train_inputs=[[]] * 3,
-            sample_rate=10,
-        ).build("cp")
+        result = self._build(rate=10, runs=3)
         assert not result.diagnostics.profile_fallback
 
     def test_strict_build_hard_fails_on_thin_profile(self):
         from repro.resilience.errors import StrictModeError
 
         with pytest.raises(StrictModeError):
-            Toolchain(
-                [("m", PROGRAM_V1)],
-                train_inputs=[[]],
-                sample_rate=5000,
-                strict=True,
-            ).build("cp")
+            self._build(rate=5000, runs=1, strict=True)
