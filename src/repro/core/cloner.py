@@ -486,6 +486,7 @@ def clone_pass(
                     instr.args = [
                         a for i, a in enumerate(instr.args) if i not in group.spec
                     ]
+                    clone.at_fixed_point = False
                     replaced += 1
                     mutated.add(clone_name)
                     report.record_clone_replacement(
@@ -526,6 +527,7 @@ def _retarget_site(site: CallSite, spec: Dict[int, Operand], clone_name: str) ->
         return False
     instr.callee = clone_name
     instr.args = [a for i, a in enumerate(instr.args) if i not in spec]
+    site.caller.at_fixed_point = False
     return True
 
 

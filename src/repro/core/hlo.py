@@ -268,8 +268,10 @@ def _guarded_stage(
     The guard restores the IR; this helper additionally restores the
     report counters, clone database, inlining ledger, and budget so a
     rolled-back stage leaves no phantom transforms, stale clone names,
-    phantom ledger decisions, or charged cost.  A rollback replaces
-    procedure *objects*, so every memoized analysis is dropped too.
+    phantom ledger decisions, or charged cost.  The restore works in
+    place but replaces every block and instruction (only a procedure the
+    stage deleted is recreated), so memoized analyses that point into
+    the old IR are all dropped too.
     """
     report_mark = report.mark()
     db_mark = database.mark()

@@ -230,6 +230,7 @@ def perform_inline(
     ratio = transfer_ratio(block.profile_count, snapshot.entry_count)
 
     # Split the calling block around the call.
+    caller.at_fixed_point = False
     cont_label = caller.new_label("cont")
     tail = BasicBlock(cont_label, block.instrs[index + 1:])
     tail.profile_count = block.profile_count

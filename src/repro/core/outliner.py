@@ -170,6 +170,7 @@ def outline_block(
     module.add_proc(outlined)
 
     # Replace the block's contents with a call (plus the original jump).
+    proc.at_fixed_point = False
     args = [Reg(reg) for reg in candidate.live_in]
     site = module.new_site_id()
     if isinstance(term, Ret):

@@ -57,6 +57,10 @@ class Procedure:
             raise ValueError("unknown attrs: {}".format(sorted(unknown)))
         self.blocks: Dict[str, BasicBlock] = {}
         self.entry: Optional[str] = None
+        # Set by the scalar optimizer when the default pipeline changes
+        # nothing here; every other edit to the body clears it
+        # (repro.opt.pass_manager).
+        self.at_fixed_point = False
         self._reg_counter = itertools.count()
         self._label_counter = itertools.count()
 

@@ -44,6 +44,7 @@ def _eliminate_in_proc(proc: Procedure, free: Set[str]) -> bool:
                 dead_result = instr.dest is None or instr.dest.name not in live
                 if dead_result:
                     changed = True
+                    proc.at_fixed_point = False
                     continue
             if instr.dest is not None:
                 live.discard(instr.dest.name)

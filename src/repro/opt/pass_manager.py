@@ -5,6 +5,19 @@ the intermediate-code level ... a high-quality back end can exploit the
 scheduling and register allocation opportunities presented by larger
 subroutines."  Our pipeline is the classic scalar suite; HLO re-runs it
 over every clone/inlined routine before recalibrating its budget.
+
+Re-optimization is demand-driven: :func:`optimize_proc` skips a
+procedure whose ``at_fixed_point`` mark it set earlier.  The mark stays
+sound because of one invariant: the seven passes read only the
+procedure's ``params``, ``entry`` and its blocks' instructions — never
+profile counts, linkage, attrs, the return type or any other
+procedure.  So count migration, static promotion and deleting other
+procedures leave a mark valid, and only an edit to those three things
+outside the passes must clear it.  The HLO transforms that make such
+edits do: ``perform_inline`` (caller), the cloner's retargeting
+(caller, and the clone for its own recursive sites), dead-call
+elimination and the outliner.  Snapshots carry the mark with the body
+they restore.
 """
 
 from __future__ import annotations
@@ -55,6 +68,13 @@ def optimize_proc(
 ) -> bool:
     """Run the pipeline over one procedure to a fixed point (bounded).
 
+    A default-pipeline call (``pipeline`` left ``None``) on a procedure
+    already marked ``at_fixed_point`` returns False at once.  Every call
+    that runs leaves the mark set exactly when the default pipeline
+    converged within ``max_iterations``, the guard recorded no failure
+    during the call, and no pass is quarantined; any other pipeline
+    (the fault-injection path) leaves it unset.
+
     With a :class:`~repro.resilience.PassGuard`, each pass application
     is isolated: an exception (or, in checked builds, a verifier
     failure) rolls the procedure back to its pre-pass state, records a
@@ -63,8 +83,15 @@ def optimize_proc(
     rollback/retry would otherwise loop forever converges to "no
     change" once the guard quarantines it.
     """
+    if pipeline is None and proc.at_fixed_point:
+        return False
+    # Unset while passes run, so neither a mid-call snapshot nor an
+    # escaping exception can carry a stale mark.
+    proc.at_fixed_point = False
     passes = list(pipeline) if pipeline is not None else default_pipeline()
+    failures_before = len(guard.failures) if guard is not None else 0
     changed_any = False
+    converged = False
     for _ in range(max_iterations):
         changed = False
         for name, run in passes:
@@ -74,24 +101,29 @@ def optimize_proc(
             elif run(program, proc):
                 changed = True
         if not changed:
+            converged = True
             break
         changed_any = True
+    clean = guard is None or (
+        len(guard.failures) == failures_before and not guard.quarantined
+    )
+    proc.at_fixed_point = pipeline is None and converged and clean
     return changed_any
 
 
 def optimize_program(
     program: Program,
     pipeline: Optional[Sequence[Tuple[str, ProcPass]]] = None,
-    interprocedural: bool = True,
     guard: Optional["PassGuard"] = None,
     pass_number: int = -1,
     phase: str = "scalar",
 ) -> bool:
     """Optimize every procedure, then apply program-level cleanups.
 
-    With ``interprocedural`` set, dead-call elimination runs between
-    per-procedure rounds (this is the analysis that deletes the no-op
-    curses calls in the paper's 072.sc before inlining even starts).
+    Dead-call elimination runs after every per-procedure round (this is
+    the analysis that deletes the no-op curses calls in the paper's
+    072.sc before inlining even starts).  Procedures still at their
+    fixed point cost nothing in later rounds.
     """
     from .deadcalls import eliminate_dead_calls
 
@@ -104,16 +136,15 @@ def optimize_program(
                 pass_number=pass_number, phase=phase,
             ):
                 changed = True
-        if interprocedural:
-            if guard is not None:
-                deleted = guard.run_program_stage(
-                    program, "deadcalls",
-                    lambda: eliminate_dead_calls(program),
-                    pass_number, phase, default=False,
-                )
-                changed = bool(deleted) or changed
-            elif eliminate_dead_calls(program):
-                changed = True
+        if guard is not None:
+            deleted = guard.run_program_stage(
+                program, "deadcalls",
+                lambda: eliminate_dead_calls(program),
+                pass_number, phase, default=False,
+            )
+            changed = bool(deleted) or changed
+        elif eliminate_dead_calls(program):
+            changed = True
         if not changed:
             break
         changed_any = True

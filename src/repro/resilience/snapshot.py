@@ -3,8 +3,10 @@
 Two granularities, matching the two granularities at which passes run:
 
 - :class:`ProcedureSnapshot` — a structured copy of one procedure's
-  mutable state (blocks, entry, params, attrs).  Used by the guarded
-  scalar pipeline, which applies one pass to one procedure at a time.
+  mutable state (blocks, entry, params, attrs, and the optimizer's
+  ``at_fixed_point`` mark, which is only true of the body it was
+  captured with).  Used by the guarded scalar pipeline, which applies
+  one pass to one procedure at a time.
   Instructions are copied individually (``Instr.copy()``, the same
   primitive body transplants use) because passes like constant
   propagation rewrite operands of existing instructions in place.
@@ -53,6 +55,7 @@ class ProcedureSnapshot:
         self._attrs = set(proc.attrs)
         self._entry = proc.entry
         self._blocks = _copy_blocks(proc.blocks)
+        self._at_fixed_point = proc.at_fixed_point
 
     def restore(self, proc: Procedure) -> None:
         if proc.name != self.name:
@@ -65,6 +68,7 @@ class ProcedureSnapshot:
         proc.attrs = set(self._attrs)
         proc.entry = self._entry
         proc.blocks = _copy_blocks(self._blocks)
+        proc.at_fixed_point = self._at_fixed_point
 
     def materialize(self, module_name: str) -> Procedure:
         """Recreate the procedure from scratch (it was deleted meanwhile)."""
@@ -78,6 +82,7 @@ class ProcedureSnapshot:
         )
         proc.blocks = _copy_blocks(self._blocks)
         proc.entry = self._entry
+        proc.at_fixed_point = self._at_fixed_point
         return proc
 
 

@@ -6,6 +6,7 @@ from repro.frontend import compile_program
 from repro.interp import run_program
 from repro.ir import print_program
 from repro.ir.instructions import Jump
+from repro.opt import optimize_proc
 from repro.resilience import ProcedureSnapshot, ProgramSnapshot
 
 LIB = """
@@ -103,3 +104,55 @@ class TestProgramSnapshot:
         snap.restore(prog)
         assert prog.modules["lib"] is lib
         assert prog.proc("api") is api
+
+
+class TestFixedPointMark:
+    """A snapshot puts the optimizer's mark back with the body it belongs to."""
+
+    @staticmethod
+    def marked_program():
+        prog = program()
+        for proc in prog.all_procs():
+            optimize_proc(prog, proc)
+            assert proc.at_fixed_point
+        return prog
+
+    def test_procedure_restore_returns_a_set_mark(self):
+        prog = self.marked_program()
+        api = prog.proc("api")
+        snap = ProcedureSnapshot(api)
+        api.at_fixed_point = False
+        snap.restore(api)
+        assert api.at_fixed_point
+
+    def test_procedure_restore_returns_an_unset_mark(self):
+        prog = program()
+        api = prog.proc("api")
+        snap = ProcedureSnapshot(api)
+        optimize_proc(prog, api)
+        assert api.at_fixed_point
+        snap.restore(api)
+        assert not api.at_fixed_point
+
+    @pytest.mark.parametrize("marked", [True, False])
+    def test_materialize_carries_the_mark(self, marked):
+        prog = self.marked_program() if marked else program()
+        copy = ProcedureSnapshot(prog.proc("api")).materialize("lib")
+        assert copy.at_fixed_point is marked
+
+    def test_program_restore_returns_marks_in_place_and_on_recreated_procs(self):
+        prog = self.marked_program()
+        snap = ProgramSnapshot(prog)
+        prog.proc("api").at_fixed_point = False
+        prog.delete_proc("twice$lib")
+        snap.restore(prog)
+        assert all(proc.at_fixed_point for proc in prog.all_procs())
+
+    def test_program_restore_returns_unset_marks(self):
+        prog = program()
+        snap = ProgramSnapshot(prog)
+        for proc in prog.all_procs():
+            optimize_proc(prog, proc)
+        prog.delete_proc("twice$lib")
+        snap.restore(prog)
+        assert not any(proc.at_fixed_point for proc in prog.all_procs())
