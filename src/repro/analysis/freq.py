@@ -142,17 +142,39 @@ def entry_counts(
     return counts
 
 
+def cached_block_freqs(
+    proc: Procedure,
+    use_profile: bool,
+    cache: Optional[Dict[str, Dict[str, float]]],
+) -> Dict[str, float]:
+    """Relative block frequencies, memoized per procedure name."""
+    if cache is None:
+        return block_freqs(proc, use_profile=use_profile)
+    freqs = cache.get(proc.name)
+    if freqs is None:
+        freqs = block_freqs(proc, use_profile=use_profile)
+        cache[proc.name] = freqs
+    return freqs
+
+
 def site_weight(
     site,
     entry: Dict[str, float],
     site_counts: Optional[Dict[Tuple[str, int], int]] = None,
     use_profile: bool = True,
+    freq_cache: Optional[Dict[str, Dict[str, float]]] = None,
 ) -> float:
-    """Absolute execution weight of one call site."""
+    """Absolute execution weight of one call site.
+
+    ``freq_cache`` is the run's block-frequency memo
+    (:meth:`~repro.analysis.manager.AnalysisManager.freq_cache`); an
+    unmeasured site's relative frequency is read from it, and computed
+    into it on a miss.
+    """
     if use_profile and site_counts is not None and site.key in site_counts:
         return float(site_counts[site.key])
-    rel = block_freqs(site.caller, use_profile=use_profile).get(site.block.label, 0.0)
-    return entry.get(site.caller.name, 0.0) * rel
+    freqs = cached_block_freqs(site.caller, use_profile, freq_cache)
+    return entry.get(site.caller.name, 0.0) * freqs.get(site.block.label, 0.0)
 
 
 def context_block_freqs(

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
 
 from ..analysis.callgraph import CallSite
-from ..analysis.freq import block_freqs, site_weight
+from ..analysis.freq import cached_block_freqs, site_weight
 from ..ir.procedure import ATTR_ALWAYS_INLINE
 from .config import HLOConfig
 
@@ -47,9 +47,7 @@ def rank_site(
     site_counts: Optional[Dict[Tuple[str, int], int]],
     freq_cache: Optional[Dict[str, Dict[str, float]]] = None,
 ) -> RankedSite:
-    weight = site_weight(
-        site, entry, site_counts=site_counts, use_profile=config.use_profile
-    )
+    weight = site_weight(site, entry, site_counts, config.use_profile, freq_cache)
     rel = cached_block_freqs(site.caller, config.use_profile, freq_cache).get(
         site.block.label, 0.0
     )
@@ -58,14 +56,3 @@ def rank_site(
         benefit *= config.cold_penalty
     always = bool(site.callee) and ATTR_ALWAYS_INLINE in site.callee.attrs
     return RankedSite(site, weight, rel, benefit, always)
-
-
-def cached_block_freqs(proc, use_profile: bool, cache: Optional[Dict[str, Dict[str, float]]]):
-    """Relative block frequencies, memoized per procedure name."""
-    if cache is None:
-        return block_freqs(proc, use_profile=use_profile)
-    freqs = cache.get(proc.name)
-    if freqs is None:
-        freqs = block_freqs(proc, use_profile=use_profile)
-        cache[proc.name] = freqs
-    return freqs

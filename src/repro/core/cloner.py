@@ -22,7 +22,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..analysis.manager import AnalysisManager
 
 from ..analysis.callgraph import CallGraph, CallSite
-from ..analysis.freq import context_block_freqs, site_weight
+from ..analysis.freq import cached_block_freqs, context_block_freqs, site_weight
 from ..ir.instructions import Branch, Call, ICall
 from ..ir.procedure import Procedure
 from ..ir.program import Program
@@ -30,7 +30,6 @@ from ..ir.values import FuncRef, GlobalRef, Imm, Operand, Reg
 from ..obs import NULL_OBSERVER
 from ..obs.ledger import record_decision
 from ..opt.pass_manager import optimize_proc
-from .benefit import cached_block_freqs
 from .budget import Budget
 from .config import HLOConfig
 from .legality import clone_blocker
@@ -310,7 +309,7 @@ def build_clone_groups(
 
         value = sum(usage[pos] for pos in spec)
         benefit = sum(
-            site_weight(m, entry, counts, config.use_profile)
+            site_weight(m, entry, counts, config.use_profile, freq_cache)
             * member_value(callee, m, spec, value)
             for m in members
         )

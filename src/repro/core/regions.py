@@ -33,7 +33,7 @@ from typing import TYPE_CHECKING, Dict, List, Optional, Set, Tuple
 
 from ..analysis.callgraph import CallGraph, CallSite
 from ..analysis.dominators import control_equivalent_classes
-from ..analysis.freq import site_weight
+from ..analysis.freq import cached_block_freqs, site_weight
 from ..analysis.loops import find_loops
 from ..ir.instructions import Call
 from ..ir.procedure import LINK_STATIC
@@ -41,7 +41,7 @@ from ..ir.program import Program
 from ..obs import NULL_OBSERVER
 from ..obs.ledger import record_decision
 from ..opt.pass_manager import default_pipeline, optimize_proc
-from .benefit import cached_block_freqs, rank_site
+from .benefit import rank_site
 from .budget import Budget
 from .cloner import (
     MIN_CLONE_BENEFIT,
@@ -232,7 +232,7 @@ def form_regions(
         frontier = [s for s in region.sites if s.callee is not None]
         while frontier:
             frontier.sort(key=lambda s: (
-                -site_weight(s, entry, counts, config.use_profile),
+                -site_weight(s, entry, counts, config.use_profile, freq_cache),
                 s.caller.name, s.instr.site_id,
             ))
             site = frontier.pop(0)
@@ -637,7 +637,7 @@ def _clone_in_region(
 
         value = sum(usage[pos] for pos in spec)
         benefit = sum(
-            site_weight(m, entry, counts, config.use_profile) * value
+            site_weight(m, entry, counts, config.use_profile, freq_cache) * value
             for m in members
         )
         if benefit <= MIN_CLONE_BENEFIT:

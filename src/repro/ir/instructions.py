@@ -16,7 +16,7 @@ can attribute transformed sites to source sites.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, List, Optional, Tuple
 
 from .values import FuncRef, Imm, Operand, Reg
 
@@ -30,6 +30,16 @@ class Instr:
 
     dest: Optional[Reg] = None
     is_terminator = False
+    # Every slot of the class and its bases, for :meth:`copy`.
+    _all_slots: Tuple[str, ...] = ()
+
+    def __init_subclass__(cls, **kwargs) -> None:
+        super().__init_subclass__(**kwargs)
+        cls._all_slots = tuple(
+            slot
+            for klass in cls.__mro__
+            for slot in klass.__dict__.get("__slots__", ())
+        )
 
     def uses(self) -> List[Operand]:
         """Operands read by this instruction (no labels)."""
@@ -57,12 +67,11 @@ class Instr:
         """
         cls = self.__class__
         new = cls.__new__(cls)
-        for klass in cls.__mro__:
-            for slot in getattr(klass, "__slots__", ()):
-                value = getattr(self, slot)
-                if type(value) is list:
-                    value = list(value)
-                setattr(new, slot, value)
+        for slot in cls._all_slots:
+            value = getattr(self, slot)
+            if type(value) is list:
+                value = list(value)
+            setattr(new, slot, value)
         return new
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid

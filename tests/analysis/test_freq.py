@@ -99,3 +99,22 @@ class TestEntryCounts:
         # Without profile permission, the estimate path is used instead.
         est = site_weight(site, entry, {site.key: 400}, use_profile=False)
         assert est != 400.0
+
+    def test_site_weight_reads_and_fills_a_frequency_memo(self):
+        program = compile_program(self.SOURCES)
+        graph = CallGraph(program)
+        site = next(s for s in graph.sites if s.callee and s.callee.name == "leaf")
+        entry = entry_counts(program, graph)
+        uncached = site_weight(site, entry)
+        assert uncached > 0.0
+
+        memo = {}
+        assert site_weight(site, entry, None, True, memo) == uncached
+        assert memo == {"mid": block_freqs(site.caller)}
+        # A measured site needs no frequencies and leaves the memo alone.
+        untouched = {}
+        assert site_weight(site, entry, {site.key: 400}, True, untouched) == 400.0
+        assert untouched == {}
+
+        memo["mid"] = {site.block.label: 2.0}
+        assert site_weight(site, entry, None, True, memo) == entry["mid"] * 2.0

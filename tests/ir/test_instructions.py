@@ -9,6 +9,7 @@ from repro.ir import (
     Call,
     ICall,
     Imm,
+    Instr,
     Jump,
     Load,
     Mov,
@@ -25,6 +26,23 @@ def upper_regs(op):
     if isinstance(op, Reg):
         return Reg(op.name.upper())
     return op
+
+
+# One instance of every concrete instruction class.
+EVERY_INSTR = [
+    Mov(Reg("d"), Reg("s")),
+    UnOp(Reg("d"), "neg", Reg("s")),
+    BinOp(Reg("d"), "add", Reg("a"), Imm(1)),
+    Load(Reg("d"), Reg("p")),
+    Store(Reg("p"), Imm(2)),
+    Alloca(Reg("d"), Imm(4)),
+    Call(Reg("d"), "f", [Reg("a"), Imm(1)], site_id=3, origin=1),
+    ICall(Reg("d"), Reg("fp"), [Reg("a")], site_id=4),
+    Jump("L"),
+    Branch(Reg("c"), "T", "F"),
+    Ret(Reg("v")),
+    Probe(5),
+]
 
 
 class TestUsesAndMapping:
@@ -121,6 +139,19 @@ class TestMisc:
         assert derived.origin == 4
 
     def test_copy_is_deep(self):
+        assert {type(instr) for instr in EVERY_INSTR} == set(Instr.__subclasses__())
+        for instr in EVERY_INSTR:
+            cls = type(instr)
+            dup = instr.copy()
+            assert dup is not instr and type(dup) is cls
+            slots = [s for k in cls.__mro__ for s in getattr(k, "__slots__", ())]
+            assert slots, cls.__name__
+            for slot in slots:
+                value = getattr(instr, slot)
+                assert getattr(dup, slot) == value, (cls.__name__, slot)
+                if type(value) is list:
+                    assert getattr(dup, slot) is not value, (cls.__name__, slot)
+
         call = Call(Reg("d"), "f", [Reg("a")], 1)
         dup = call.copy()
         dup.args[0] = Imm(9)
