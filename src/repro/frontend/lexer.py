@@ -10,7 +10,6 @@ screen in HLO (varargs, arity mismatches, alloca, statics promotion).
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from typing import List
 
 from .errors import CompileError
@@ -24,13 +23,14 @@ KEYWORDS = frozenset(
     ]
 )
 
+# Whitespace and comments between tokens, skipped in one match.  An
+# unterminated ``/*`` is not a comment: it lexes as ``/`` then ``*``.
+_SKIP_RE = re.compile(r"(?:\s+|//[^\n]*|/\*.*?\*/)*", re.DOTALL)
+
 # Token kinds beyond keywords: NAME, INT, FLOAT, CHAR, punctuation, EOF.
 _TOKEN_RE = re.compile(
     r"""
-    (?P<ws>\s+)
-  | (?P<line_comment>//[^\n]*)
-  | (?P<block_comment>/\*.*?\*/)
-  | (?P<float>(?:\d+\.\d*(?:[eE][-+]?\d+)?|\.\d+(?:[eE][-+]?\d+)?|\d+[eE][-+]?\d+))
+    (?P<float>(?:\d+\.\d*(?:[eE][-+]?\d+)?|\.\d+(?:[eE][-+]?\d+)?|\d+[eE][-+]?\d+))
   | (?P<int>0[xX][0-9a-fA-F]+|\d+)
   | (?P<char>'(?:\\.|[^'\\])')
   | (?P<name>[A-Za-z_]\w*)
@@ -42,11 +42,16 @@ _TOKEN_RE = re.compile(
 _ESCAPES = {"n": 10, "t": 9, "r": 13, "0": 0, "\\": 92, "'": 39, '"': 34}
 
 
-@dataclass(frozen=True)
 class Token:
-    kind: str  # 'name', 'int', 'float', 'kw', 'punct', 'eof'
-    text: str
-    line: int
+    """One token: ``kind`` is 'name', 'int', 'float', 'kw', 'punct' or
+    'eof'; ``line`` is the 1-based line it starts on."""
+
+    __slots__ = ("kind", "text", "line")
+
+    def __init__(self, kind: str, text: str, line: int):
+        self.kind = kind
+        self.text = text
+        self.line = line
 
     def __str__(self) -> str:  # pragma: no cover - debug aid
         return "{}({!r})@{}".format(self.kind, self.text, self.line)
@@ -54,37 +59,38 @@ class Token:
 
 def tokenize(source: str, module: str = "") -> List[Token]:
     """Tokenize minic source, raising :class:`CompileError` on bad input."""
+    skip = _SKIP_RE.match
+    match = _TOKEN_RE.match
+    count = source.count
     tokens: List[Token] = []
-    pos = 0
+    append = tokens.append
     line = 1
+    last = 0  # where the previous token starts
+    pos = 0
     n = len(source)
-    while pos < n:
-        m = _TOKEN_RE.match(source, pos)
+    while True:
+        start = skip(source, pos).end()
+        # The newlines since the previous token's start: those inside
+        # it (a char literal may hold one) and those skipped after it.
+        line += count("\n", last, start)
+        last = start
+        if start == n:
+            break
+        m = match(source, start)
         if m is None:
             raise CompileError(
-                "unexpected character {!r}".format(source[pos]), line, module
+                "unexpected character {!r}".format(source[start]), line, module
             )
-        text = m.group(0)
         kind = m.lastgroup
-        if kind in ("ws", "line_comment", "block_comment"):
-            line += text.count("\n")
-            pos = m.end()
-            continue
+        text = m.group()
         if kind == "name":
-            tok_kind = "kw" if text in KEYWORDS else "name"
-            tokens.append(Token(tok_kind, text, line))
-        elif kind == "int":
-            tokens.append(Token("int", text, line))
-        elif kind == "float":
-            tokens.append(Token("float", text, line))
+            append(Token("kw" if text in KEYWORDS else "name", text, line))
         elif kind == "char":
-            value = _char_value(text, line, module)
-            tokens.append(Token("int", str(value), line))
+            append(Token("int", str(_char_value(text, line, module)), line))
         else:
-            tokens.append(Token("punct", text, line))
-        line += text.count("\n")
+            append(Token(kind, text, line))
         pos = m.end()
-    tokens.append(Token("eof", "", line))
+    append(Token("eof", "", line))
     return tokens
 
 

@@ -77,6 +77,9 @@ class FunctionLowerer:
         )
         module.add_proc(self.proc)
 
+        # The names the procedure defines so far (``Procedure.reg_names``
+        # of the body as emitted), so a fresh register costs no scan.
+        self.defined_regs = {p.name for p in decl.params}
         self.entry = self.proc.add_block(BasicBlock("entry"), entry=True)
         self.block = self.entry
         self._entry_alloca_index = 0
@@ -93,8 +96,11 @@ class FunctionLowerer:
     def emit(self, instr) -> None:
         if self.block.terminator is None:
             self.block.append(instr)
+            if instr.dest is not None:
+                self.defined_regs.add(instr.dest.name)
         # Silently drop instructions in dead code after a terminator;
-        # the parser produced them, but they can never execute.
+        # the parser produced them, but they can never execute.  A
+        # dropped instruction's register name stays free for reuse.
 
     def new_block(self, hint: str) -> BasicBlock:
         return self.proc.new_block(hint)
@@ -107,7 +113,7 @@ class FunctionLowerer:
             self.block.append(instr)
 
     def reg(self, hint: str = "t") -> Reg:
-        return self.proc.new_reg(hint)
+        return self.proc.new_reg(hint, self.defined_regs)
 
     def lookup_local(self, name: str) -> Optional[_LocalVar]:
         for scope in reversed(self.scopes):
@@ -218,6 +224,7 @@ class FunctionLowerer:
             self.entry.instrs.insert(
                 self._entry_alloca_index, Alloca(base, Imm(decl.array_size))
             )
+            self.defined_regs.add(base.name)
             self._entry_alloca_index += 1
             self.scopes[-1][decl.name] = _LocalVar(base, decl.type, _ARRAY)
             return

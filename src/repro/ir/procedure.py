@@ -99,9 +99,15 @@ class Procedure:
             raise ValueError("procedure {} has no entry block".format(self.name))
         return self.blocks[self.entry]
 
-    def new_reg(self, hint: str = "t") -> Reg:
-        """A register name unused anywhere in this procedure."""
-        existing = self.reg_names()
+    def new_reg(self, hint: str = "t", existing: Optional[Set[str]] = None) -> Reg:
+        """A register name unused anywhere in this procedure.
+
+        ``existing`` spares the scan: a caller that tracks the names the
+        procedure defines (:meth:`reg_names`) as it builds the body
+        passes them here.
+        """
+        if existing is None:
+            existing = self.reg_names()
         while True:
             name = "{}{}".format(hint, next(self._reg_counter))
             if name not in existing:

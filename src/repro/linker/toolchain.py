@@ -12,18 +12,24 @@ scope     inline/clone across modules?  profile feedback?
 ``cp``    yes                           yes
 ========  ============================  =======================
 
-Profile builds perform the full two-compile workflow: instrumenting
-compile, training run(s) on the training inputs, then a fresh compile
-annotated with the harvested database.  Cross-module builds route every
-module through the isom serialization (Section 2.1) before linking, so
-the link-time HLO sees exactly what a real isom pipeline would.
+Profile builds follow the paper's two-compile workflow: an
+instrumenting compile, training run(s) on the training inputs, then a
+compile annotated with the harvested database.  The front end is
+deterministic, so the host compiles the sources once: training inserts
+the probes into that program, runs every training input on it, and
+strips the probes again, which leaves exactly the program a second
+compile would produce.  Cross-module builds route every module through
+the isom serialization (Section 2.1) before linking, so the link-time
+HLO sees exactly what a real isom pipeline would.
 
 "Compile time" is reported in deterministic *cost units*: the quadratic
-back-end model (Σ size²) summed over every compile the build performs,
-plus a charge for the training run — so a ``p`` build is more expensive
-to compile than ``base`` even when it transforms less, matching the
-paper's observation that profile compiles cost the extra instrumenting
-compile and training run.
+back-end model (Σ size²) summed over every compile the paper's
+workflow performs, plus a charge for the training run — so a ``p``
+build is more expensive to compile than ``base`` even when it
+transforms less, matching the paper's observation that profile
+compiles cost the extra instrumenting compile and training run.  The
+model charges the instrumenting compile although the host skips the
+second front-end pass.
 """
 
 from __future__ import annotations
@@ -49,7 +55,7 @@ from ..obs.metrics import (
 )
 from ..profile.annotate import annotate_program
 from ..profile.database import ProfileDatabase
-from ..profile.instrument import instrument_program
+from ..profile.instrument import instrument_program, strip_probes
 from ..resilience.errors import IsomError, ProfileFormatError, StrictModeError
 from ..resilience.faults import FaultInjector
 from ..sampling.lifecycle import MIN_PROFILE_CONFIDENCE
@@ -277,11 +283,12 @@ class Toolchain:
     sabotaged scalar passes.
 
     Training is the paper's instrumenting compile plus one run per
-    training input, each capped at ``DEFAULT_MAX_STEPS``.  A sampled
-    profile (:func:`repro.sampling.sample_train`, or the fleet's merged
-    evidence) enters through :meth:`rebuild_with_profile` instead, and
-    falls back to static estimates when its confidence is below
-    ``MIN_PROFILE_CONFIDENCE``.
+    training input, each capped at ``DEFAULT_MAX_STEPS``; it probes the
+    build's one front-end compile in place and strips the probes after
+    the runs.  A sampled profile (:func:`repro.sampling.sample_train`,
+    or the fleet's merged evidence) enters through
+    :meth:`rebuild_with_profile` instead, and falls back to static
+    estimates when its confidence is below ``MIN_PROFILE_CONFIDENCE``.
     """
 
     def __init__(
@@ -355,8 +362,17 @@ class Toolchain:
             cfg = cfg.with_strict()
         diagnostics = BuildDiagnostics()
         compile_units = 0.0
+        train = use_profile and profile_override is None
 
         with obs.tracer.span("build", scope=scope) as build_span:
+            if train and not self.train_inputs:
+                raise ValueError(
+                    "scope {!r} needs training inputs for the PGO pipeline".format(scope)
+                )
+            # The build's one front-end compile: training probes this
+            # program in place and strips the probes again.
+            with obs.tracer.span("frontend", cat="frontend"):
+                program = self._frontend(cfg, diagnostics, obs)
             profile: Optional[ProfileDatabase] = None
             if use_profile and profile_override is not None:
                 # An externally collected profile (the continuous-
@@ -368,13 +384,9 @@ class Toolchain:
                     profile = self._reload_profile(
                         profile_override, diagnostics, cacheable=False
                     )
-            elif use_profile:
-                if not self.train_inputs:
-                    raise ValueError(
-                        "scope {!r} needs training inputs for the PGO pipeline".format(scope)
-                    )
+            elif train:
                 with obs.tracer.span("train", cat="pgo"):
-                    profile, train_units = self._train(cfg, diagnostics, obs)
+                    profile, train_units = self._train(program)
                     compile_units += train_units
                     profile = self._reload_profile(profile, diagnostics)
             if profile is not None and profile.sampled:
@@ -396,10 +408,8 @@ class Toolchain:
                     )
                     profile = None
 
-            # The final compile: front end, then (for cross-module scopes)
-            # the isom round trip and link, then HLO.
-            with obs.tracer.span("frontend", cat="frontend"):
-                program = self._frontend(cfg, diagnostics, obs)
+            # The final compile: for cross-module scopes the isom round
+            # trip and link, then HLO.
             if cross_module:
                 with obs.tracer.span("isom-roundtrip", cat="linker"):
                     modules, fallbacks = self._isom_roundtrip(program)
@@ -626,26 +636,33 @@ class Toolchain:
         diagnostics.warn(reason + "; using static frequency estimates")
 
     def _train(
-        self,
-        cfg: Optional[HLOConfig] = None,
-        diagnostics: Optional[BuildDiagnostics] = None,
-        observer=None,
+        self, program: Optional[Program] = None
     ) -> Tuple[ProfileDatabase, float]:
         """Training-phase profile collection (cached per toolchain): the
-        paper's instrumenting compile + training runs."""
+        paper's instrumenting compile + training runs.
+
+        The runs execute ``program`` (a fresh front-end compile when
+        omitted) with probes inserted in place; the probes come out
+        again before the database is merged, so ``program`` is left as
+        the front end made it and the fingerprints describe it.
+        """
         if self._profile_cache is not None:
             return self._profile_cache
-        db = ProfileDatabase()
-        units = 0.0
-        for index, inputs in enumerate(self.train_inputs):
-            program = self._frontend(cfg, diagnostics, observer)
-            probe_map = instrument_program(program)
-            if index == 0:
-                units += program_cost(program)  # one instrumenting compile
-            result = run_program(
+        if program is None:
+            program = self._frontend()
+        probe_map = instrument_program(program)
+        units = program_cost(program)  # one instrumenting compile
+        results = [
+            run_program(
                 program, inputs, max_steps=DEFAULT_MAX_STEPS,
                 engine=self.engine,
             )
+            for inputs in self.train_inputs
+        ]
+        strip_probes(program)
+        program.invalidate_plans()
+        db = ProfileDatabase()
+        for result in results:
             db.merge_run(program, probe_map, result.probe_counts, result.steps)
         units += db.training_steps * TRAIN_STEP_UNITS
         self._profile_cache = (db, units)

@@ -31,7 +31,12 @@ def instrument_program(program: Program) -> ProbeMap:
 
 
 def strip_probes(program: Program) -> int:
-    """Remove every probe (used when reusing an instrumented image)."""
+    """Remove every probe, in place; returns how many were removed.
+
+    Training strips the probes from the program it ran, which leaves
+    that program as the front end made it: the same instruction
+    objects, labels, registers and name counters.
+    """
     removed = 0
     for proc in program.all_procs():
         for block in proc.blocks.values():

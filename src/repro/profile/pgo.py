@@ -1,8 +1,9 @@
 """Convenience wrapper for the two-compile PGO workflow.
 
 ``train()`` performs the instrumenting compile and the training run and
-returns the profile database; the caller then recompiles fresh IR and
-annotates it.  ``Toolchain`` in :mod:`repro.linker` drives both halves.
+returns the profile database; the caller then compiles the sources
+again and annotates that program.  ``Toolchain`` in :mod:`repro.linker`
+drives both halves on one front-end compile per build.
 """
 
 from __future__ import annotations
@@ -11,9 +12,8 @@ from typing import Sequence, Union
 
 from ..frontend.driver import SourceList, compile_program
 from ..interp.interpreter import DEFAULT_ENGINE, DEFAULT_MAX_STEPS, run_program
-from ..ir.program import Program
 from .database import ProfileDatabase
-from .instrument import instrument_program
+from .instrument import instrument_program, strip_probes
 
 InputVector = Sequence[Union[int, float]]
 
@@ -28,30 +28,21 @@ def train(
     """Instrumenting compile + training run(s) over ``training_inputs``.
 
     Each input vector is one training run; counts accumulate, so a
-    training *set* (as SPEC provides) is a list of vectors.
+    training *set* (as SPEC provides) is a list of vectors.  The runs
+    share one instrumented program (no run mutates it), and the
+    database is merged after its probes are stripped, so the recorded
+    fingerprints match a fresh compile of ``sources``.
     """
-    db = ProfileDatabase()
-    for inputs in training_inputs:
-        # A fresh instrumented image per run keeps runs independent.
-        program = compile_program(sources)
-        probe_map = instrument_program(program)
-        result = run_program(
+    program = compile_program(sources)
+    probe_map = instrument_program(program)
+    results = [
+        run_program(
             program, inputs, entry=entry, max_steps=max_steps, engine=engine
         )
-        db.merge_run(program, probe_map, result.probe_counts, result.steps)
-    return db
-
-
-def train_program(
-    program: Program,
-    probe_free_builder,
-    training_inputs: Sequence[InputVector],
-) -> ProfileDatabase:  # pragma: no cover - thin alternative entry point
-    """Train when a Program object (not sources) is the unit of work."""
+        for inputs in training_inputs
+    ]
+    strip_probes(program)
     db = ProfileDatabase()
-    for inputs in training_inputs:
-        fresh = probe_free_builder()
-        probe_map = instrument_program(fresh)
-        result = run_program(fresh, inputs)
-        db.merge_run(fresh, probe_map, result.probe_counts, result.steps)
+    for result in results:
+        db.merge_run(program, probe_map, result.probe_counts, result.steps)
     return db

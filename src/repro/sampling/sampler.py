@@ -353,6 +353,8 @@ def sample_train(
 
     One compile (no instrumentation — the program is run as-is) and one
     sampled run per training vector, folded into a single database.
+    No run mutates the program, so the database is derived from, and
+    fingerprints, the very program it sampled.
     """
     acc = SampledProfile(rate, context_depth, seed)
     program = compile_program(sources)
@@ -361,7 +363,4 @@ def sample_train(
             program, inputs, profile=acc, entry=entry, max_steps=max_steps,
             engine=engine,
         )
-    # Fingerprint/site-derive against a clean compile (the measured
-    # image was never mutated, but a fresh compile keeps the invariant
-    # obvious and matches the exact pipeline's fresh-recompile shape).
-    return acc.to_database(compile_program(sources))
+    return acc.to_database(program)

@@ -20,7 +20,7 @@ from repro.core.report import HLOReport
 from repro.frontend import compile_program
 from repro.interp import run_program
 from repro.ir import verify_program
-from repro.linker.toolchain import Toolchain
+from repro.profile import train
 from repro.resilience import PassGuard
 from repro.workloads.generator import generate_sources
 
@@ -43,12 +43,7 @@ HOT_COLD = [(
 
 def _trained(sources, train_input=(0,)):
     """An exact profile for ``sources`` (cold paths stay at zero)."""
-    profile, _ = Toolchain(
-        [list(pair) for pair in sources],
-        train_inputs=[list(train_input)],
-        jobs=1,
-    )._train()
-    return profile
+    return train(sources, [list(train_input)])
 
 
 def _regions_for(sources, config, counts):

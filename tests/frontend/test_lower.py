@@ -3,6 +3,10 @@
 import pytest
 
 from repro.frontend import CompileError, compile_program
+from repro.ir.printer import print_proc, print_program
+from repro.ir.procedure import Procedure
+from repro.workloads.generator import generate_sources
+from repro.workloads.suite import all_workloads
 
 from ..conftest import run_main
 
@@ -411,3 +415,36 @@ class TestModules:
             ]
         )
         assert result.output == [5]
+
+
+class TestRegisterNames:
+    """Lowering names a fresh register from the names the procedure
+    defines so far, without rescanning the body."""
+
+    def test_name_of_a_dropped_instruction_is_reused(self):
+        # ``a1`` is dead code after a return: its ``mov`` is dropped, so
+        # the candidate ``v_a11`` it drew stays free, and ``a`` later
+        # draws the same candidate.
+        adds = " ".join("s = s + {};".format(i) for i in range(9))
+        src = (
+            "int f(int x) { int s = 0; if (x) { return 1; int a1 = 3; } "
+            + adds
+            + " int a = 13; return a + s; }"
+            " int main() { return f(1); }"
+        )
+        text = print_proc(compile_program([("m", src)]).proc("f"))
+        assert "%v_a11 = mov 13" in text
+        assert "v_a12" not in text
+
+    def test_programs_match_lowering_with_a_scan_per_register(self, monkeypatch):
+        programs = [list(w.sources) for w in all_workloads()]
+        programs += [generate_sources(seed) for seed in range(4)]
+        fast = [print_program(compile_program(sources)) for sources in programs]
+
+        scanning_new_reg = Procedure.new_reg
+
+        def new_reg(self, hint="t", existing=None):
+            return scanning_new_reg(self, hint)
+
+        monkeypatch.setattr(Procedure, "new_reg", new_reg)
+        assert fast == [print_program(compile_program(s)) for s in programs]

@@ -196,8 +196,8 @@ def test_single_module_edit_recompiles_only_that_module(sources, tmp_path):
         for name, text in sources
     ]
     partial = _build(edited, tmp_path)
-    # Only 'mid' misses, once: the first frontend compile stores the
-    # new isom and the build's later compiles (training + final) hit.
+    # Only 'mid' misses, once: a build compiles its sources once, and
+    # training probes that program rather than compiling again.
     assert partial.diagnostics.modules_compiled == 1
     assert partial.diagnostics.cache_misses == 1
     assert partial.diagnostics.cache_invalidations == 1

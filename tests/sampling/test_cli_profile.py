@@ -166,6 +166,13 @@ class TestProfileCheck:
         assert code == 0
         assert "profile check: OK" in capsys.readouterr().out
 
+    def test_trained_profile_passes(self, source_file, tmp_path, capsys):
+        db = str(tmp_path / "t.db")
+        assert main(["train", source_file, "-o", db]) == 0
+        code = main(["profile", "check", db, source_file])
+        assert code == 0
+        assert "profile check: OK" in capsys.readouterr().out
+
     def test_stale_procedure_fails_the_gate(
         self, source_file, tmp_path, capsys
     ):

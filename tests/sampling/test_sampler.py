@@ -7,6 +7,7 @@ from repro.frontend.driver import compile_program
 from repro.interp.interpreter import run_program
 from repro.ir.instructions import CALL_INSTRS, Ret
 from repro.profile.database import ProfileDatabase
+from repro.profile.fingerprint import fingerprint_program
 from repro.profile.pgo import train
 from repro.sampling import (
     SampledProfile,
@@ -259,12 +260,16 @@ class TestRoundTrip:
         )
 
     def test_exact_database_still_writes_v3_with_fingerprints(self):
-        db = train([("m", DIAMOND)], [(1,)])
+        sources = [("m", DIAMOND)]
+        db = train(sources, [(1,)])
         text = db.to_text()
         assert text.startswith("profiledb 3 crc32 ")
         assert "\nfp main " in text
         assert not db.sampled
         assert db.overall_confidence() == 1.0
+        # Fingerprinted without the training probes: a fresh compile of
+        # the same sources matches every procedure.
+        assert db.fingerprints == fingerprint_program(compile_program(sources))
 
     def test_legacy_v1_payload_loads(self):
         text = (
