@@ -7,18 +7,19 @@ block frequencies from scratch — even when the preceding stage changed
 nothing (common in late passes, whose budget stages mostly reject).
 
 :class:`AnalysisManager` caches those results and makes invalidation
-the *transform's* responsibility: the inliner and cloner report
-exactly which procedures they mutated (callers spliced into, clonees
-whose counts were migrated, freshly created clones), and only those
-entries — plus the program-level analyses, which any mutation can
-perturb — are dropped.  A stage that performs zero transforms leaves
-every cache warm for the next one.
+the *transform's* responsibility: the inliner and cloner invalidate
+exactly the procedures their stage's mutation record names (callers
+spliced into, clonees whose counts were migrated, freshly created
+clones; :class:`~repro.resilience.guard.MutationRecord`), and only
+those entries — plus the program-level analyses, which any mutation
+can perturb — are dropped.  A stage that performs zero transforms
+leaves every cache warm for the next one.
 
 Correctness contract: a cached result is returned only while the IR it
 was derived from is unchanged.  Anything that mutates procedures
-outside the inliner/cloner protocol (scalar re-optimization stages,
-guarded-pass rollbacks, which may replace procedure *objects*) must
-call :meth:`invalidate_all`.
+outside the inliner/cloner protocol (scalar re-optimization stages, a
+global stage's rollback, which replaces the blocks of what it
+restores) must call :meth:`invalidate_all`.
 """
 
 from __future__ import annotations
@@ -86,24 +87,6 @@ class AnalysisManager:
         self.invalidations += 1
         self._graph = None
         self._entry.clear()
-        for name in names:
-            self._freqs.pop(name, None)
-
-    def invalidate_region(self, names: Iterable[str]) -> None:
-        """Region-scoped invalidation (the demand strategy's contract).
-
-        Drops only the named procedures' block-frequency memos, leaving
-        the rest of the memo pool — and the planner's call-graph /
-        entry-count snapshot — warm.  The demand planner treats the
-        graph and entry counts as a frozen plan-time view (regions and
-        their interior sites were enumerated before any mutation), so
-        one region's transforms must not flush analyses the remaining
-        regions are about to read.  The planner ends its stage with a
-        full :meth:`invalidate_procs` over everything it mutated so
-        later consumers (the unreachable sweep, the output stage) see
-        fresh program-level state.
-        """
-        self.invalidations += 1
         for name in names:
             self._freqs.pop(name, None)
 

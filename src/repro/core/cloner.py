@@ -390,9 +390,35 @@ def clone_pass(
     # Any group not handled in this pass is discarded; it may be
     # recreated and cloned in a later pass (Section 2.3).
 
+    from ..resilience.guard import recording
+
+    with recording(program) as record:
+        replaced = _perform_clones(
+            program, config, report, pass_number, database, site_counts,
+            accepted, obs,
+        )
+    budget.recalibrate(program)
+    # Callers retargeted, clonees whose counts migrated, the clones.
+    mutated = record.mutated()
+    if mutated:
+        manager.invalidate_procs(mutated)
+    return replaced
+
+
+def _perform_clones(
+    program: Program,
+    config: HLOConfig,
+    report: HLOReport,
+    pass_number: int,
+    database: CloneDatabase,
+    site_counts: Optional[Dict[Tuple[str, int], int]],
+    accepted: List[CloneGroup],
+    obs,
+) -> int:
+    """Create (or reuse) each accepted group's clone and retarget its
+    sites, then re-optimize what changed; returns sites retargeted."""
     replaced = 0
     touched: Set[str] = set()
-    mutated: Set[str] = set()
     for group_index, group in enumerate(accepted):
         if config.stop_after is not None and report.transform_count >= config.stop_after:
             for later in accepted[group_index:]:
@@ -424,10 +450,8 @@ def clone_pass(
                     on_promote=report.record_promotion,
                 )
                 program.modules[group.callee.module].add_proc(clone)
-                subtract_moved_counts(group.callee, ratio)
-                # The clonee's counts just migrated into the clone.
-                mutated.add(group.callee.name)
-                mutated.add(clone_name)
+                program.report_added(clone)
+                subtract_moved_counts(program, group.callee, ratio)
                 report.clones += 1
                 if config.clone_database:
                     database.record(group.key, clone_name)
@@ -447,7 +471,7 @@ def clone_pass(
                         benefit=group.benefit,
                     )
                 break
-            if _retarget_site(member, group.spec, clone_name):
+            if _retarget_site(program, member, group.spec, clone_name):
                 replaced += 1
                 record_decision(
                     obs, report, "clone", pass_number, member, "cloned",
@@ -462,7 +486,6 @@ def clone_pass(
                     group.callee.name,
                 )
                 touched.add(member.caller.name)
-                mutated.add(member.caller.name)
             else:
                 record_decision(
                     obs, report, "clone", pass_number, member, "rejected",
@@ -472,7 +495,8 @@ def clone_pass(
 
         # The clone body may itself contain group-compatible recursive
         # sites (copied from the clonee); retarget those too so a fully
-        # covered clonee really does become unreachable.
+        # covered clonee really does become unreachable.  A clone reused
+        # from the database predates this stage, so report it too.
         clone = program.proc(clone_name)
         if clone is not None:
             for block, index, instr in clone.call_sites():
@@ -481,13 +505,12 @@ def clone_pass(
                     and instr.callee == group.callee.name
                     and context_matches(instr, group.spec)
                 ):
+                    program.report_body(clone)
                     instr.callee = clone_name
                     instr.args = [
                         a for i, a in enumerate(instr.args) if i not in group.spec
                     ]
-                    clone.at_fixed_point = False
                     replaced += 1
-                    mutated.add(clone_name)
                     report.record_clone_replacement(
                         pass_number, clone_name, clone_name, instr.site_id, group.callee.name
                     )
@@ -507,13 +530,12 @@ def clone_pass(
             proc = program.proc(name)
             if proc is not None:
                 optimize_proc(program, proc)
-    budget.recalibrate(program)
-    if mutated:
-        manager.invalidate_procs(mutated)
     return replaced
 
 
-def _retarget_site(site: CallSite, spec: Dict[int, Operand], clone_name: str) -> bool:
+def _retarget_site(
+    program: Program, site: CallSite, spec: Dict[int, Operand], clone_name: str
+) -> bool:
     """Point one call site at the clone, editing specialized actuals out."""
     instr = site.instr
     if not isinstance(instr, Call):
@@ -524,9 +546,9 @@ def _retarget_site(site: CallSite, spec: Dict[int, Operand], clone_name: str) ->
         return False
     if not context_matches(instr, spec):
         return False
+    program.report_body(site.caller)
     instr.callee = clone_name
     instr.args = [a for i, a in enumerate(instr.args) if i not in spec]
-    site.caller.at_fixed_point = False
     return True
 
 

@@ -265,13 +265,13 @@ def _guarded_stage(
 ) -> int:
     """Run one clone/inline stage, unwinding side-state on rollback.
 
-    The guard restores the IR; this helper additionally restores the
-    report counters, clone database, inlining ledger, and budget so a
-    rolled-back stage leaves no phantom transforms, stale clone names,
-    phantom ledger decisions, or charged cost.  The restore works in
-    place but replaces every block and instruction (only a procedure the
-    stage deleted is recreated), so memoized analyses that point into
-    the old IR are all dropped too.
+    The guard's mutation record restores the IR; this helper
+    additionally restores the report counters, clone database, inlining
+    ledger, and budget so a rolled-back stage leaves no phantom
+    transforms, stale clone names, phantom ledger decisions, or charged
+    cost.  The record restores each procedure the stage wrote in place
+    but with fresh blocks and instructions, so memoized analyses that
+    point into the old IR are all dropped too.
     """
     report_mark = report.mark()
     db_mark = database.mark()

@@ -69,8 +69,9 @@ def inline_pass(
 
     The :class:`~repro.analysis.AnalysisManager` hands out the call
     graph, entry counts, and block frequencies, reused from earlier
-    stages when still valid; the pass reports every procedure it
-    mutated back to the manager so the caches stay honest.  ``obs`` is
+    stages when still valid; the procedures the stage's mutation record
+    names (callers spliced into, callees whose counts moved) are
+    invalidated so the caches stay honest.  ``obs`` is
     the observability bundle: every site evaluated here leaves a
     decision on its ledger (and bumps ``report.sites_considered``).
     """
@@ -127,11 +128,33 @@ def inline_pass(
     if not schedule:
         return 0
 
+    from ..resilience.guard import recording
+
+    with recording(program) as record:
+        performed = _perform_schedule(
+            program, config, report, pass_number, schedule, perform_rank, obs
+        )
+    budget.recalibrate(program)
+    mutated = record.mutated()
+    if mutated:
+        manager.invalidate_procs(mutated)
+    return performed
+
+
+def _perform_schedule(
+    program: Program,
+    config: HLOConfig,
+    report: HLOReport,
+    pass_number: int,
+    schedule: List[ScheduledInline],
+    perform_rank: Dict[str, int],
+    obs,
+) -> int:
+    """Perform the accepted inlines, then re-optimize their callers."""
     # Perform bottom-up (callees before callers), so bodies accumulate.
     schedule.sort(key=lambda s: (perform_rank.get(s.caller, 0), -s.ranked.benefit))
     performed = 0
     touched: Set[str] = set()
-    mutated: Set[str] = set()
     for index, item in enumerate(schedule):
         if config.stop_after is not None and report.transform_count >= config.stop_after:
             for later in schedule[index:]:
@@ -163,10 +186,6 @@ def inline_pass(
                 reason_class="accepted", benefit=item.ranked.benefit,
             )
             touched.add(item.caller)
-            # The callee's profile counts migrate to the inlined copy,
-            # so both ends of the site count as mutated.
-            mutated.add(item.caller)
-            mutated.add(item.callee)
         else:
             record_decision(
                 obs, report, "inline", pass_number, item.ranked.site,
@@ -180,9 +199,6 @@ def inline_pass(
             proc = program.proc(name)
             if proc is not None:
                 optimize_proc(program, proc)
-    budget.recalibrate(program)
-    if mutated:
-        manager.invalidate_procs(mutated)
     return performed
 
 
@@ -230,7 +246,7 @@ def perform_inline(
     ratio = transfer_ratio(block.profile_count, snapshot.entry_count)
 
     # Split the calling block around the call.
-    caller.at_fixed_point = False
+    program.report_body(caller)
     cont_label = caller.new_label("cont")
     tail = BasicBlock(cont_label, block.instrs[index + 1:])
     tail.profile_count = block.profile_count
@@ -254,7 +270,7 @@ def perform_inline(
     block.instrs.append(Jump(landing))
 
     if callee.name != caller.name:
-        subtract_moved_counts(callee, ratio)
+        subtract_moved_counts(program, callee, ratio)
     if callee.uses_dynamic_alloca:
         # Cannot happen through the legality screen, but keep the
         # invariant locally: dynamic allocas never move between frames.

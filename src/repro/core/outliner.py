@@ -168,9 +168,10 @@ def outline_block(
     body.profile_count = block.profile_count
     outlined.add_block(body, entry=True)
     module.add_proc(outlined)
+    program.report_added(outlined)
 
     # Replace the block's contents with a call (plus the original jump).
-    proc.at_fixed_point = False
+    program.report_body(proc)
     args = [Reg(reg) for reg in candidate.live_in]
     site = module.new_site_id()
     if isinstance(term, Ret):

@@ -21,10 +21,15 @@ bound work by region size.  This module is that strategy:
   region-local analogue of the global quadratic budget.
 
 Cold procedures are never block-analyzed, ranked, or copied; their
-memoized analyses are never invalidated (the manager's
-``invalidate_region``).  Every ledger decision carries the region
-name, and a guarded region failure rolls back only that region's
-decisions and analyses.
+memoized analyses are never invalidated: the planner treats the call
+graph and entry counts as a frozen plan-time view and drops only the
+frequency memos of what a region wrote.  Every ledger decision carries
+the region name.  Each region is one guarded stage, like a global clone or inline
+pass: its writes go on one mutation record
+(:class:`~repro.resilience.guard.MutationRecord`), which names what to
+invalidate when the region commits and undoes the region's writes —
+inside its members or not — when it fails; the planner then unwinds
+only that region's decisions and memos.
 """
 
 from __future__ import annotations
@@ -36,7 +41,6 @@ from ..analysis.dominators import control_equivalent_classes
 from ..analysis.freq import cached_block_freqs, site_weight
 from ..analysis.loops import find_loops
 from ..ir.instructions import Call
-from ..ir.procedure import LINK_STATIC
 from ..ir.program import Program
 from ..obs import NULL_OBSERVER
 from ..obs.ledger import record_decision
@@ -78,7 +82,7 @@ class Region:
     """One profile-hot region: member procedures and their hot sites."""
 
     __slots__ = ("name", "index", "seed", "procs", "sites", "size", "cost",
-                 "cut", "saved_counts")
+                 "cut")
 
     def __init__(self, index: int, seed: str, cut: float):
         self.index = index
@@ -91,9 +95,6 @@ class Region:
         # The absolute heat threshold this region was formed at; reused
         # when the planner re-enumerates hot sites between iterations.
         self.cut = cut
-        # Block counts of non-member callees, saved before the region
-        # first moves them into a copy (:func:`_save_counts`).
-        self.saved_counts: Dict[str, Dict[str, Optional[int]]] = {}
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return "<Region {} procs={} sites={} size={}>".format(
@@ -342,41 +343,6 @@ def _live_region_sites(
     return sites
 
 
-def _save_counts(proc, region: Region) -> None:
-    """Save a non-member's block counts before the region moves them.
-
-    Inlining and cloning move a share of the callee's counts into the
-    copy.  The guard snapshots only region members, so a callee outside
-    the region keeps its lowered counts after a rollback unless they are
-    saved here first.
-    """
-    if proc.name not in region.procs and proc.name not in region.saved_counts:
-        region.saved_counts[proc.name] = {
-            label: block.profile_count for label, block in proc.blocks.items()
-        }
-
-
-def _undo_outside(program: Program, region: Region, promoted: List[str]) -> None:
-    """Undo a failed region's changes outside its members.
-
-    Restores the callee counts :func:`_save_counts` kept and resets each
-    symbol the region promoted to static (promotion only ever flips
-    static to global).  Clones the region made are already deleted.
-    """
-    for name, counts in region.saved_counts.items():
-        proc = program.proc(name)
-        if proc is not None:
-            for label, count in counts.items():
-                proc.blocks[label].profile_count = count
-    for symbol in promoted:
-        name = symbol[1:]
-        target = (
-            program.proc(name) if symbol[0] == "@" else program.global_var(name)
-        )
-        if target is not None:
-            target.linkage = LINK_STATIC
-
-
 def demand_stage(
     program: Program,
     config: HLOConfig,
@@ -393,13 +359,13 @@ def demand_stage(
     """Form regions and optimize each under its own budget.
 
     Runs in place of the global clone/inline loop.  Each region is one
-    guarded unit: a failing region rolls back its own IR, report
+    guarded stage: a failing region's mutation record undoes every
+    write it made — member bodies, callee counts it moved, statics it
+    promoted, clones it added — and the planner rolls back its report
     counters, clone-database entries, ledger decisions (by mark *and*
-    by region tag), and analyses, plus what it changed outside its
-    members — callee counts it moved and statics it promoted — while
-    the rest of the program's memo pool stays warm
-    (``AnalysisManager.invalidate_region``).  Returns the number of
-    transforms performed.
+    by region tag) and frequency memos, while the rest of the
+    program's memo pool stays warm.  Returns the number of transforms
+    performed.
     """
     counts = site_counts if config.use_profile else None
     graph = manager.callgraph()
@@ -430,7 +396,6 @@ def demand_stage(
             )
 
         report_mark = report.mark()
-        promoted_mark = len(report.promoted_symbols)
         db_mark = database.mark()
         ledger_mark = obs.ledger.mark()
         # Shallow snapshot of the frequency memo table: the region
@@ -443,28 +408,21 @@ def demand_stage(
             "demand:{}".format(region.name) if obs.tracer.enabled else "",
             cat="hlo", region=region.name,
         ):
-            result = guard.run_region_stage(
-                program, region.procs, "demand", run_region, region.index,
-                "demand", default=None,
-                bisect_pipeline=pipeline or default_pipeline(),
+            result = guard.run_program_stage(
+                program, "demand", run_region, region.index, "demand",
+                default=None, bisect_pipeline=pipeline or default_pipeline(),
             )
         if len(guard.failures) > failures_before:
             # Region-scoped rollback: the guard restored the IR;
-            # unwind only this region's side state.  Frequency
-            # memos added during the failed run (clones, procs
-            # analyzed post-mutation) describe IR that no longer
-            # exists, so they go too; everything cached before the
-            # region ran still matches the restored IR.
-            _undo_outside(
-                program, region, report.promoted_symbols[promoted_mark:]
-            )
+            # unwind only this region's side state.  The frequency
+            # memo table goes back to exactly its pre-region state,
+            # which matches the restored IR, so no memo is dropped.
             report.rollback_to(report_mark)
             database.rollback_to(db_mark)
             obs.ledger.rollback_to(ledger_mark)
             obs.ledger.truncate_region(region.name)
             freq_cache.clear()
             freq_cache.update(freq_mark)
-            manager.invalidate_region(region.procs | set(region.saved_counts))
             # No budget resync needed: only the *region* budget is
             # charged while a region runs, and the guard restored
             # the IR, so the shared budget still matches the program.
@@ -472,11 +430,11 @@ def demand_stage(
         performed, mutated = result if result is not None else (0, set())
 
         performed_total += performed
-        if mutated:
-            all_mutated |= mutated
-            # One region's mutation invalidates only its own memos; the
-            # rest of the pool stays warm for the remaining regions.
-            manager.invalidate_region(mutated)
+        # The region loop has already dropped the frequency memos of
+        # everything the region wrote: an iteration writes only when it
+        # performs a transform, and then drops them before the next read.
+        # The rest of the pool stays warm for the remaining regions.
+        all_mutated |= mutated
         if rbudget.ran_out:
             report.region_budget_exhausted += 1
         # Incremental shared-budget accounting: the program-cost delta
@@ -526,43 +484,46 @@ def _optimize_region(
 
     Mirrors the global loop's clone/inline alternation, but region-
     scoped: each iteration clones then inlines the region's current hot
-    interior, re-optimizes what it touched, drops the touched members'
-    frequency memos, and re-enumerates — an inlined body's own call
-    sites become the next iteration's demand.  Stops after
-    ``config.pass_limit`` iterations or the first iteration that
-    performs nothing.
+    interior, re-optimizes what it touched, drops the frequency memos
+    of everything the region's mutation record names, and re-enumerates
+    — an inlined body's own call sites become the next iteration's
+    demand.  Stops after ``config.pass_limit`` iterations or the first
+    iteration that performs nothing.
     """
+    from ..resilience.guard import recording
+
     performed = 0
-    mutated: Set[str] = set()
     sites = region.sites
-    for _iteration in range(max(1, config.pass_limit)):
-        round_performed = 0
-        touched: Set[str] = set()
-        if config.enable_cloning:
-            round_performed += _clone_in_region(
-                program, region, rbudget, sites, graph, config, report,
-                database, entry, freq_cache, counts, obs, address_taken,
-                mutated, touched,
-            )
-        if config.enable_inlining:
-            round_performed += _inline_in_region(
-                program, region, rbudget, sites, graph, config, report,
-                entry, freq_cache, counts, obs, mutated, touched,
-            )
-        if config.reoptimize:
-            for name in sorted(touched):
-                proc = program.proc(name)
-                if proc is not None:
-                    optimize_proc(program, proc)
-        performed += round_performed
-        if round_performed == 0:
-            break
-        # Transformed members (and callees whose counts migrated) have
-        # stale frequency memos; drop just those before re-enumerating.
-        for name in mutated:
-            freq_cache.pop(name, None)
-        sites = _live_region_sites(program, region, config, entry, freq_cache)
-    return performed, mutated
+    with recording(program) as record:
+        for _iteration in range(max(1, config.pass_limit)):
+            round_performed = 0
+            touched: Set[str] = set()
+            if config.enable_cloning:
+                round_performed += _clone_in_region(
+                    program, region, rbudget, sites, graph, config, report,
+                    database, entry, freq_cache, counts, obs, address_taken,
+                    touched,
+                )
+            if config.enable_inlining:
+                round_performed += _inline_in_region(
+                    program, region, rbudget, sites, graph, config, report,
+                    entry, freq_cache, counts, obs, touched,
+                )
+            if config.reoptimize:
+                for name in sorted(touched):
+                    proc = program.proc(name)
+                    if proc is not None:
+                        optimize_proc(program, proc)
+            performed += round_performed
+            if round_performed == 0:
+                break
+            # Transformed members (and callees whose counts migrated)
+            # have stale frequency memos; drop just those before
+            # re-enumerating.
+            for name in record.mutated():
+                freq_cache.pop(name, None)
+            sites = _live_region_sites(program, region, config, entry, freq_cache)
+    return performed, record.mutated()
 
 
 def _clone_in_region(
@@ -579,7 +540,6 @@ def _clone_in_region(
     counts: Optional[SiteCounts],
     obs,
     address_taken: Set[str],
-    mutated: Set[str],
     touched: Set[str],
 ) -> int:
     """Region-scoped cloning: group only region-interior sites.
@@ -699,10 +659,8 @@ def _clone_in_region(
                     on_promote=report.record_promotion,
                 )
                 program.modules[callee.module].add_proc(clone)
-                _save_counts(callee, region)
-                subtract_moved_counts(callee, ratio)
-                mutated.add(callee.name)
-                mutated.add(clone_name)
+                program.report_added(clone)
+                subtract_moved_counts(program, callee, ratio)
                 report.clones += 1
                 if config.clone_database:
                     database.record(key, clone_name)
@@ -713,7 +671,7 @@ def _clone_in_region(
 
         for member in members:
             grouped.add(member.key)
-            if _retarget_site(member, spec, clone_name):
+            if _retarget_site(program, member, spec, clone_name):
                 replaced += 1
                 record_decision(
                     obs, report, "clone", region.index, member, "cloned",
@@ -725,7 +683,6 @@ def _clone_in_region(
                     member.instr.site_id, callee.name,
                 )
                 touched.add(member.caller.name)
-                mutated.add(member.caller.name)
             else:
                 record_decision(
                     obs, report, "clone", region.index, member, "rejected",
@@ -747,7 +704,6 @@ def _inline_in_region(
     freq_cache,
     counts: Optional[SiteCounts],
     obs,
-    mutated: Set[str],
     touched: Set[str],
 ) -> int:
     """Region-scoped inlining: screen, rank, and perform hot sites.
@@ -827,9 +783,6 @@ def _inline_in_region(
             )
             continue
         callee_name = ranked.site.callee.name  # type: ignore[union-attr]
-        callee = program.proc(callee_name)
-        if callee is not None:
-            _save_counts(callee, region)
         with obs.tracer.span(
             "inline:{}<-{}".format(caller.name, callee_name)
             if obs.tracer.enabled else "",
@@ -846,8 +799,6 @@ def _inline_in_region(
                 benefit=ranked.benefit, region=region.name,
             )
             touched.add(caller.name)
-            mutated.add(caller.name)
-            mutated.add(callee_name)
         else:
             record_decision(
                 obs, report, "inline", region.index, ranked.site, "rejected",

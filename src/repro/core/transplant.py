@@ -13,7 +13,10 @@ entry).  Both must:
   the remainder (flow conservation is property-tested),
 - promote module-static symbols referenced by code that moves across a
   module boundary (Section 2.3: "this information must be promoted to
-  global scope").
+  global scope");
+- report every write to an existing procedure or symbol before making
+  it (``Program.report_counts`` / ``report_linkage``), so a guarded
+  stage can undo it.
 """
 
 from __future__ import annotations
@@ -89,6 +92,7 @@ def promote_referenced_statics(
         target = program.proc(name)
         if target is not None and target.linkage == LINK_STATIC:
             if target.module != destination_module:
+                program.report_linkage(target)
                 target.linkage = LINK_GLOBAL
                 promoted += 1
                 if on_promote:
@@ -99,6 +103,7 @@ def promote_referenced_statics(
         gvar = program.global_var(name)
         if gvar is not None and gvar.linkage == LINK_STATIC:
             if gvar.module != destination_module:
+                program.report_linkage(gvar)
                 gvar.linkage = LINK_GLOBAL
                 promoted += 1
                 if on_promote:
@@ -266,10 +271,13 @@ def copy_into_new_proc(
     return clone
 
 
-def subtract_moved_counts(proc: Procedure, ratio: Optional[float]) -> None:
+def subtract_moved_counts(
+    program: Program, proc: Procedure, ratio: Optional[float]
+) -> None:
     """Reduce a procedure's counts by the share moved into a copy."""
     if ratio is None:
         return
+    program.report_counts(proc)
     keep = max(0.0, 1.0 - ratio)
     for block in proc.blocks.values():
         if block.profile_count is not None:

@@ -9,7 +9,6 @@ flip a static's linkage to global ("promotion", Section 2.3).
 
 from __future__ import annotations
 
-import itertools
 from typing import Dict, Iterator, List, Optional, Set, Tuple
 
 from .basicblock import BasicBlock
@@ -61,8 +60,11 @@ class Procedure:
         # nothing here; every other edit to the body clears it
         # (repro.opt.pass_manager).
         self.at_fixed_point = False
-        self._reg_counter = itertools.count()
-        self._label_counter = itertools.count()
+        # The next suffix new_reg / new_label try; snapshots save and
+        # restore them with the body, so a rolled-back procedure hands
+        # out the same names again.
+        self._reg_counter = 0
+        self._label_counter = 0
 
     # ------------------------------------------------------------------
     # Structure
@@ -109,13 +111,15 @@ class Procedure:
         if existing is None:
             existing = self.reg_names()
         while True:
-            name = "{}{}".format(hint, next(self._reg_counter))
+            name = "{}{}".format(hint, self._reg_counter)
+            self._reg_counter += 1
             if name not in existing:
                 return Reg(name)
 
     def new_label(self, hint: str = "b") -> str:
         while True:
-            label = "{}{}".format(hint, next(self._label_counter))
+            label = "{}{}".format(hint, self._label_counter)
+            self._label_counter += 1
             if label not in self.blocks:
                 return label
 

@@ -49,6 +49,10 @@ class Program:
         # procedure fingerprint, so this only needs explicit clearing to
         # release memory.
         self._plan_cache = None
+        # The running guarded HLO stage's MutationRecord
+        # (repro.resilience.guard), or None: edit sites report each
+        # write to it through the report_* methods below.
+        self.mutations = None
         for mod in modules or []:
             self.add_module(mod)
 
@@ -137,9 +141,43 @@ class Program:
     def delete_proc(self, name: str) -> None:
         for mod in self.modules.values():
             if name in mod.procs:
+                if self.mutations is not None:
+                    self.mutations.delete(mod, mod.procs[name])
                 del mod.procs[name]
                 return
         raise KeyError(name)
+
+    # ------------------------------------------------------------------
+    # Edit reports: an HLO transform calls these before its first write
+    # ------------------------------------------------------------------
+
+    def report_body(self, proc: Procedure) -> None:
+        """``proc``'s params, entry or instructions are about to change.
+
+        Clears the optimizer's fixed-point mark (the scalar passes read
+        exactly these), after a running stage's record has copied it.
+        """
+        if self.mutations is not None:
+            self.mutations.write_body(proc)
+        proc.at_fixed_point = False
+
+    def report_counts(self, proc: Procedure) -> None:
+        """``proc``'s block profile counts are about to change.
+
+        The mark stays: the scalar passes never read counts.
+        """
+        if self.mutations is not None:
+            self.mutations.write_counts(proc)
+
+    def report_linkage(self, symbol) -> None:
+        """A procedure's or global's linkage is about to change."""
+        if self.mutations is not None:
+            self.mutations.write_linkage(symbol)
+
+    def report_added(self, proc: Procedure) -> None:
+        """``proc`` was just added to one of this program's modules."""
+        if self.mutations is not None:
+            self.mutations.add(proc)
 
     def __str__(self) -> str:
         return "\n\n".join(str(m) for m in self.modules.values())

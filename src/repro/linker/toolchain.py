@@ -34,7 +34,7 @@ second front-end pass.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from ..core.budget import program_cost
@@ -44,6 +44,7 @@ from ..core.report import HLOReport
 from ..frontend.driver import SourceList, compile_program
 from ..interp.interpreter import DEFAULT_ENGINE, DEFAULT_MAX_STEPS, run_program
 from ..ir.program import Program
+from ..ir.verifier import VerifyError
 from ..machine.metrics import MachineMetrics
 from ..machine.pa8000 import MachineConfig, simulate
 from ..obs import NULL_OBSERVER
@@ -454,11 +455,25 @@ class Toolchain:
 
                 pipeline = self.fault_injector.wrap_pipeline(default_pipeline())
 
+            ledger_mark = obs.ledger.mark()
             with obs.tracer.span("hlo", cat="hlo"):
-                report = run_hlo(
-                    program, cfg, site_counts=site_counts, pipeline=pipeline,
-                    observer=obs, context_counts=context_counts,
-                )
+                try:
+                    report = run_hlo(
+                        program, cfg, site_counts=site_counts, pipeline=pipeline,
+                        observer=obs, context_counts=context_counts,
+                    )
+                except VerifyError as exc:
+                    # Unless strict, the guard contains every pass and
+                    # stage failure, so this is HLO's exit verify: a pass
+                    # corrupted the IR unchecked.  A build that already
+                    # verifies each pass has nothing finer to retry with.
+                    if cfg.strict or cfg.verify_each_pass:
+                        raise
+                    obs.ledger.rollback_to(ledger_mark)
+                    obs.tracer.instant("exit-verify-rebuild", cat="resilience")
+                    return self._rebuild_verifying_each_pass(
+                        scope, config, observer, profile_override, exc
+                    )
             compile_units += report.final_cost
             build_span.add(compile_units=round(compile_units, 2))
 
@@ -481,6 +496,33 @@ class Toolchain:
         return BuildResult(
             program, report, stats, profile, diagnostics, engine=self.engine
         )
+
+    def _rebuild_verifying_each_pass(
+        self,
+        scope: str,
+        config: Optional[HLOConfig],
+        observer,
+        profile_override: Optional[ProfileDatabase],
+        error: VerifyError,
+    ) -> BuildResult:
+        """Build once more, verifying every pass, after the exit verify failed.
+
+        Without per-pass verification a pass that corrupts the IR runs
+        unnoticed until HLO's exit verify rejects the program.  The
+        rebuild catches it at the application that corrupted, rolls that
+        application back, and the build degrades instead of dying.  It
+        starts from a fresh front end; training stays cached.  Only a
+        build whose exit verify failed pays for it.  Such a build may
+        also have replayed the corrupting pass when a guarded call rolled
+        back (:mod:`repro.resilience.guard`); the rebuild replaces it.
+        """
+        checked = replace(config or self.base_config, verify_each_pass=True)
+        result = self.build(scope, checked, observer, profile_override)
+        first = str(error).splitlines()[0] if str(error) else repr(error)
+        result.diagnostics.warn(
+            "HLO exit verify failed ({}); rebuilt verifying each pass".format(first)
+        )
+        return result
 
     def build_all_scopes(
         self, config: Optional[HLOConfig] = None, observer=None

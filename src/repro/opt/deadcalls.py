@@ -28,23 +28,24 @@ def eliminate_dead_calls(program: Program) -> bool:
         return False
     changed = False
     for proc in program.all_procs():
-        if _eliminate_in_proc(proc, free):
+        if _eliminate_in_proc(program, proc, free):
             changed = True
     return changed
 
 
-def _eliminate_in_proc(proc: Procedure, free: Set[str]) -> bool:
+def _eliminate_in_proc(program: Program, proc: Procedure, free: Set[str]) -> bool:
+    """Drop ``proc``'s dead calls to ``free``; only changed blocks are written."""
     changed = False
     live_out = liveness(proc)
     for label, block in proc.blocks.items():
         live = set(live_out[label])
         kept = []
+        dropped = False
         for instr in reversed(block.instrs):
             if isinstance(instr, Call) and instr.callee in free:
                 dead_result = instr.dest is None or instr.dest.name not in live
                 if dead_result:
-                    changed = True
-                    proc.at_fixed_point = False
+                    dropped = True
                     continue
             if instr.dest is not None:
                 live.discard(instr.dest.name)
@@ -52,6 +53,9 @@ def _eliminate_in_proc(proc: Procedure, free: Set[str]) -> bool:
                 if isinstance(op, Reg):
                     live.add(op.name)
             kept.append(instr)
-        kept.reverse()
-        block.instrs = kept
+        if dropped:
+            program.report_body(proc)
+            kept.reverse()
+            block.instrs = kept
+            changed = True
     return changed

@@ -14,10 +14,18 @@ profile counts, linkage, attrs, the return type or any other
 procedure.  So count migration, static promotion and deleting other
 procedures leave a mark valid, and only an edit to those three things
 outside the passes must clear it.  The HLO transforms that make such
-edits do: ``perform_inline`` (caller), the cloner's retargeting
-(caller, and the clone for its own recursive sites), dead-call
-elimination and the outliner.  Snapshots carry the mark with the body
-they restore.
+edits report them with ``Program.report_body``, which clears it:
+``perform_inline`` (caller), the cloner's retargeting (caller, and the
+clone for its own recursive sites), dead-call elimination and the
+outliner.  Snapshots carry the mark with the body they restore.
+
+The same invariant makes a guarded call cheap: passes that read only
+the procedure and are deterministic give the same result when applied
+again to the same body.  So a guarded call copies the procedure once,
+and when a pass application fails it restores that copy and replays
+the applications that succeeded before it
+(:class:`~repro.resilience.guard.GuardedCall`), instead of copying
+before every application.
 """
 
 from __future__ import annotations
@@ -77,26 +85,32 @@ def optimize_proc(
 
     With a :class:`~repro.resilience.PassGuard`, each pass application
     is isolated: an exception (or, in checked builds, a verifier
-    failure) rolls the procedure back to its pre-pass state, records a
-    structured diagnostic, and the remaining passes continue.  The
-    iteration bound doubles as the per-pass step budget — a pass whose
-    rollback/retry would otherwise loop forever converges to "no
-    change" once the guard quarantines it.
+    failure) returns the procedure to its state before that
+    application — the call's one checkpoint, then a replay of the
+    applications that succeeded — records a structured diagnostic, and
+    the remaining passes continue.  The iteration bound doubles as the
+    per-pass step budget — a pass whose rollback/retry would otherwise
+    loop forever converges to "no change" once the guard quarantines
+    it.
     """
     if pipeline is None and proc.at_fixed_point:
         return False
-    # Unset while passes run, so neither a mid-call snapshot nor an
+    # Unset while passes run, so neither the call's checkpoint nor an
     # escaping exception can carry a stale mark.
     proc.at_fixed_point = False
     passes = list(pipeline) if pipeline is not None else default_pipeline()
     failures_before = len(guard.failures) if guard is not None else 0
+    call = (
+        guard.checkpoint(program, proc, pass_number, phase)
+        if guard is not None else None
+    )
     changed_any = False
     converged = False
     for _ in range(max_iterations):
         changed = False
         for name, run in passes:
-            if guard is not None:
-                if guard.run_proc_pass(program, proc, name, run, pass_number, phase):
+            if call is not None:
+                if call.run(name, run):
                     changed = True
             elif run(program, proc):
                 changed = True

@@ -3,31 +3,58 @@
 The HLO sits between front ends and the back end and must never turn a
 working build into a broken one — a bad pass should degrade
 *optimization quality*, not correctness.  The guard enforces that
-contract mechanically:
+contract mechanically, at two granularities.
 
-1. snapshot the IR a pass is about to mutate;
-2. run the pass with a step budget;
-3. optionally verify the result;
-4. on any exception (including verifier failures), restore the
-   snapshot, record a structured :class:`~repro.core.report.PassFailure`
-   on the report, and let the remaining pipeline continue.
+**Scalar passes.**  A guarded ``optimize_proc`` call
+(:meth:`PassGuard.checkpoint`) copies its procedure once, before its
+first pass.  Each pass application runs with a step budget and, under
+``verify_each_pass``, is verified.  When an application raises
+(verifier failures included), the call restores its checkpoint,
+replays in order every application of this call that succeeded before
+it, records a structured :class:`~repro.core.report.PassFailure` on
+the report, and lets the remaining pipeline continue.  The replay
+reproduces the state a copy before each application would have kept:
+the seven passes are deterministic and read only the procedure
+(:mod:`repro.opt.pass_manager`), and the checkpoint also restores the
+counters new register and label names come from.  Only a failing call
+pays for the replay.  The scalar passes report nothing: the guard is
+there to contain a buggy pass, and a buggy pass writes without saying
+so.
 
-A pass that fails :data:`MAX_FAILURES` times is **quarantined**: the
-guard stops running it for the rest of the build, so one buggy pass
-cannot turn every procedure's compile into a snapshot/rollback
-treadmill.  A failed program or region stage is bisected to the
-minimal failing (pass, procedure) pair for the diagnostic.
+**HLO stages.**  A guarded stage — clone, inline, outline, dead calls,
+or one demand region (:meth:`PassGuard.run_program_stage`) — installs
+a :class:`MutationRecord` on the program.  Those transforms are the
+repo's own, and each of their edit sites reports before its first
+write (``Program.report_body`` and its siblings), so the record saves
+a procedure only when the stage first writes it.  On failure it
+deletes what the stage added and restores the rest.  The same record
+names what the stage mutated, for the
+:class:`~repro.analysis.AnalysisManager` to invalidate.
+
+A pass or stage that fails :data:`MAX_FAILURES` times is
+**quarantined**: the guard stops running it for the rest of the build,
+so one buggy pass cannot turn every procedure's compile into a
+rollback treadmill.  A failed stage is bisected to the minimal failing
+(pass, procedure) pair for the diagnostic; bisection is the only user
+of :class:`ProgramSnapshot`.
+
+Every copy is built in this module through the module-level names
+``ProcedureSnapshot`` and ``ProgramSnapshot``, which perfbench's
+tracer swaps to time and count each one.
 
 Under ``strict`` the first failure re-raises instead of degrading —
 the CI / debugging mode where you want the crash, not the save.
 ``verify_each_pass`` verifies the IR after every guarded pass
-application, catching a corrupting pass at the point of corruption
-instead of at HLO exit.
+application and stage, catching a corrupting pass at the point of
+corruption instead of at HLO exit.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Sequence, Tuple, TypeVar
+from contextlib import contextmanager
+from typing import (
+    Callable, Dict, Iterator, List, Optional, Sequence, Set, Tuple, TypeVar,
+)
 
 from ..core.report import HLOReport, PassFailure
 from ..ir.procedure import Procedure
@@ -65,30 +92,15 @@ class PassGuard:
     # Guarded execution
     # ------------------------------------------------------------------
 
-    def run_proc_pass(
+    def checkpoint(
         self,
         program: Program,
         proc: Procedure,
-        name: str,
-        run: ProcPass,
         pass_number: int = -1,
         phase: str = "scalar",
-    ) -> bool:
-        """Run one per-procedure pass under isolation; False on rollback."""
-        if name in self.quarantined:
-            return False
-        snapshot = ProcedureSnapshot(proc)
-        try:
-            changed = bool(run(program, proc))
-            if self.verify_each_pass:
-                verify_proc(program, proc)
-            return changed
-        except Exception as exc:
-            if self.strict:
-                raise
-            snapshot.restore(proc)
-            self._record(name, proc.name, pass_number, phase, exc)
-            return False
+    ) -> "GuardedCall":
+        """Start one guarded ``optimize_proc`` call on ``proc`` (one copy)."""
+        return GuardedCall(self, program, proc, pass_number, phase)
 
     def run_program_stage(
         self,
@@ -100,15 +112,19 @@ class PassGuard:
         default: Optional[T] = None,
         bisect_pipeline: Optional[Sequence[Tuple[str, ProcPass]]] = None,
     ) -> Optional[T]:
-        """Run a whole-program stage under isolation; ``default`` on rollback.
+        """Run an HLO stage under isolation; ``default`` on rollback.
 
-        When the stage is (or wraps) a scalar pipeline, pass it as
-        ``bisect_pipeline`` so a failure is narrowed to the minimal
-        failing (pass, procedure) pair before the snapshot is restored.
+        The stage's writes are recorded on a :class:`MutationRecord`
+        (``program.mutations`` while it runs), which undoes them when
+        the stage raises.  When the stage is (or wraps) a scalar
+        pipeline, pass it as ``bisect_pipeline`` so a failure is
+        narrowed to the minimal failing (pass, procedure) pair before
+        the stage is rolled back.
         """
         if name in self.quarantined:
             return default
-        snapshot = ProgramSnapshot(program)
+        record = MutationRecord(program)
+        program.mutations = record
         try:
             result = run()
             if self.verify_each_pass:
@@ -118,57 +134,11 @@ class PassGuard:
             if self.strict:
                 raise
             culprit = _culprit(program, bisect_pipeline)
-            snapshot.restore(program)
+            record.rollback()
             self._record(name, PROGRAM_SCOPE, pass_number, phase, exc, culprit=culprit)
             return default
-
-    def run_region_stage(
-        self,
-        program: Program,
-        procs: Sequence[str],
-        name: str,
-        run: Callable[[], T],
-        pass_number: int = -1,
-        phase: str = "region",
-        default: Optional[T] = None,
-        bisect_pipeline: Optional[Sequence[Tuple[str, ProcPass]]] = None,
-    ) -> Optional[T]:
-        """Run a stage that only mutates ``procs`` (plus additions).
-
-        The region-scoped sibling of :meth:`run_program_stage`: the
-        snapshot covers only the named procedures, so a 1000-module
-        program doesn't pay a whole-program IR copy for every small
-        region the demand planner optimizes.  The *caller* owns the
-        scoping contract — a stage that mutates a procedure outside
-        ``procs`` and then fails will not have that procedure restored.
-        New procedures the stage adds (clones) are deleted on rollback.
-        """
-        if name in self.quarantined:
-            return default
-        snapshots = []
-        for proc_name in procs:
-            proc = program.proc(proc_name)
-            if proc is not None:
-                snapshots.append(ProcedureSnapshot(proc))
-        names_before = {proc.name for proc in program.all_procs()}
-        try:
-            result = run()
-            if self.verify_each_pass:
-                verify_program(program)
-            return result
-        except Exception as exc:
-            if self.strict:
-                raise
-            culprit = _culprit(program, bisect_pipeline)
-            for proc in list(program.all_procs()):
-                if proc.name not in names_before:
-                    program.delete_proc(proc.name)
-            for snapshot in snapshots:
-                proc = program.proc(snapshot.name)
-                if proc is not None:
-                    snapshot.restore(proc)
-            self._record(name, PROGRAM_SCOPE, pass_number, phase, exc, culprit=culprit)
-            return default
+        finally:
+            program.mutations = None
 
     # ------------------------------------------------------------------
     # Bookkeeping
@@ -214,6 +184,150 @@ class PassGuard:
             quarantined=quarantined,
         )
         self.observer.metrics.count(names.RESILIENCE_ROLLBACKS)
+
+
+class GuardedCall:
+    """One guarded ``optimize_proc`` call: one checkpoint, replay on failure."""
+
+    def __init__(
+        self,
+        guard: PassGuard,
+        program: Program,
+        proc: Procedure,
+        pass_number: int,
+        phase: str,
+    ):
+        self.guard = guard
+        self.program = program
+        self.proc = proc
+        self.pass_number = pass_number
+        self.phase = phase
+        self.snapshot = ProcedureSnapshot(proc)
+        # The applications that succeeded since the checkpoint, in order.
+        self.applied: List[ProcPass] = []
+
+    def run(self, name: str, run: ProcPass) -> bool:
+        """Apply one pass; False when it is quarantined or rolled back.
+
+        On failure the procedure goes back to the checkpoint and every
+        application in :attr:`applied` runs again, unverified: the
+        replay repeats work that already passed.
+        """
+        guard = self.guard
+        if name in guard.quarantined:
+            return False
+        try:
+            changed = bool(run(self.program, self.proc))
+            if guard.verify_each_pass:
+                verify_proc(self.program, self.proc)
+        except Exception as exc:
+            if guard.strict:
+                raise
+            self.snapshot.restore(self.proc)
+            for replay in self.applied:
+                replay(self.program, self.proc)
+            guard._record(name, self.proc.name, self.pass_number, self.phase, exc)
+            return False
+        self.applied.append(run)
+        return changed
+
+
+class MutationRecord:
+    """What one guarded HLO stage wrote, saved at each first write.
+
+    Edit sites report through ``Program.report_*`` before they write:
+
+    - the first body write (params, entry, instructions) or count write
+      to a procedure copies it;
+    - a linkage write keeps the symbol's old linkage;
+    - a report on a procedure the stage added copies nothing;
+    - a deleted procedure is kept, with its module's procedure order.
+
+    ``copies=False`` keeps only the names, for a transform run outside
+    any guarded stage that still invalidates analyses by them.
+    """
+
+    def __init__(self, program: Program, copies: bool = True):
+        self.program = program
+        self.copies = copies
+        self.bodies: Set[str] = set()
+        self.counts: Set[str] = set()
+        # name -> module of each procedure the stage added.
+        self.added: Dict[str, str] = {}
+        # "@proc" / "$global" -> (symbol, linkage before the stage).
+        self.linkages: Dict[str, Tuple[object, str]] = {}
+        self._snapshots: Dict[str, Tuple[Procedure, ProcedureSnapshot]] = {}
+        self._deleted: Dict[str, Tuple[str, Procedure]] = {}
+        self._orders: Dict[str, List[str]] = {}
+
+    def _copy(self, proc: Procedure) -> None:
+        name = proc.name
+        if self.copies and name not in self._snapshots and name not in self.added:
+            self._snapshots[name] = (proc, ProcedureSnapshot(proc))
+
+    def write_body(self, proc: Procedure) -> None:
+        self._copy(proc)
+        self.bodies.add(proc.name)
+
+    def write_counts(self, proc: Procedure) -> None:
+        self._copy(proc)
+        self.counts.add(proc.name)
+
+    def write_linkage(self, symbol) -> None:
+        key = ("@" if isinstance(symbol, Procedure) else "$") + symbol.name
+        if key not in self.linkages:
+            self.linkages[key] = (symbol, symbol.linkage)
+
+    def add(self, proc: Procedure) -> None:
+        self.added[proc.name] = proc.module
+
+    def delete(self, module, proc: Procedure) -> None:
+        if self.added.pop(proc.name, None) is not None:
+            return
+        self._orders.setdefault(module.name, list(module.procs))
+        self._deleted[proc.name] = (module.name, proc)
+
+    def mutated(self) -> Set[str]:
+        """Procedures whose body or counts changed, or that were added:
+        the names whose memoized analyses went stale."""
+        return self.bodies | self.counts | set(self.added)
+
+    def rollback(self) -> None:
+        """Undo every recorded write; the program is as the stage found it."""
+        modules = self.program.modules
+        for name, module in self.added.items():
+            modules[module].procs.pop(name, None)
+        for proc, snapshot in self._snapshots.values():
+            snapshot.restore(proc)
+        for symbol, linkage in self.linkages.values():
+            symbol.linkage = linkage
+        for module_name, order in self._orders.items():
+            mod = modules[module_name]
+            procs = dict(mod.procs)
+            procs.update(
+                (name, proc)
+                for name, (home, proc) in self._deleted.items()
+                if home == module_name
+            )
+            mod.procs = {name: procs[name] for name in order if name in procs}
+
+
+@contextmanager
+def recording(program: Program) -> Iterator[MutationRecord]:
+    """The running stage's record, or a names-only one for the duration.
+
+    The clone, inline and demand-region transforms invalidate analyses
+    by the names on the record, so they need one even when they run
+    outside a guarded stage.
+    """
+    if program.mutations is not None:
+        yield program.mutations
+        return
+    program.mutations = MutationRecord(program, copies=False)
+    try:
+        yield program.mutations
+    finally:
+        program.mutations = None
 
 
 def _culprit(

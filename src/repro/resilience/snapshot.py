@@ -1,21 +1,22 @@
-"""Cheap IR checkpoints for rollback after a failed pass.
+"""Cheap IR checkpoints for rollback after a failed pass or stage.
 
-Two granularities, matching the two granularities at which passes run:
+Two granularities:
 
 - :class:`ProcedureSnapshot` — a structured copy of one procedure's
-  mutable state (blocks, entry, params, attrs, and the optimizer's
+  mutable state (blocks, entry, params, attrs, the optimizer's
   ``at_fixed_point`` mark, which is only true of the body it was
-  captured with).  Used by the guarded scalar pipeline, which applies
-  one pass to one procedure at a time.
-  Instructions are copied individually (``Instr.copy()``, the same
-  primitive body transplants use) because passes like constant
-  propagation rewrite operands of existing instructions in place.
+  captured with, and the counters ``new_reg`` / ``new_label`` draw
+  from, so a restored procedure hands out the same names again).  The
+  guard takes one per guarded ``optimize_proc`` call and one per
+  procedure a guarded HLO stage first writes
+  (:mod:`repro.resilience.guard`).  Instructions are copied
+  individually (``Instr.copy()``, the same primitive body transplants
+  use) because passes like constant propagation rewrite operands of
+  existing instructions in place.
 - :class:`ProgramSnapshot` — a structural copy of every module
-  (procedures, globals, externs).  Used around program-level stages
-  (clone/inline passes, dead-call elimination) that may touch any
-  procedure.  Deliberately *not* the printer/parser round trip: a
-  snapshot is taken before every guarded stage whether or not it
-  fails, so capture must stay cheap.
+  (procedures, globals, externs).  Only bisection uses it: it tries
+  every (pass, procedure) pair on the failed program and must leave
+  the program exactly as it found it.
 
 Restores are **in place**: the ``Procedure``/``Program``/``Module``
 objects keep their identity, so references held by surrounding driver
@@ -56,6 +57,7 @@ class ProcedureSnapshot:
         self._entry = proc.entry
         self._blocks = _copy_blocks(proc.blocks)
         self._at_fixed_point = proc.at_fixed_point
+        self._counters = (proc._reg_counter, proc._label_counter)
 
     def restore(self, proc: Procedure) -> None:
         if proc.name != self.name:
@@ -69,6 +71,7 @@ class ProcedureSnapshot:
         proc.entry = self._entry
         proc.blocks = _copy_blocks(self._blocks)
         proc.at_fixed_point = self._at_fixed_point
+        proc._reg_counter, proc._label_counter = self._counters
 
     def materialize(self, module_name: str) -> Procedure:
         """Recreate the procedure from scratch (it was deleted meanwhile)."""
@@ -83,6 +86,7 @@ class ProcedureSnapshot:
         proc.blocks = _copy_blocks(self._blocks)
         proc.entry = self._entry
         proc.at_fixed_point = self._at_fixed_point
+        proc._reg_counter, proc._label_counter = self._counters
         return proc
 
 

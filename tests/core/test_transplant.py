@@ -123,7 +123,7 @@ class TestCloneCopy:
             program, clonee, module, "combine.c1", {0: Imm(0)}, 0.25
         )
         module.add_proc(clone)
-        subtract_moved_counts(clonee, 0.25)
+        subtract_moved_counts(program, clonee, 0.25)
         # Flow conservation: moved + remaining == original.
         remaining = clonee.blocks[clonee.entry].profile_count
         body_labels = [l for l in clone.blocks if l in clonee.blocks]

@@ -6,6 +6,7 @@ Each test pairs a recovery path with its ``--strict`` inversion:
 fault                           default behavior            strict behavior
 ==============================  ==========================  ================
 scalar pass raises              rollback + PassFailure      raises
+scalar pass corrupts the IR     rebuild, verify each pass   VerifyError
 corrupt/skewed isom             module-at-a-time fallback   StrictModeError
 corrupt/missing/stale profile   static frequency fallback   StrictModeError
 ==============================  ==========================  ================
@@ -62,6 +63,38 @@ class TestCrashingPass:
             fault_injector=FaultInjector(seed=1, crash_pass="constprop"),
         )
         with pytest.raises(InjectedFault):
+            tc.build("c")
+
+
+class TestCorruptingPass:
+    """A pass that corrupts the IR, with per-pass verification off."""
+
+    @pytest.mark.parametrize("scope", ["cp", "base"])
+    def test_build_is_rebuilt_verifying_each_pass(self, scope):
+        from repro.interp import run_program
+        from repro.workloads.suite import get_workload
+
+        w = get_workload("compress")
+        ref_input = list(w.ref_input)
+        expected = run_program(w.compile(), ref_input, engine="reference").behavior()
+        result = Toolchain(
+            list(w.sources),
+            train_inputs=[list(t) for t in w.train_inputs],
+            fault_injector=FaultInjector(corrupt_pass="dce"),
+        ).build(scope)
+        assert result.run(ref_input)[1].behavior() == expected
+        assert result.degraded
+        assert result.report.pass_failures
+        assert {
+            (f.pass_name, f.error_type) for f in result.report.pass_failures
+        } == {("dce", "VerifyError")}
+        assert any("rebuilt verifying each pass" in w for w in result.diagnostics.warnings)
+
+    def test_strict_still_raises(self):
+        from repro.ir.verifier import VerifyError
+
+        tc = toolchain(strict=True, fault_injector=FaultInjector(corrupt_pass="dce"))
+        with pytest.raises(VerifyError):
             tc.build("c")
 
 

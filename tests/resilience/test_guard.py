@@ -36,6 +36,8 @@ def crashing(program, proc):
 
 
 class TestRunProcPass:
+    """One pass application through a guarded call's checkpoint."""
+
     def test_failure_rolls_back_and_records(self):
         prog = program()
         proc = prog.proc("api")
@@ -46,8 +48,9 @@ class TestRunProcPass:
             proc.blocks[proc.entry].instrs.pop()
             raise InjectedFault("boom")
 
-        changed = guard.run_proc_pass(prog, proc, "badpass", breaks_then_raises,
-                                      pass_number=1, phase="scalar")
+        changed = guard.checkpoint(prog, proc, pass_number=1, phase="scalar").run(
+            "badpass", breaks_then_raises
+        )
         assert changed is False
         assert print_program(prog) == before
         (failure,) = guard.failures
@@ -68,7 +71,7 @@ class TestRunProcPass:
             raise InjectedFault("boom")
 
         for _ in range(5):
-            guard.run_proc_pass(prog, proc, "badpass", counted_crash)
+            guard.checkpoint(prog, proc).run("badpass", counted_crash)
         assert len(calls) == MAX_FAILURES  # later invocations skipped
         assert "badpass" in guard.quarantined
         assert guard.failures[-1].quarantined
@@ -77,7 +80,7 @@ class TestRunProcPass:
         prog = program()
         guard = PassGuard(strict=True)
         with pytest.raises(InjectedFault):
-            guard.run_proc_pass(prog, prog.proc("api"), "badpass", crashing)
+            guard.checkpoint(prog, prog.proc("api")).run("badpass", crashing)
 
     def test_verify_each_pass_catches_corruption(self):
         prog = program()
@@ -85,8 +88,8 @@ class TestRunProcPass:
         before = print_program(prog)
         injector = FaultInjector(seed=3)
         guard = PassGuard(verify_each_pass=True)
-        changed = guard.run_proc_pass(
-            prog, proc, "corrupt", injector.corrupting_pass("corrupt")
+        changed = guard.checkpoint(prog, proc).run(
+            "corrupt", injector.corrupting_pass("corrupt")
         )
         assert changed is False
         assert print_program(prog) == before
@@ -99,7 +102,7 @@ class TestRunProcPass:
         proc = prog.proc("api")
         injector = FaultInjector(seed=3)
         guard = PassGuard(verify_each_pass=False)
-        guard.run_proc_pass(prog, proc, "corrupt", injector.corrupting_pass("corrupt"))
+        guard.checkpoint(prog, proc).run("corrupt", injector.corrupting_pass("corrupt"))
         assert not guard.failures
 
 
