@@ -392,144 +392,125 @@ def clone_pass(
 
     from ..resilience.guard import recording
 
+    replaced = 0
+    touched: Set[str] = set()
     with recording(program) as record:
-        replaced = _perform_clones(
-            program, config, report, pass_number, database, site_counts,
-            accepted, obs,
-        )
+        for group_index, group in enumerate(accepted):
+            if config.stop_after is not None and report.transform_count >= config.stop_after:
+                for later in accepted[group_index:]:
+                    for member in later.sites:
+                        record_decision(
+                            obs, report, "clone", pass_number, member, "rejected",
+                            "stop-after limit reached", reason_class="budget",
+                            benefit=later.benefit,
+                        )
+                break
+            clone_name = database.lookup(group.key) if config.clone_database else None
+            if clone_name is not None and program.proc(clone_name) is None:
+                clone_name = None  # the recorded clone has since been deleted
+            if clone_name is None:
+                clone_name = database.fresh_name(program, group.callee.name)
+                group_count = _group_traffic(group, site_counts)
+                ratio = transfer_ratio(group_count, _entry_count(group.callee))
+                with obs.tracer.span(
+                    "clone:{}".format(clone_name) if obs.tracer.enabled else "",
+                    cat="transform", clonee=group.callee.name,
+                ):
+                    clone = copy_into_new_proc(
+                        program,
+                        group.callee,
+                        program.modules[group.callee.module],
+                        clone_name,
+                        group.spec,
+                        ratio,
+                        on_promote=report.record_promotion,
+                    )
+                    program.modules[group.callee.module].add_proc(clone)
+                    program.report_added(clone)
+                    subtract_moved_counts(program, group.callee, ratio)
+                    report.clones += 1
+                    if config.clone_database:
+                        database.record(group.key, clone_name)
+                    touched.add(clone_name)
+                    if config.reoptimize:
+                        # Optimize the clone immediately so the bound constants
+                        # propagate into its own call sites before the in-clone
+                        # retarget scan below (the recursive pass-through case).
+                        optimize_proc(program, clone)
+
+            for member_index, member in enumerate(group.sites):
+                if config.stop_after is not None and report.transform_count >= config.stop_after:
+                    for later in group.sites[member_index:]:
+                        record_decision(
+                            obs, report, "clone", pass_number, later, "rejected",
+                            "stop-after limit reached", reason_class="budget",
+                            benefit=group.benefit,
+                        )
+                    break
+                if _retarget_site(program, member, group.spec, clone_name):
+                    replaced += 1
+                    record_decision(
+                        obs, report, "clone", pass_number, member, "cloned",
+                        "call site retargeted to clone", reason_class="accepted",
+                        benefit=group.benefit,
+                    )
+                    report.record_clone_replacement(
+                        pass_number,
+                        member.caller.name,
+                        clone_name,
+                        member.instr.site_id,
+                        group.callee.name,
+                    )
+                    touched.add(member.caller.name)
+                else:
+                    record_decision(
+                        obs, report, "clone", pass_number, member, "rejected",
+                        "call site changed before retargeting",
+                        reason_class="mechanical",
+                    )
+
+            # The clone body may itself contain group-compatible recursive
+            # sites (copied from the clonee); retarget those too so a fully
+            # covered clonee really does become unreachable.  A clone reused
+            # from the database predates this stage, so report it too.
+            clone = program.proc(clone_name)
+            if clone is not None:
+                for block, index, instr in clone.call_sites():
+                    if (
+                        isinstance(instr, Call)
+                        and instr.callee == group.callee.name
+                        and context_matches(instr, group.spec)
+                    ):
+                        program.report_body(clone)
+                        instr.callee = clone_name
+                        instr.args = [
+                            a for i, a in enumerate(instr.args) if i not in group.spec
+                        ]
+                        replaced += 1
+                        report.record_clone_replacement(
+                            pass_number, clone_name, clone_name, instr.site_id, group.callee.name
+                        )
+                        # Not a graph site (it was born with the clone this
+                        # pass), but it is an evaluation with an outcome.
+                        report.sites_considered += 1
+                        if obs.ledger.enabled:
+                            obs.ledger.record(
+                                "clone", pass_number, clone_name, clone_name,
+                                instr.site_id, "cloned",
+                                "recursive site inside clone retargeted",
+                                "accepted", group.benefit,
+                            )
+
+        if config.reoptimize:
+            for name in sorted(touched):
+                proc = program.proc(name)
+                if proc is not None:
+                    optimize_proc(program, proc)
     budget.recalibrate(program)
     # Callers retargeted, clonees whose counts migrated, the clones.
     mutated = record.mutated()
     if mutated:
         manager.invalidate_procs(mutated)
-    return replaced
-
-
-def _perform_clones(
-    program: Program,
-    config: HLOConfig,
-    report: HLOReport,
-    pass_number: int,
-    database: CloneDatabase,
-    site_counts: Optional[Dict[Tuple[str, int], int]],
-    accepted: List[CloneGroup],
-    obs,
-) -> int:
-    """Create (or reuse) each accepted group's clone and retarget its
-    sites, then re-optimize what changed; returns sites retargeted."""
-    replaced = 0
-    touched: Set[str] = set()
-    for group_index, group in enumerate(accepted):
-        if config.stop_after is not None and report.transform_count >= config.stop_after:
-            for later in accepted[group_index:]:
-                for member in later.sites:
-                    record_decision(
-                        obs, report, "clone", pass_number, member, "rejected",
-                        "stop-after limit reached", reason_class="budget",
-                        benefit=later.benefit,
-                    )
-            break
-        clone_name = database.lookup(group.key) if config.clone_database else None
-        if clone_name is not None and program.proc(clone_name) is None:
-            clone_name = None  # the recorded clone has since been deleted
-        if clone_name is None:
-            clone_name = database.fresh_name(program, group.callee.name)
-            group_count = _group_traffic(group, site_counts)
-            ratio = transfer_ratio(group_count, _entry_count(group.callee))
-            with obs.tracer.span(
-                "clone:{}".format(clone_name) if obs.tracer.enabled else "",
-                cat="transform", clonee=group.callee.name,
-            ):
-                clone = copy_into_new_proc(
-                    program,
-                    group.callee,
-                    program.modules[group.callee.module],
-                    clone_name,
-                    group.spec,
-                    ratio,
-                    on_promote=report.record_promotion,
-                )
-                program.modules[group.callee.module].add_proc(clone)
-                program.report_added(clone)
-                subtract_moved_counts(program, group.callee, ratio)
-                report.clones += 1
-                if config.clone_database:
-                    database.record(group.key, clone_name)
-                touched.add(clone_name)
-                if config.reoptimize:
-                    # Optimize the clone immediately so the bound constants
-                    # propagate into its own call sites before the in-clone
-                    # retarget scan below (the recursive pass-through case).
-                    optimize_proc(program, clone)
-
-        for member_index, member in enumerate(group.sites):
-            if config.stop_after is not None and report.transform_count >= config.stop_after:
-                for later in group.sites[member_index:]:
-                    record_decision(
-                        obs, report, "clone", pass_number, later, "rejected",
-                        "stop-after limit reached", reason_class="budget",
-                        benefit=group.benefit,
-                    )
-                break
-            if _retarget_site(program, member, group.spec, clone_name):
-                replaced += 1
-                record_decision(
-                    obs, report, "clone", pass_number, member, "cloned",
-                    "call site retargeted to clone", reason_class="accepted",
-                    benefit=group.benefit,
-                )
-                report.record_clone_replacement(
-                    pass_number,
-                    member.caller.name,
-                    clone_name,
-                    member.instr.site_id,
-                    group.callee.name,
-                )
-                touched.add(member.caller.name)
-            else:
-                record_decision(
-                    obs, report, "clone", pass_number, member, "rejected",
-                    "call site changed before retargeting",
-                    reason_class="mechanical",
-                )
-
-        # The clone body may itself contain group-compatible recursive
-        # sites (copied from the clonee); retarget those too so a fully
-        # covered clonee really does become unreachable.  A clone reused
-        # from the database predates this stage, so report it too.
-        clone = program.proc(clone_name)
-        if clone is not None:
-            for block, index, instr in clone.call_sites():
-                if (
-                    isinstance(instr, Call)
-                    and instr.callee == group.callee.name
-                    and context_matches(instr, group.spec)
-                ):
-                    program.report_body(clone)
-                    instr.callee = clone_name
-                    instr.args = [
-                        a for i, a in enumerate(instr.args) if i not in group.spec
-                    ]
-                    replaced += 1
-                    report.record_clone_replacement(
-                        pass_number, clone_name, clone_name, instr.site_id, group.callee.name
-                    )
-                    # Not a graph site (it was born with the clone this
-                    # pass), but it is an evaluation with an outcome.
-                    report.sites_considered += 1
-                    if obs.ledger.enabled:
-                        obs.ledger.record(
-                            "clone", pass_number, clone_name, clone_name,
-                            instr.site_id, "cloned",
-                            "recursive site inside clone retargeted",
-                            "accepted", group.benefit,
-                        )
-
-    if config.reoptimize:
-        for name in sorted(touched):
-            proc = program.proc(name)
-            if proc is not None:
-                optimize_proc(program, proc)
     return replaced
 
 

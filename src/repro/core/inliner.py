@@ -130,75 +130,59 @@ def inline_pass(
 
     from ..resilience.guard import recording
 
-    with recording(program) as record:
-        performed = _perform_schedule(
-            program, config, report, pass_number, schedule, perform_rank, obs
-        )
-    budget.recalibrate(program)
-    mutated = record.mutated()
-    if mutated:
-        manager.invalidate_procs(mutated)
-    return performed
-
-
-def _perform_schedule(
-    program: Program,
-    config: HLOConfig,
-    report: HLOReport,
-    pass_number: int,
-    schedule: List[ScheduledInline],
-    perform_rank: Dict[str, int],
-    obs,
-) -> int:
-    """Perform the accepted inlines, then re-optimize their callers."""
     # Perform bottom-up (callees before callers), so bodies accumulate.
     schedule.sort(key=lambda s: (perform_rank.get(s.caller, 0), -s.ranked.benefit))
     performed = 0
     touched: Set[str] = set()
-    for index, item in enumerate(schedule):
-        if config.stop_after is not None and report.transform_count >= config.stop_after:
-            for later in schedule[index:]:
+    with recording(program) as record:
+        for index, item in enumerate(schedule):
+            if config.stop_after is not None and report.transform_count >= config.stop_after:
+                for later in schedule[index:]:
+                    record_decision(
+                        obs, report, "inline", pass_number, later.ranked.site,
+                        "rejected", "stop-after limit reached",
+                        reason_class="budget", benefit=later.ranked.benefit,
+                    )
+                break
+            caller = program.proc(item.caller)
+            if caller is None:
                 record_decision(
-                    obs, report, "inline", pass_number, later.ranked.site,
-                    "rejected", "stop-after limit reached",
-                    reason_class="budget", benefit=later.ranked.benefit,
+                    obs, report, "inline", pass_number, item.ranked.site,
+                    "rejected", "caller deleted before transform",
+                    reason_class="mechanical",
                 )
-            break
-        caller = program.proc(item.caller)
-        if caller is None:
-            record_decision(
-                obs, report, "inline", pass_number, item.ranked.site,
-                "rejected", "caller deleted before transform",
-                reason_class="mechanical",
-            )
-            continue
-        with obs.tracer.span(
-            "inline:{}<-{}".format(item.caller, item.callee)
-            if obs.tracer.enabled else "",
-            cat="transform", site=item.site_id,
-        ):
-            done = perform_inline(program, caller, item.site_id, report, pass_number)
-        if done:
-            performed += 1
-            record_decision(
-                obs, report, "inline", pass_number, item.ranked.site,
-                "inlined", "accepted within staged budget",
-                reason_class="accepted", benefit=item.ranked.benefit,
-            )
-            touched.add(item.caller)
-        else:
-            record_decision(
-                obs, report, "inline", pass_number, item.ranked.site,
-                "rejected", "call site vanished before transform",
-                reason_class="mechanical",
-            )
+                continue
+            with obs.tracer.span(
+                "inline:{}<-{}".format(item.caller, item.callee)
+                if obs.tracer.enabled else "",
+                cat="transform", site=item.site_id,
+            ):
+                done = perform_inline(program, caller, item.site_id, report, pass_number)
+            if done:
+                performed += 1
+                record_decision(
+                    obs, report, "inline", pass_number, item.ranked.site,
+                    "inlined", "accepted within staged budget",
+                    reason_class="accepted", benefit=item.ranked.benefit,
+                )
+                touched.add(item.caller)
+            else:
+                record_decision(
+                    obs, report, "inline", pass_number, item.ranked.site,
+                    "rejected", "call site vanished before transform",
+                    reason_class="mechanical",
+                )
 
-    # "optimize inlines and recalibrate"
-    if config.reoptimize:
-        for name in sorted(touched):
-            proc = program.proc(name)
-            if proc is not None:
-                optimize_proc(program, proc)
+        # "optimize inlines and recalibrate"
+        if config.reoptimize:
+            for name in sorted(touched):
+                proc = program.proc(name)
+                if proc is not None:
+                    optimize_proc(program, proc)
+    budget.recalibrate(program)
+    mutated = record.mutated()
+    if mutated:
+        manager.invalidate_procs(mutated)
     return performed
 
 

@@ -17,7 +17,8 @@ reproduces the state a copy before each application would have kept:
 the seven passes are deterministic and read only the procedure
 (:mod:`repro.opt.pass_manager`), and the checkpoint also restores the
 counters new register and label names come from.  Only a failing call
-pays for the replay.  The scalar passes report nothing: the guard is
+pays for the replay; a replay that raises leaves the procedure at the
+checkpoint.  The scalar passes report nothing: the guard is
 there to contain a buggy pass, and a buggy pass writes without saying
 so.
 
@@ -207,12 +208,7 @@ class GuardedCall:
         self.applied: List[ProcPass] = []
 
     def run(self, name: str, run: ProcPass) -> bool:
-        """Apply one pass; False when it is quarantined or rolled back.
-
-        On failure the procedure goes back to the checkpoint and every
-        application in :attr:`applied` runs again, unverified: the
-        replay repeats work that already passed.
-        """
+        """Apply one pass; False when it is quarantined or rolled back."""
         guard = self.guard
         if name in guard.quarantined:
             return False
@@ -223,13 +219,29 @@ class GuardedCall:
         except Exception as exc:
             if guard.strict:
                 raise
-            self.snapshot.restore(self.proc)
-            for replay in self.applied:
-                replay(self.program, self.proc)
+            self._roll_back()
             guard._record(name, self.proc.name, self.pass_number, self.phase, exc)
             return False
         self.applied.append(run)
         return changed
+
+    def _roll_back(self) -> None:
+        """Return to the state before the failed application.
+
+        The procedure goes back to the checkpoint and every application
+        in :attr:`applied` runs again, unverified: the replay repeats
+        work that already passed.  A replay that raises anyway (a pass
+        that is not deterministic after all) must not escape the guard:
+        the procedure then stays at the checkpoint, and the call's
+        earlier work is dropped.
+        """
+        self.snapshot.restore(self.proc)
+        try:
+            for replay in self.applied:
+                replay(self.program, self.proc)
+        except Exception:
+            self.snapshot.restore(self.proc)
+            self.applied = []
 
 
 class MutationRecord:
@@ -242,14 +254,10 @@ class MutationRecord:
     - a linkage write keeps the symbol's old linkage;
     - a report on a procedure the stage added copies nothing;
     - a deleted procedure is kept, with its module's procedure order.
-
-    ``copies=False`` keeps only the names, for a transform run outside
-    any guarded stage that still invalidates analyses by them.
     """
 
-    def __init__(self, program: Program, copies: bool = True):
+    def __init__(self, program: Program):
         self.program = program
-        self.copies = copies
         self.bodies: Set[str] = set()
         self.counts: Set[str] = set()
         # name -> module of each procedure the stage added.
@@ -262,7 +270,7 @@ class MutationRecord:
 
     def _copy(self, proc: Procedure) -> None:
         name = proc.name
-        if self.copies and name not in self._snapshots and name not in self.added:
+        if name not in self._snapshots and name not in self.added:
             self._snapshots[name] = (proc, ProcedureSnapshot(proc))
 
     def write_body(self, proc: Procedure) -> None:
@@ -314,16 +322,17 @@ class MutationRecord:
 
 @contextmanager
 def recording(program: Program) -> Iterator[MutationRecord]:
-    """The running stage's record, or a names-only one for the duration.
+    """The running stage's record, or a fresh one for the duration.
 
     The clone, inline and demand-region transforms invalidate analyses
     by the names on the record, so they need one even when they run
-    outside a guarded stage.
+    outside a guarded stage (as unit tests call them); nothing rolls
+    that one back.
     """
     if program.mutations is not None:
         yield program.mutations
         return
-    program.mutations = MutationRecord(program, copies=False)
+    program.mutations = MutationRecord(program)
     try:
         yield program.mutations
     finally:

@@ -5,11 +5,13 @@ application fails it restores that copy and replays the applications
 that succeeded before it.  The reference (``reference_guard``) copies
 before every application and restores only the failed one.  These
 tests run the same fault-injected builds under both and require the
-same program, failures, quarantines and injector log.
+same program, name counters and fixed-point marks, failures,
+quarantines and injector log.
 """
 
 from __future__ import annotations
 
+import pickle
 from functools import lru_cache
 
 import pytest
@@ -19,6 +21,7 @@ from repro.core.config import HLOConfig
 from repro.core.hlo import run_hlo
 from repro.frontend import compile_program
 from repro.ir import print_program
+from repro.ir.verifier import verify_proc
 from repro.opt import pass_manager
 from repro.profile import annotate_program, train
 from repro.resilience import FaultInjector, InjectedFault, PassGuard, guard
@@ -34,7 +37,10 @@ PASSES = [name for name, _ in pass_manager.default_pipeline()]
 
 
 @lru_cache(maxsize=None)
-def _trained(name):
+def _prepared(name):
+    """The workload compiled and annotated with its trained profile,
+    pickled so that each build starts from its own copy, and the
+    profile's site counts."""
     if name == "generated":
         sources = generate_sources(2)
         inputs = [[3], [7]]
@@ -42,36 +48,61 @@ def _trained(name):
         workload = get_workload(name)
         sources = list(workload.sources)
         inputs = [list(t) for t in workload.train_inputs]
-    return sources, train(sources, inputs)
+    profile = train(sources, inputs)
+    program = compile_program(sources)
+    annotate_program(program, profile)
+    return pickle.dumps(program), profile.site_counts
 
 
 def _build(monkeypatch, optimize_proc, name, strategy, fault):
     for module in CALL_SITES:
         monkeypatch.setattr(module, "optimize_proc", optimize_proc)
-    sources, profile = _trained(name)
-    program = compile_program(sources)
-    annotate_program(program, profile)
+    blob, site_counts = _prepared(name)
+    program = pickle.loads(blob)
     injector = FaultInjector(seed=11, **fault)
     report = run_hlo(
         program,
         HLOConfig(strategy=strategy, verify_each_pass=True),
-        site_counts=profile.site_counts,
+        site_counts=site_counts,
         pipeline=injector.wrap_pipeline(pass_manager.default_pipeline()),
     )
+    procs = [
+        (proc.name, proc._reg_counter, proc._label_counter, proc.at_fixed_point)
+        for proc in program.all_procs()
+    ]
     failures = [
         (f.pass_name, f.proc, f.phase, f.error_type, f.error, f.quarantined)
         for f in report.pass_failures
     ]
-    return print_program(program), failures, report.quarantined_passes, injector.injected
+    return (
+        print_program(program), procs, failures, report.quarantined_passes,
+        injector.injected,
+    )
+
+
+# Each build crashes one pass and corrupts another, so that on each
+# program every pass crashes once and corrupts once, and two failures
+# can meet in one optimizer call, whose replay must then skip the
+# failed application.  A faulty pass fails at every application, so the
+# guard quarantines it after two failures, all in the input stage's
+# optimization, before the strategy runs.  Each build therefore runs
+# under one strategy, the two alternating.
+STRATEGIES = ("global", "demand")
+
+
+def _case(i, name, p):
+    strategy = STRATEGIES[(i + p) % 2]
+    crash, corrupt = PASSES[p], PASSES[(p + 3) % len(PASSES)]
+    return pytest.param(
+        name, strategy, {"crash_pass": crash, "corrupt_pass": corrupt},
+        id="{}-{}-crash-{}-corrupt-{}".format(name, strategy, crash, corrupt),
+    )
 
 
 CASES = [
-    pytest.param(name, strategy, {kind + "_pass": pass_name},
-                 id="{}-{}-{}-{}".format(name, strategy, kind, pass_name))
-    for name in ("compress", "sc", "generated")
-    for strategy in ("global", "demand")
-    for kind in ("crash", "corrupt")
-    for pass_name in PASSES
+    _case(i, name, p)
+    for i, name in enumerate(("compress", "sc", "generated"))
+    for p in range(len(PASSES))
 ]
 
 
@@ -81,7 +112,8 @@ def test_fault_injected_build_matches_per_pass_copies(name, strategy, fault, mon
         monkeypatch, pass_manager.optimize_proc, name, strategy, fault
     )
     reference = _build(monkeypatch, reference_guard.optimize_proc, name, strategy, fault)
-    assert checkpointed[1], "no pass failed: the case is vacuous"
+    fired = {entry.split(":")[0] for entry in checkpointed[4]}
+    assert fired == {"crash", "corrupt"}, "a fault never fired: the case is vacuous"
     assert checkpointed == reference
 
 
@@ -147,6 +179,30 @@ def test_a_late_failure_keeps_the_applications_before_it():
     before, printed, failures = _dce_failing_late(pass_manager.optimize_proc)
     assert failures == 1 and printed != before
     assert printed == _dce_failing_late(reference_guard.optimize_proc)[1]
+
+
+def test_a_replay_that_raises_stays_inside_the_guard():
+    """constprop succeeds once, then raises when dce's failure replays
+    it: the call still returns, with a procedure that verifies."""
+    program = compile_program(LOOP)
+    proc = program.proc("sum")
+    pipeline = pass_manager.default_pipeline()
+    constprop = pipeline[0][1]
+    applications = []
+
+    def flaky_constprop(program, proc):
+        applications.append(proc.name)
+        if len(applications) == 2:
+            raise InjectedFault("constprop failed on its second application")
+        return constprop(program, proc)
+
+    pipeline[0] = ("constprop", flaky_constprop)
+    pipeline[-1] = ("dce", FaultInjector().failing_pass("dce"))
+    guard = PassGuard()
+    pass_manager.optimize_proc(program, proc, pipeline=pipeline, guard=guard)
+    verify_proc(program, proc)
+    assert len(applications) >= 2, "the replay never ran constprop again"
+    assert {f.pass_name for f in guard.failures} == {"dce"}
 
 
 def test_a_guarded_call_copies_its_procedure_once(monkeypatch):

@@ -162,9 +162,11 @@ def _fail_after(module, attr, wrote):
 
 
 ROLLBACKS = [
-    pytest.param("clone", cloner, "_perform_clones", lambda n: n > 0,
+    # After a site is retargeted: a clone added, counts moved, a caller edited.
+    pytest.param("clone", cloner, "_retarget_site", bool,
                  "li", HLOConfig(), id="clone"),
-    pytest.param("inline", inliner, "_perform_schedule", lambda n: n > 0,
+    # In the re-optimization, after every inline of the stage.
+    pytest.param("inline", inliner, "optimize_proc", bool,
                  "compress", HLOConfig(), id="inline"),
     pytest.param("outline", outliner, "outline_pass", lambda n: n > 0,
                  "go", HLOConfig(enable_outlining=True), id="outline"),
