@@ -228,18 +228,28 @@ class CallGraph:
             counts[site.category] += 1
         return counts
 
-    def reachable_from(self, roots: List[str]) -> List[str]:
+    def reachable_from(
+        self, roots: List[str], takers_are_roots: bool = False
+    ) -> List[str]:
         """Procedures reachable from ``roots`` via direct calls and
         address-taken references (a FuncRef anywhere keeps a procedure
-        alive, since an indirect call might reach it)."""
+        alive, since an indirect call might reach it).
+
+        With ``takers_are_roots``, a procedure holding a FuncRef is a
+        root too, so the references it holds outlive it.
+        """
         from ..ir.values import FuncRef
 
         address_taken = set()
         for proc in self.program.all_procs():
+            takes = False
             for instr in proc.instructions():
                 for op in instr.uses():
                     if isinstance(op, FuncRef):
                         address_taken.add(op.name)
+                        takes = True
+            if takes and takers_are_roots:
+                address_taken.add(proc.name)
 
         seen: set = set()
         work = [r for r in roots if self.program.proc(r) is not None]

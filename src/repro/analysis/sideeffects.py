@@ -59,8 +59,6 @@ def _proc_is_free(
 ) -> bool:
     if graph.in_cycle(proc.name):
         return False
-    if not _cfg_acyclic(proc):
-        return False
     for instr in proc.instructions():
         if isinstance(instr, Store):
             return False
@@ -73,4 +71,5 @@ def _proc_is_free(
                     return False
             elif callee not in PURE_BUILTINS:
                 return False
-    return True
+    # Last: the only check that computes dominators.
+    return _cfg_acyclic(proc)

@@ -8,12 +8,12 @@
             C = Clone(G, S[P], C, D)
             C = Inline(G, S[P], C)
 
-Before the loop an input-stage cleanup runs (the paper performs classic
-optimizations at input "mainly to reduce its size", plus the
-interprocedural side-effect analysis that deletes no-op calls); after
-each pass unreachable routines are deleted ("the clonee may become
-unreachable in the call graph and will be deleted"); after the loop the
-whole program is re-optimized.
+Before the loop an input-stage cleanup runs on the reachable routines
+(the paper performs classic optimizations at input "mainly to reduce
+its size", plus the interprocedural side-effect analysis that deletes
+no-op calls); after each pass unreachable routines are deleted ("the
+clonee may become unreachable in the call graph and will be deleted");
+after the loop the whole program is re-optimized.
 """
 
 from __future__ import annotations
@@ -83,11 +83,19 @@ def run_hlo(
     icalls_before = _count_icalls(program)
 
     # Input stage: classic clean-up plus interprocedural dead-call
-    # elimination, before any budget measurement.
+    # elimination, before any budget measurement, on live code only.
+    # The clean-up adds no call edge or function reference and each
+    # pass reads only its own procedure, so sweeping first changes
+    # nothing the second sweep keeps; it must keep the routines that
+    # take an address, whose references the second sweep counts.  The
+    # second sweep deletes what the dead calls freed.  Throwaway
+    # managers: the shared one below starts counting after this stage.
     with obs.tracer.span("input-stage", cat="hlo"):
+        _delete_unreachable(
+            program, report, config.cross_module, AnalysisManager(program),
+            takers_are_roots=True,
+        )
         optimize_program(program, pipeline, guard=guard, phase="input")
-        # A throwaway manager: the shared one below starts counting
-        # only after the input stage.
         _delete_unreachable(
             program, report, config.cross_module, AnalysisManager(program)
         )
@@ -302,7 +310,7 @@ def _count_icalls(program: Program) -> int:
 
 def _delete_unreachable(
     program: Program, report: HLOReport, whole_program: bool,
-    manager: AnalysisManager,
+    manager: AnalysisManager, takers_are_roots: bool = False,
 ) -> None:
     """Delete routines unreachable from the roots.
 
@@ -310,7 +318,8 @@ def _delete_unreachable(
     only root, so clonees whose every call was cloned or inlined die,
     as do dead file-scope user routines.  Module-at-a-time compilation
     must assume unseen callers of every global-linkage routine, so only
-    unreferenced statics can go.
+    unreferenced statics can go.  ``takers_are_roots`` keeps every
+    routine that takes an address (``CallGraph.reachable_from``).
     """
     if program.proc("main") is None:
         return
@@ -321,7 +330,7 @@ def _delete_unreachable(
         roots = [
             p.name for p in program.all_procs() if p.linkage != "static"
         ]
-    keep = set(graph.reachable_from(roots))
+    keep = set(graph.reachable_from(roots, takers_are_roots))
     deleted = []
     for proc in list(program.all_procs()):
         if proc.name not in keep:

@@ -4,7 +4,8 @@ The pre-decoded engine (:mod:`repro.interp.engine`) carries a strong
 claim — bit-identical observable behaviour to the reference loop: the
 same :class:`~repro.interp.interpreter.Result` (exit code, output,
 steps, every counter), the same sink event stream, and the same
-exception outcome (message included) on trapping or step-limited runs.
+exception outcome (message and step count included) on trapping or
+step-limited runs.
 This module is where that claim is *checked* rather than assumed: it
 runs one program under an engine and the reference and compares
 everything observable.
@@ -21,7 +22,7 @@ from typing import Any, List, Optional, Sequence, Tuple, Union
 from ..ir.program import Program
 from .errors import ExecError, StepLimitExceeded
 from .events import RecordingSink
-from .interpreter import DEFAULT_ENGINE, DEFAULT_MAX_STEPS, run_program
+from .interpreter import DEFAULT_ENGINE, DEFAULT_MAX_STEPS, Interpreter
 
 InputVector = Sequence[Union[int, float]]
 
@@ -43,9 +44,10 @@ def run_outcome(
 
         ("result", exit_code, output, steps, call_count,
                    probe_counts, site_counts, block_counts)
-        ("steplimit", str(exc))
-        ("execerror", str(exc))
+        ("steplimit", str(exc), steps)
+        ("execerror", str(exc), steps)
 
+    A trap's ``steps`` is ``Interpreter.steps`` after the exception.
     Counter fields are converted to plain dicts so a ``Counter`` from
     one engine compares equal to a plain dict from the other.
     ``events`` is the :class:`RecordingSink` stream (empty when
@@ -53,15 +55,15 @@ def run_outcome(
     exercises the engines' zero-callback fast paths).
     """
     sink = RecordingSink() if record_events else None
+    interp = Interpreter(
+        program, inputs, sink=sink, max_steps=max_steps, engine=engine,
+    )
     try:
-        result = run_program(
-            program, inputs, entry=entry, sink=sink,
-            max_steps=max_steps, engine=engine,
-        )
+        result = interp.run(entry)
     except StepLimitExceeded as exc:
-        return ("steplimit", str(exc)), (sink.events if sink else [])
+        return ("steplimit", str(exc), interp.steps), (sink.events if sink else [])
     except ExecError as exc:
-        return ("execerror", str(exc)), (sink.events if sink else [])
+        return ("execerror", str(exc), interp.steps), (sink.events if sink else [])
     outcome = (
         "result",
         result.exit_code,
@@ -119,11 +121,13 @@ def diff_engines(
                         )
                     )
         else:
-            problems.append(
-                "{} message differs: {}={!r} reference={!r}".format(
-                    opt[0], engine, opt[1], ref[1]
-                )
-            )
+            for name, fv, rv in zip(("message", "steps"), opt[1:], ref[1:]):
+                if fv != rv:
+                    problems.append(
+                        "{} {} differs: {}={!r} reference={!r}".format(
+                            opt[0], name, engine, fv, rv
+                        )
+                    )
     if opt_events != ref_events:
         position = len(opt_events)
         for index, (fe, re_) in enumerate(zip(opt_events, ref_events)):

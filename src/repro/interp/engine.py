@@ -28,12 +28,11 @@ fingerprint on every run, so repeated train/eval runs over an unchanged
 build reuse decoded code while transforms transparently invalidate it.
 
 Observable behaviour — ``Result`` fields, sink event streams, trap
-messages and positions — is kept identical to the reference engine and
-is asserted by the differential harness (:mod:`repro.interp.diff`).
-The one documented divergence: when a run *traps* (raises ``ExecError``
-mid-segment), ``Interpreter.steps`` may count the whole segment rather
-than stopping at the faulting instruction; no ``Result`` is produced on
-those paths.  ``StepLimitExceeded`` itself is exact.
+messages and positions, and ``Interpreter.steps`` after a trap — is
+kept identical to the reference engine and is asserted by the
+differential harness (:mod:`repro.interp.diff`).  A fused part counts
+its whole segment up front; when an op in it traps, the part resets the
+count to end at that op before the trap propagates.
 """
 
 from __future__ import annotations
@@ -426,6 +425,17 @@ def _replay(st, frame, ops, events, fire_instr):
     return None
 
 
+def _trapped(st, ns, ops, op, pending):
+    """``op`` of a fused loop over ``ops`` trapped: count its steps exactly.
+
+    The part counted ``ns`` up front: every op of ``ops`` plus
+    ``pending`` more (the boundary instruction).  Like the reference
+    loop, count through the faulting op and no further.  Each op is its
+    own closure, so ``index`` finds the one that raised.
+    """
+    st.steps = ns - pending - (len(ops) - ops.index(op) - 1)
+
+
 def _wrap_instr_op(op, ev):
     """Exact-instr mode: weave the ``on_instr`` delivery into the
     micro-op itself, so fused fast paths run one uniform op loop."""
@@ -718,9 +728,13 @@ class _PlanCompiler:
                 st.steps = ns
                 regs = frame.regs
                 on_i = st.sink.on_instr
-                for e, op in zip(_ev, _ops):
-                    on_i(e[0], e[1], e[2], e[3])
-                    op(st, regs)
+                try:
+                    for e, op in zip(_ev, _ops):
+                        on_i(e[0], e[1], e[2], e[3])
+                        op(st, regs)
+                except ExecError:
+                    _trapped(st, ns, _ops, op, 0)
+                    raise
 
             return part
         if self.f_batch:
@@ -734,8 +748,12 @@ class _PlanCompiler:
                 for e in _ev:
                     on_i(e[0], e[1], e[2], e[3])
                 regs = frame.regs
-                for op in _ops:
-                    op(st, regs)
+                try:
+                    for op in _ops:
+                        op(st, regs)
+                except ExecError:
+                    _trapped(st, ns, _ops, op, 0)
+                    raise
 
             return part
 
@@ -757,8 +775,12 @@ class _PlanCompiler:
                 return _replay(st, frame, _ops, _ev, False)
             st.steps = ns
             regs = frame.regs
-            for op in _ops:
-                op(st, regs)
+            try:
+                for op in _ops:
+                    op(st, regs)
+            except ExecError:
+                _trapped(st, ns, _ops, op, 0)
+                raise
 
         return part
 
@@ -828,8 +850,12 @@ class _PlanCompiler:
                     _seg_overflow(st, frame, raw, evs, False, pn, label, idx)
                 st.steps = ns
                 regs = frame.regs
-                for op in _x:
-                    op(st, regs)
+                try:
+                    for op in _x:
+                        op(st, regs)
+                except ExecError:
+                    _trapped(st, ns, _x, op, 1)
+                    raise
                 return _t
 
             return part
@@ -840,8 +866,12 @@ class _PlanCompiler:
                 _seg_overflow(st, frame, raw, evs, fire_i, pn, label, idx)
             st.steps = ns
             regs = frame.regs
-            for op in _x:
-                op(st, regs)
+            try:
+                for op in _x:
+                    op(st, regs)
+            except ExecError:
+                _trapped(st, ns, _x, op, 1)
+                raise
             sink = st.sink
             if fire_i:
                 sink.on_instr(ev[0], ev[1], ev[2], ev[3])
@@ -891,8 +921,12 @@ class _PlanCompiler:
                     _seg_overflow(st, frame, raw, evs, False, pn, label, idx)
                 st.steps = ns
                 regs = frame.regs
-                for op in _x:
-                    op(st, regs)
+                try:
+                    for op in _x:
+                        op(st, regs)
+                except ExecError:
+                    _trapped(st, ns, _x, op, 1)
+                    raise
                 c = regs[_cs] if _cs >= 0 else _cc
                 if c is _UNSET:
                     _unset(cn, pn)
@@ -906,8 +940,12 @@ class _PlanCompiler:
                 _seg_overflow(st, frame, raw, evs, fire_i, pn, label, idx)
             st.steps = ns
             regs = frame.regs
-            for op in _x:
-                op(st, regs)
+            try:
+                for op in _x:
+                    op(st, regs)
+            except ExecError:
+                _trapped(st, ns, _x, op, 1)
+                raise
             sink = st.sink
             if fire_i:
                 sink.on_instr(ev[0], ev[1], ev[2], ev[3])
@@ -945,8 +983,12 @@ class _PlanCompiler:
                 _seg_overflow(st, frame, raw, evs, fire_i, pn, label, idx)
             st.steps = ns
             regs = frame.regs
-            for op in _x:
-                op(st, regs)
+            try:
+                for op in _x:
+                    op(st, regs)
+            except ExecError:
+                _trapped(st, ns, _x, op, 1)
+                raise
             if fire_i:
                 st.sink.on_instr(ev[0], ev[1], ev[2], ev[3])
             if _hv:
@@ -1001,8 +1043,12 @@ class _PlanCompiler:
                 _seg_overflow(st, frame, raw, evs, fire_i, pn, label, idx)
             st.steps = ns
             regs = frame.regs
-            for op in _x:
-                op(st, regs)
+            try:
+                for op in _x:
+                    op(st, regs)
+            except ExecError:
+                _trapped(st, ns, _x, op, 1)
+                raise
             if fire_i:
                 st.sink.on_instr(ev[0], ev[1], ev[2], ev[3])
             if _fs >= 0 or _fc is not None:  # indirect call
@@ -1091,8 +1137,12 @@ class _PlanCompiler:
                 _seg_overflow(st, frame, raw, evs, fire_i, pn, label, idx)
             st.steps = ns
             regs = frame.regs
-            for op in _x:
-                op(st, regs)
+            try:
+                for op in _x:
+                    op(st, regs)
+            except ExecError:
+                _trapped(st, ns, _x, op, 1)
+                raise
             if fire_i:
                 st.sink.on_instr(ev[0], ev[1], ev[2], ev[3])
             walk(st, regs)

@@ -38,7 +38,7 @@ from typing import Any, List, Optional, Sequence, Tuple
 from .diff import OPTIMIZED_ENGINES
 from .errors import ExecError, StepLimitExceeded
 from .events import CountingSink, RecordingSink
-from .interpreter import DEFAULT_MAX_STEPS, run_program
+from .interpreter import DEFAULT_MAX_STEPS, Interpreter
 
 #: Sink families in the matrix; "none" exercises the engines'
 #: zero-callback fast paths, the rest each exercise one capability mode.
@@ -143,14 +143,15 @@ def observe(
 ) -> Tuple[Tuple[Any, ...], Tuple]:
     """One (engine, sink) run as comparable data: (outcome, sink state)."""
     sink = _make_sink(kind, program)
+    interp = Interpreter(
+        program, inputs, sink=sink, max_steps=max_steps, engine=engine,
+    )
     try:
-        result = run_program(
-            program, inputs, sink=sink, max_steps=max_steps, engine=engine,
-        )
+        result = interp.run()
     except StepLimitExceeded as exc:
-        return ("steplimit", str(exc)), _sink_digest(kind, sink)
+        return ("steplimit", str(exc), interp.steps), _sink_digest(kind, sink)
     except ExecError as exc:
-        return ("execerror", str(exc)), _sink_digest(kind, sink)
+        return ("execerror", str(exc), interp.steps), _sink_digest(kind, sink)
     outcome = (
         "result",
         result.exit_code,

@@ -53,6 +53,11 @@ class Program:
         # (repro.resilience.guard), or None: edit sites report each
         # write to it through the report_* methods below.
         self.mutations = None
+        # Procedure name -> name of the module last seen holding it.
+        # ``proc`` checks every hit against the module and rescans on a
+        # miss, so edits that bypass Program (Module.add_proc, restored
+        # ``mod.procs`` tables) need no invalidation here.
+        self._proc_homes: Dict[str, str] = {}
         for mod in modules or []:
             self.add_module(mod)
 
@@ -65,6 +70,7 @@ class Program:
         # so Programs cross process boundaries and rebuild lazily.
         state = self.__dict__.copy()
         state["_plan_cache"] = None
+        state["_proc_homes"] = {}
         return state
 
     # ------------------------------------------------------------------
@@ -88,9 +94,18 @@ class Program:
     # ------------------------------------------------------------------
 
     def proc(self, name: str) -> Optional[Procedure]:
-        for mod in self.modules.values():
-            if name in mod.procs:
-                return mod.procs[name]
+        home = self._proc_homes.get(name)
+        if home is not None:
+            mod = self.modules.get(home)
+            if mod is not None:
+                proc = mod.procs.get(name)
+                if proc is not None:
+                    return proc
+        for home, mod in self.modules.items():
+            proc = mod.procs.get(name)
+            if proc is not None:
+                self._proc_homes[name] = home
+                return proc
         return None
 
     def global_var(self, name: str) -> Optional[GlobalVar]:

@@ -13,7 +13,7 @@ would have trapped identically — so they participate safely.
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from ..ir.instructions import BinOp, Call, ICall, Load, Mov, Store, UnOp
 from ..ir.ops import COMMUTATIVE_OPS
@@ -39,15 +39,22 @@ def local_cse(program: Program, proc: Procedure) -> bool:
     for block in proc.blocks.values():
         exprs: Dict[Tuple, Reg] = {}  # expression key -> register holding it
         loads: Dict[Tuple, Reg] = {}  # address key -> register holding the load
+        # register name -> (table, key) of the entries that may hold or
+        # read it: each entry is filed under its value and its key's
+        # register operands.  A kill re-checks what it finds, so entries
+        # dropped or replaced since (``loads.clear()``) need no upkeep.
+        readers: Dict[str, List[Tuple[Dict[Tuple, Reg], Tuple]]] = {}
 
         def kill_reg(name: str) -> None:
-            for table in (exprs, loads):
-                dead = [k for k, v in table.items() if v.name == name]
-                for k in dead:
-                    del table[k]
-                dead_keys = [k for k in table if ("r", name) in k]
-                for k in dead_keys:
-                    table.pop(k, None)
+            """Drop every entry held in ``name`` or reading it."""
+            filed = readers.pop(name, None)
+            if filed is None:
+                return
+            operand = ("r", name)
+            for table, key in filed:
+                value = table.get(key)
+                if value is not None and (value.name == name or operand in key):
+                    del table[key]
 
         for index, instr in enumerate(block.instrs):
             cls = instr.__class__
@@ -78,12 +85,18 @@ def local_cse(program: Program, proc: Procedure) -> bool:
                     continue
 
             if instr.dest is not None:
-                kill_reg(instr.dest.name)
+                dest = instr.dest
+                kill_reg(dest.name)
                 # Do not record expressions that read their own
                 # destination (x = add x, 1): the key would describe the
                 # pre-assignment value of x.
-                if key is not None and ("r", instr.dest.name) not in _flatten(key):
-                    table[key] = instr.dest
+                if key is not None and ("r", dest.name) not in _flatten(key):
+                    table[key] = dest
+                    entry = (table, key)
+                    readers.setdefault(dest.name, []).append(entry)
+                    for part in key:
+                        if part.__class__ is tuple and part[0] == "r":
+                            readers.setdefault(part[1], []).append(entry)
     return changed
 
 

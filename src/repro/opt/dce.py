@@ -10,7 +10,7 @@ by a non-constant divisor are also kept.
 
 from __future__ import annotations
 
-from typing import Dict, Set
+from typing import Dict, List, Set
 
 from ..ir.instructions import Alloca, BinOp, Load, Mov, UnOp
 from ..ir.procedure import Procedure
@@ -42,10 +42,20 @@ def _effect_free(instr) -> bool:
 
 
 def liveness(proc: Procedure) -> Dict[str, Set[str]]:
-    """Live-out register-name sets per block label."""
+    """Live-out register-name sets per block label.
+
+    A predecessor worklist from empty sets: a block is revisited only
+    when a successor's live-in grew.  The least fixed point is unique,
+    so every block, unreachable ones included, gets the sets a
+    round-robin sweep would.  Successors outside ``proc.blocks`` are
+    ignored.
+    """
+    blocks = proc.blocks
     use: Dict[str, Set[str]] = {}
     define: Dict[str, Set[str]] = {}
-    for label, block in proc.blocks.items():
+    succs: Dict[str, List[str]] = {}
+    preds: Dict[str, List[str]] = {label: [] for label in blocks}
+    for label, block in blocks.items():
         u: Set[str] = set()
         d: Set[str] = set()
         for instr in block.instrs:
@@ -56,23 +66,32 @@ def liveness(proc: Procedure) -> Dict[str, Set[str]]:
                 d.add(instr.dest.name)
         use[label] = u
         define[label] = d
+        targets = [s for s in dict.fromkeys(block.successors()) if s in blocks]
+        succs[label] = targets
+        for succ in targets:
+            preds[succ].append(label)
 
-    live_in: Dict[str, Set[str]] = {label: set() for label in proc.blocks}
-    live_out: Dict[str, Set[str]] = {label: set() for label in proc.blocks}
-    changed = True
-    while changed:
-        changed = False
-        for label, block in proc.blocks.items():
-            out: Set[str] = set()
-            for succ in block.successors():
-                out |= live_in.get(succ, set())
-            new_in = use[label] | (out - define[label])
-            if out != live_out[label]:
-                live_out[label] = out
-                changed = True
-            if new_in != live_in[label]:
-                live_in[label] = new_in
-                changed = True
+    live_in: Dict[str, Set[str]] = {label: set() for label in blocks}
+    live_out: Dict[str, Set[str]] = {}
+    # Popped from the end: later blocks first, which suits a backward
+    # problem.
+    work = list(blocks)
+    queued = set(work)
+    while work:
+        label = work.pop()
+        queued.discard(label)
+        out: Set[str] = set()
+        for succ in succs[label]:
+            out |= live_in[succ]
+        live_out[label] = out
+        new_in = use[label] | (out - define[label])
+        # Sets only grow from the empty start, so a size change is a change.
+        if len(new_in) != len(live_in[label]):
+            live_in[label] = new_in
+            for pred in preds[label]:
+                if pred not in queued:
+                    queued.add(pred)
+                    work.append(pred)
     return live_out
 
 

@@ -22,13 +22,22 @@ from .dce import liveness
 
 
 def eliminate_dead_calls(program: Program) -> bool:
+    """Drop every unused call to a removable procedure.
+
+    Only procedures with a direct call to a removable one can change,
+    so only those pay for liveness.  Each visit writes only its own
+    procedure's body, so the call graph stays exact for the others.
+    """
     graph = CallGraph(program)
     free = side_effect_free_procs(program, graph)
     if not free:
         return False
+    candidates = {
+        site.caller.name for name in free for site in graph.callers_of(name)
+    }
     changed = False
     for proc in program.all_procs():
-        if _eliminate_in_proc(program, proc, free):
+        if proc.name in candidates and _eliminate_in_proc(program, proc, free):
             changed = True
     return changed
 

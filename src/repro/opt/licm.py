@@ -80,6 +80,8 @@ def _ensure_preheader(proc: Procedure, loop: Loop) -> Optional[str]:
 
 def licm(program: Program, proc: Procedure) -> bool:
     """Hoist invariants out of every natural loop; True when IR changed."""
+    if not _may_loop(proc):
+        return False
     loops = find_loops(proc)
     if not loops:
         return False
@@ -91,6 +93,24 @@ def licm(program: Program, proc: Procedure) -> bool:
         if _hoist_from_loop(proc, loop):
             changed = True
     return changed
+
+
+def _may_loop(proc: Procedure) -> bool:
+    """False when no reachable edge retreats in reverse postorder.
+
+    A natural loop needs a back edge, and a back edge's target
+    dominates its source, so it sits at or before the source in any
+    reverse postorder: without such an edge there is no loop, and no
+    need for the dominators ``find_loops`` computes.
+    """
+    position = {label: i for i, label in enumerate(proc.rpo_labels())}
+    blocks = proc.blocks
+    for label, index in position.items():
+        for succ in blocks[label].successors():
+            target = position.get(succ)
+            if target is not None and target <= index:
+                return True
+    return False
 
 
 def _hoist_from_loop(proc: Procedure, loop: Loop) -> bool:

@@ -36,12 +36,14 @@ A pass or stage that fails :data:`MAX_FAILURES` times is
 **quarantined**: the guard stops running it for the rest of the build,
 so one buggy pass cannot turn every procedure's compile into a
 rollback treadmill.  A failed stage is bisected to the minimal failing
-(pass, procedure) pair for the diagnostic; bisection is the only user
-of :class:`ProgramSnapshot`.
+(pass, procedure) pair for the diagnostic.  Bisection tries each pair
+on a detached copy and never writes the program, so the call sites a
+demand plan holds for its later regions stay attached to it.
 
-Every copy is built in this module through the module-level names
-``ProcedureSnapshot`` and ``ProgramSnapshot``, which perfbench's
-tracer swaps to time and count each one.
+Every copy is built in this module through the module-level name
+``ProcedureSnapshot``, which perfbench's tracer swaps to time and count
+each one.  The tracer swaps ``ProgramSnapshot`` here too, so the name
+stays importable from this module although nothing here builds one.
 
 Under ``strict`` the first failure re-raises instead of degrading —
 the CI / debugging mode where you want the crash, not the save.
@@ -62,7 +64,7 @@ from ..ir.procedure import Procedure
 from ..ir.program import Program
 from ..ir.verifier import verify_proc, verify_program
 from ..obs import names
-from .snapshot import ProcedureSnapshot, ProgramSnapshot
+from .snapshot import ProcedureSnapshot, ProgramSnapshot  # noqa: F401
 
 T = TypeVar("T")
 
@@ -353,25 +355,19 @@ def bisect_failure(
 ) -> Optional[Tuple[str, str]]:
     """Find the minimal failing (pass name, procedure name) pair.
 
-    Applies every (pass, procedure) combination in isolation, rolling
-    each attempt back whether or not it fails, and returns the first
-    pair whose application raises (or breaks the verifier).  The
-    program is left exactly as it was found.  Returns ``None`` when no
-    single pair reproduces the failure (e.g. the bug needs a
-    multi-procedure interaction).
+    Applies every (pass, procedure) combination in isolation, each to a
+    detached copy of the procedure, and returns the first pair whose
+    application raises (or breaks the verifier).  The program is never
+    written, so call sites held elsewhere (a demand plan's) stay
+    attached to it.  Returns ``None`` when no single pair reproduces
+    the failure (e.g. the bug needs a multi-procedure interaction).
     """
-    whole = ProgramSnapshot(program)
-    try:
-        for name, run in pipeline:
-            for proc in list(program.all_procs()):
-                snapshot = ProcedureSnapshot(proc)
-                try:
-                    run(program, proc)
-                    verify_proc(program, proc)
-                except Exception:
-                    return (name, proc.name)
-                finally:
-                    snapshot.restore(proc)
-        return None
-    finally:
-        whole.restore(program)
+    for name, run in pipeline:
+        for proc in program.all_procs():
+            copy = ProcedureSnapshot(proc).materialize(proc.module)
+            try:
+                run(program, copy)
+                verify_proc(program, copy)
+            except Exception:
+                return (name, proc.name)
+    return None

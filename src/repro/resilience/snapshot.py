@@ -14,9 +14,9 @@ Two granularities:
   use) because passes like constant propagation rewrite operands of
   existing instructions in place.
 - :class:`ProgramSnapshot` — a structural copy of every module
-  (procedures, globals, externs).  Only bisection uses it: it tries
-  every (pass, procedure) pair on the failed program and must leave
-  the program exactly as it found it.
+  (procedures, globals, externs), for callers that must return a whole
+  program to an earlier state.  The guard itself no longer takes one:
+  bisection tries its (pass, procedure) pairs on detached copies.
 
 Restores are **in place**: the ``Procedure``/``Program``/``Module``
 objects keep their identity, so references held by surrounding driver

@@ -12,9 +12,12 @@ hand-written programs that pin the awkward paths: traps mid-block,
 ``exit()`` unwinding, step-limit expiry at arbitrary points.
 """
 
+import textwrap
+
 import pytest
 
 from repro.frontend import compile_program
+from repro.ir import parse_program
 from repro.interp.diff import OPTIMIZED_ENGINES, assert_identical
 from repro.workloads.generator import generate_sources
 from repro.workloads.suite import get_workload, workload_names
@@ -125,6 +128,41 @@ class TestHandWrittenPaths:
             "int main() { int d = input(0); return 7 / d; }",
             inputs=[0], engine=engine, label="div by zero",
         )
+
+    def test_division_by_zero_mid_segment_counts_steps(self, engine):
+        # The division traps with more straight-line work after it in
+        # its block: the fast engine must count steps through the
+        # faulting instruction only, like the reference loop.
+        self.run_sources(
+            """
+            int main() {
+              int a = input(0);
+              int c = a * 3 + 5;
+              int d = c / a;
+              int e = d + c;
+              print_int(e * 2 + d);
+              return 0;
+            }
+            """,
+            inputs=[0], engine=engine, label="div by zero mid-segment",
+        )
+
+    def test_unset_register_read_mid_segment(self, engine):
+        program = parse_program(textwrap.dedent(
+            """\
+            module "m"
+            proc @main() -> int global {
+            entry:
+              %a = mov 1
+              %b = add %a, 2
+              %c = add %never, %b
+              %d = mul %c, 3
+              %e = sub %d, 1
+              ret %e
+            }
+            """
+        ))
+        assert_identical(program, engine=engine, label="unset register mid-segment")
 
     def test_mod_by_zero_trap(self, engine):
         self.run_sources(

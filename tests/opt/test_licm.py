@@ -61,6 +61,34 @@ class TestHoisting:
         # The multiply left the loop body.
         assert loop_body_op_count(program, "main", "mul") == 0
 
+    def test_self_loop_hoisted(self):
+        # A one-block loop: its only back edge goes from the block to
+        # itself, so the no-loop shortcut must count a self edge.
+        def body(b):
+            n = b.call("input", [0])
+            k = b.call("input", [1])
+            s = b.reg("s")
+            i = b.reg("i")
+            b.mov(0, s)
+            b.mov(0, i)
+            loop, done = b.new_block(), b.new_block()
+            b.jump(loop)
+            b.set_block(loop)
+            inv = b.mul(k, 3)
+            b.binop("add", s, inv, dest=s)
+            b.binop("add", i, 1, dest=i)
+            t = b.lt(i, n)
+            b.branch(t, loop, done)
+            b.set_block(done)
+            b.ret(s)
+
+        program = single_proc_program(body)
+        before = run_program(program, [5, 7]).behavior()
+        assert licm(program, program.proc("main"))
+        verify_program(program)
+        assert loop_body_op_count(program, "main", "mul") == 0
+        assert run_program(program, [5, 7]).behavior() == before
+
     def test_zero_trip_loop_still_correct(self):
         program = self.loopy()
         licm(program, program.proc("main"))

@@ -117,6 +117,34 @@ class TestCSE:
         loads = count(program, Load)
         assert loads == 2  # the second load must survive
 
+    def test_redefined_operand_kills_expression(self):
+        def body(b):
+            x = b.reg("x")
+            b.mov(b.call("input", [0]), x)
+            a = b.binop("add", x, 1)
+            b.binop("mul", x, 2, dest=x)  # x changes: x + 1 is a new value
+            c = b.binop("add", x, 1)  # must NOT reuse a
+            b.ret(b.sub(c, a))
+
+        program = single_proc_program(body)
+        local_cse(program, program.proc("main"))
+        assert run_program(program, [5]).exit_code == 5
+
+    def test_redefined_address_kills_load(self):
+        def body(b):
+            p = b.reg("p")
+            b.mov(b.alloca(2), p)
+            b.store(p, 4)
+            b.store(b.add(p, 1), 9)
+            v1 = b.load(p)
+            b.binop("add", p, 1, dest=p)  # p moves: [p] is another cell
+            v2 = b.load(p)  # must NOT reuse v1
+            b.ret(b.sub(v2, v1))
+
+        program = single_proc_program(body)
+        local_cse(program, program.proc("main"))
+        assert run_program(program).exit_code == 5
+
     def test_self_referential_not_recorded(self):
         def body(b):
             x = b.reg("x")

@@ -168,3 +168,65 @@ def test_rollback_restores_callee_counts_and_statics(monkeypatch):
     before = _isoms_when_da_fails_in(monkeypatch, "perform_inline")
     after = _isoms_when_da_fails_in(monkeypatch, "optimize_proc")
     assert after == before
+
+
+# Each loop passes a constant, so ``ha`` and ``hb`` are clone
+# candidates; the size cap puts the two chains in separate regions.
+CONSTANT_ARG_CHAINS = [(
+    "m",
+    """
+    int ha(int x, int k) { return x * 3 + k; }
+    int da(int n) {
+      int t = 0;
+      for (int i = 0; i < n; i++) t = t + ha(i, 1);
+      return t;
+    }
+    int hb(int x, int k) { return x * 5 + k; }
+    int db(int n) {
+      int t = 0;
+      for (int i = 0; i < n; i++) t = t + hb(i, 1);
+      return t;
+    }
+    int main() {
+      print_int(da(400) + db(400));
+      return 0;
+    }
+    """,
+)]
+
+
+def test_regions_after_a_failed_one_edit_the_live_program(monkeypatch):
+    # A failed region is bisected and rolled back; the regions planned
+    # before it still hold call sites into the program, and each clone
+    # replacement they make must land on the live IR, once.
+    from repro.core import regions
+    from repro.core.report import HLOReport
+    from repro.ir.instructions import Call
+
+    program = compile_program(CONSTANT_ARG_CHAINS)
+    expected = run_program(
+        compile_program(CONSTANT_ARG_CHAINS), engine="reference"
+    ).behavior()
+    landed = []
+    record_clone_replacement = HLOReport.record_clone_replacement
+
+    def checked(report, pass_number, caller, clone, site_id, clonee):
+        landed.append(any(
+            isinstance(instr, Call) and instr.site_id == site_id
+            and instr.callee == clone
+            for instr in program.proc(caller).instructions()
+        ))
+        record_clone_replacement(report, pass_number, caller, clone, site_id, clonee)
+
+    crasher = CrashOnCaller(regions.perform_inline, "da")
+    monkeypatch.setattr(regions, "perform_inline", crasher)
+    monkeypatch.setattr(HLOReport, "record_clone_replacement", checked)
+    report = run_hlo(program, HLOConfig(**CONFIG_KWARGS))
+
+    assert crasher.fired, "injected fault never reached: test is vacuous"
+    assert [f.phase for f in report.pass_failures] == ["demand"]
+    assert landed and all(landed)
+    replaced = [(e.caller, e.site_id) for e in report.events if e.kind == "clone-replace"]
+    assert len(replaced) == len(set(replaced))
+    verify_program(program)
+    assert run_program(program).behavior() == expected
