@@ -23,18 +23,25 @@ KEYWORDS = frozenset(
     ]
 )
 
-# Whitespace and comments between tokens, skipped in one match.  An
+# One match per token: the whitespace and comments before it (group 1),
+# then the token in the group of its kind: name (keywords included),
+# float, int, char, punct, or one unexpected character.  At the end of
+# the source only the skip matches, and every token group is empty.
+# Because some alternative always matches after any skip, the greedy
+# skip never gives back part of a comment to make a token fit.  An
 # unterminated ``/*`` is not a comment: it lexes as ``/`` then ``*``.
-_SKIP_RE = re.compile(r"(?:\s+|//[^\n]*|/\*.*?\*/)*", re.DOTALL)
-
-# Token kinds beyond keywords: NAME, INT, FLOAT, CHAR, punctuation, EOF.
 _TOKEN_RE = re.compile(
     r"""
-    (?P<float>(?:\d+\.\d*(?:[eE][-+]?\d+)?|\.\d+(?:[eE][-+]?\d+)?|\d+[eE][-+]?\d+))
-  | (?P<int>0[xX][0-9a-fA-F]+|\d+)
-  | (?P<char>'(?:\\.|[^'\\])')
-  | (?P<name>[A-Za-z_]\w*)
-  | (?P<punct>\.\.\.|<<=|>>=|\|\||&&|==|!=|<=|>=|<<|>>|\+\+|--|\+=|-=|\*=|/=|%=|&=|\|=|\^=|[-+*/%<>=!~&|^?:;,.(){}\[\]])
+    ((?:\s+|//[^\n]*|/\*.*?\*/)*)
+    (?:
+      ([A-Za-z_]\w*)
+    | (\d+\.\d*(?:[eE][-+]?\d+)?|\.\d+(?:[eE][-+]?\d+)?|\d+[eE][-+]?\d+)
+    | (0[xX][0-9a-fA-F]+|\d+)
+    | ('(?:\\.|[^'\\])')
+    | (\.\.\.|<<=|>>=|\|\||&&|==|!=|<=|>=|<<|>>|\+\+|--|\+=|-=|\*=|/=|%=|&=|\|=|\^=|[-+*/%<>=!~&|^?:;,.(){}\[\]])
+    | \Z
+    | (.)
+    )
     """,
     re.VERBOSE | re.DOTALL,
 )
@@ -59,37 +66,29 @@ class Token:
 
 def tokenize(source: str, module: str = "") -> List[Token]:
     """Tokenize minic source, raising :class:`CompileError` on bad input."""
-    skip = _SKIP_RE.match
-    match = _TOKEN_RE.match
-    count = source.count
     tokens: List[Token] = []
     append = tokens.append
     line = 1
-    last = 0  # where the previous token starts
-    pos = 0
-    n = len(source)
-    while True:
-        start = skip(source, pos).end()
-        # The newlines since the previous token's start: those inside
-        # it (a char literal may hold one) and those skipped after it.
-        line += count("\n", last, start)
-        last = start
-        if start == n:
-            break
-        m = match(source, start)
-        if m is None:
-            raise CompileError(
-                "unexpected character {!r}".format(source[start]), line, module
-            )
-        kind = m.lastgroup
-        text = m.group()
-        if kind == "name":
-            append(Token("kw" if text in KEYWORDS else "name", text, line))
-        elif kind == "char":
-            append(Token("int", str(_char_value(text, line, module)), line))
+    # ``findall`` makes the whole list in one call, without a match
+    # object per token; its first all-empty token marks the end.
+    for skip, name, flt, num, char, punct, bad in _TOKEN_RE.findall(source):
+        if "\n" in skip:
+            line += skip.count("\n")
+        if name:
+            append(Token("kw" if name in KEYWORDS else "name", name, line))
+        elif punct:
+            append(Token("punct", punct, line))
+        elif num:
+            append(Token("int", num, line))
+        elif flt:
+            append(Token("float", flt, line))
+        elif char:
+            append(Token("int", str(_char_value(char, line, module)), line))
+            line += char.count("\n")  # a char literal may hold a newline
+        elif bad:
+            raise CompileError("unexpected character {!r}".format(bad), line, module)
         else:
-            append(Token(kind, text, line))
-        pos = m.end()
+            break
     append(Token("eof", "", line))
     return tokens
 

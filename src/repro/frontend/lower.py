@@ -36,6 +36,7 @@ from ..ir.instructions import (
     UnOp,
 )
 from ..ir.module import GlobalVar, Module
+from ..ir.ops import COMPARISON_OPS
 from ..ir.procedure import ATTR_VARARGS, LINK_GLOBAL, LINK_STATIC, Procedure
 from ..ir.types import Type
 from ..ir.values import FuncRef, GlobalRef, Imm, Operand, Reg
@@ -94,8 +95,9 @@ class FunctionLowerer:
     # ------------------------------------------------------------------
 
     def emit(self, instr) -> None:
-        if self.block.terminator is None:
-            self.block.append(instr)
+        block = self.block
+        if block.terminator is None:
+            block.instrs.append(instr)
             if instr.dest is not None:
                 self.defined_regs.add(instr.dest.name)
         # Silently drop instructions in dead code after a terminator;
@@ -457,8 +459,6 @@ class FunctionLowerer:
         rhs = self.convert(rhs, rtype, common, expr)
         dest = self.reg()
         self.emit(BinOp(dest, expr.op, lhs, rhs))
-        from ..ir.ops import COMPARISON_OPS
-
         return dest, Type.INT if expr.op in COMPARISON_OPS else common
 
     def lower_short_circuit(self, expr: ast.ShortCircuit) -> Tuple[Operand, Type]:

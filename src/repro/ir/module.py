@@ -60,6 +60,10 @@ class Module:
         self.procs: Dict[str, Procedure] = {}
         self.externs: Dict[str, Signature] = {}
         self._site_counter = itertools.count()
+        # The procedure-name index of the Program this module was last
+        # added to (``Program._proc_homes``), or None.  ``procs`` changes
+        # only through the three methods below, which keep it complete.
+        self._proc_homes: Optional[Dict[str, str]] = None
 
     def add_global(self, gvar: GlobalVar) -> GlobalVar:
         if gvar.name in self.globals:
@@ -73,7 +77,27 @@ class Module:
             raise ValueError("duplicate procedure: {}".format(proc.name))
         proc.module = self.name
         self.procs[proc.name] = proc
+        if self._proc_homes is not None:
+            self._proc_homes[proc.name] = self.name
         return proc
+
+    def remove_proc(self, name: str) -> None:
+        """Remove procedure ``name``, if this module defines it."""
+        if self.procs.pop(name, None) is not None:
+            homes = self._proc_homes
+            if homes is not None and homes.get(name) == self.name:
+                del homes[name]
+
+    def set_procs(self, procs: Dict[str, Procedure]) -> None:
+        """Replace the procedure table wholesale, as a rollback does."""
+        homes = self._proc_homes
+        if homes is not None:
+            for name in self.procs:
+                if name not in procs and homes.get(name) == self.name:
+                    del homes[name]
+            for name in procs:
+                homes[name] = self.name
+        self.procs = procs
 
     def declare_extern(self, name: str, sig: Signature) -> None:
         self.externs[name] = sig

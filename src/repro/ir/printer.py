@@ -8,13 +8,20 @@ the same format back; round-tripping is property-tested.
 
 from __future__ import annotations
 
+from typing import Dict, Optional
+
 from .module import Module
 from .procedure import Procedure
 from .program import Program
 
 
-def print_module(mod: Module) -> str:
-    """Serialize one module to its textual form."""
+def print_module(mod: Module, printed: Optional[Dict[str, str]] = None) -> str:
+    """Serialize one module to its textual form.
+
+    ``printed`` is an optional memo for :func:`print_proc_once`.
+    """
+    if printed is None:
+        printed = {}
     lines = ['module "{}"'.format(mod.name)]
     for name, sig in sorted(mod.externs.items()):
         lines.append("extern @{} {}".format(name, sig))
@@ -26,8 +33,21 @@ def print_module(mod: Module) -> str:
             "global ${} [{}] {}{}".format(gvar.name, gvar.size, gvar.linkage, init)
         )
     for proc in mod.procs.values():
-        lines.append(print_proc(proc))
+        lines.append(print_proc_once(proc, printed))
     return "\n".join(lines) + "\n"
+
+
+def print_proc_once(proc: Procedure, printed: Dict[str, str]) -> str:
+    """``print_proc(proc)``, through a memo of texts by procedure name.
+
+    One memo lets several readers of an unchanged program share one
+    print per procedure: a build's training fingerprints and its isom
+    writer, say.  Its owner drops it before any procedure changes.
+    """
+    text = printed.get(proc.name)
+    if text is None:
+        text = printed[proc.name] = print_proc(proc)
+    return text
 
 
 def print_proc(proc: Procedure) -> str:

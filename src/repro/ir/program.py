@@ -53,10 +53,12 @@ class Program:
         # (repro.resilience.guard), or None: edit sites report each
         # write to it through the report_* methods below.
         self.mutations = None
-        # Procedure name -> name of the module last seen holding it.
-        # ``proc`` checks every hit against the module and rescans on a
-        # miss, so edits that bypass Program (Module.add_proc, restored
-        # ``mod.procs`` tables) need no invalidation here.
+        # Procedure name -> name of the module holding it, for every
+        # procedure: ``add_module`` fills it and hands it to the module,
+        # whose add_proc/remove_proc/set_procs keep it complete, so a
+        # name missing here is defined nowhere and a miss costs one
+        # probe.  A module serves the index of the program it was last
+        # added to.
         self._proc_homes: Dict[str, str] = {}
         for mod in modules or []:
             self.add_module(mod)
@@ -70,7 +72,6 @@ class Program:
         # so Programs cross process boundaries and rebuild lazily.
         state = self.__dict__.copy()
         state["_plan_cache"] = None
-        state["_proc_homes"] = {}
         return state
 
     # ------------------------------------------------------------------
@@ -87,6 +88,9 @@ class Program:
             if self.global_var(name) is not None:
                 raise ValueError("duplicate global across modules: {}".format(name))
         self.modules[mod.name] = mod
+        mod._proc_homes = self._proc_homes
+        for name in mod.procs:
+            self._proc_homes[name] = mod.name
         return mod
 
     # ------------------------------------------------------------------
@@ -95,18 +99,10 @@ class Program:
 
     def proc(self, name: str) -> Optional[Procedure]:
         home = self._proc_homes.get(name)
-        if home is not None:
-            mod = self.modules.get(home)
-            if mod is not None:
-                proc = mod.procs.get(name)
-                if proc is not None:
-                    return proc
-        for home, mod in self.modules.items():
-            proc = mod.procs.get(name)
-            if proc is not None:
-                self._proc_homes[name] = home
-                return proc
-        return None
+        if home is None:
+            return None
+        mod = self.modules.get(home)
+        return mod.procs.get(name) if mod is not None else None
 
     def global_var(self, name: str) -> Optional[GlobalVar]:
         for mod in self.modules.values():
@@ -154,13 +150,13 @@ class Program:
         return sum(m.size() for m in self.modules.values())
 
     def delete_proc(self, name: str) -> None:
-        for mod in self.modules.values():
-            if name in mod.procs:
-                if self.mutations is not None:
-                    self.mutations.delete(mod, mod.procs[name])
-                del mod.procs[name]
-                return
-        raise KeyError(name)
+        proc = self.proc(name)
+        if proc is None:
+            raise KeyError(name)
+        mod = self.modules[self._proc_homes[name]]
+        if self.mutations is not None:
+            self.mutations.delete(mod, proc)
+        mod.remove_proc(name)
 
     # ------------------------------------------------------------------
     # Edit reports: an HLO transform calls these before its first write

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import os
 import zlib
-from typing import Iterable, List
+from typing import Dict, Iterable, List, Optional
 
 from ..ir.module import Module
 from ..ir.parser import ParseError, parse_module
@@ -39,12 +39,19 @@ _HEADER_MAGIC = "isom"
 
 
 def _checksum(payload: str) -> str:
-    return format(zlib.crc32(payload.encode("utf-8")) & 0xFFFFFFFF, "08x")
+    # ``surrogatepass``: a lone surrogate (text that came from no valid
+    # UTF-8) gets a checksum like any other text instead of raising.
+    data = payload.encode("utf-8", "surrogatepass")
+    return format(zlib.crc32(data) & 0xFFFFFFFF, "08x")
 
 
-def to_isom_text(module: Module) -> str:
-    """Serialize one module to isom text (versioned, checksummed)."""
-    payload = print_module(module)
+def to_isom_text(module: Module, printed: Optional[Dict[str, str]] = None) -> str:
+    """Serialize one module to isom text (versioned, checksummed).
+
+    ``printed`` is an optional memo of procedure texts
+    (:func:`~repro.ir.printer.print_proc_once`).
+    """
+    payload = print_module(module, printed)
     return "{} {} crc32 {}\n{}".format(
         _HEADER_MAGIC, ISOM_VERSION, _checksum(payload), payload
     )
@@ -117,7 +124,13 @@ def write_isom(module: Module, directory: str) -> str:
 
 def read_isom(path: str) -> Module:
     with open(path) as handle:
-        return from_isom_text(handle.read(), path=path)
+        try:
+            text = handle.read()
+        except UnicodeDecodeError as exc:
+            raise IsomError(
+                "isom is not text: {}".format(exc), "corrupted", path
+            ) from exc
+    return from_isom_text(text, path=path)
 
 
 def read_isoms(paths: Iterable[str]) -> List[Module]:

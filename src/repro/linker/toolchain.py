@@ -374,6 +374,10 @@ class Toolchain:
             # program in place and strips the probes again.
             with obs.tracer.span("frontend", cat="frontend"):
                 program = self._frontend(cfg, diagnostics, obs)
+            # Training's fingerprints and the isom writer both print the
+            # program as the front end made it (training strips its
+            # probes again), so one print per procedure serves both.
+            printed: Dict[str, str] = {}
             profile: Optional[ProfileDatabase] = None
             if use_profile and profile_override is not None:
                 # An externally collected profile (the continuous-
@@ -387,7 +391,7 @@ class Toolchain:
                     )
             elif train:
                 with obs.tracer.span("train", cat="pgo"):
-                    profile, train_units = self._train(program)
+                    profile, train_units = self._train(program, printed)
                     compile_units += train_units
                     profile = self._reload_profile(profile, diagnostics)
             if profile is not None and profile.sampled:
@@ -413,7 +417,7 @@ class Toolchain:
             # trip and link, then HLO.
             if cross_module:
                 with obs.tracer.span("isom-roundtrip", cat="linker"):
-                    modules, fallbacks = self._isom_roundtrip(program)
+                    modules, fallbacks = self._isom_roundtrip(program, printed)
                     program = link_modules(modules)
                 if fallbacks:
                     diagnostics.module_fallbacks.extend(fallbacks)
@@ -609,19 +613,20 @@ class Toolchain:
     # Degradation ladder (docs/resilience.md)
     # ------------------------------------------------------------------
 
-    def _isom_roundtrip(self, program: Program):
+    def _isom_roundtrip(self, program: Program, printed: Dict[str, str]):
         """Route every module through isom text, degrading per module.
 
         A module whose isom is truncated, corrupted, or version-skewed
         falls back to its direct front-end compile (module-at-a-time:
         the returned fallback list feeds ``HLOConfig.local_modules`` so
         no transform crosses its boundary), instead of failing the
-        whole link.
+        whole link.  ``printed`` holds the procedure texts this build
+        already printed (:func:`~repro.ir.printer.print_proc_once`).
         """
         modules = []
         fallbacks: List[str] = []
         for mod in program.modules.values():
-            text = to_isom_text(mod)
+            text = to_isom_text(mod, printed)
             if self.fault_injector is not None:
                 text = self.fault_injector.corrupt_isom(text, mod.name)
             try:
@@ -678,7 +683,9 @@ class Toolchain:
         diagnostics.warn(reason + "; using static frequency estimates")
 
     def _train(
-        self, program: Optional[Program] = None
+        self,
+        program: Optional[Program] = None,
+        printed: Optional[Dict[str, str]] = None,
     ) -> Tuple[ProfileDatabase, float]:
         """Training-phase profile collection (cached per toolchain): the
         paper's instrumenting compile + training runs.
@@ -686,7 +693,9 @@ class Toolchain:
         The runs execute ``program`` (a fresh front-end compile when
         omitted) with probes inserted in place; the probes come out
         again before the database is merged, so ``program`` is left as
-        the front end made it and the fingerprints describe it.
+        the front end made it and the fingerprints describe it.  The
+        fingerprints print each procedure once, into ``printed`` when
+        given (:func:`~repro.ir.printer.print_proc_once`).
         """
         if self._profile_cache is not None:
             return self._profile_cache
@@ -703,9 +712,13 @@ class Toolchain:
         ]
         strip_probes(program)
         program.invalidate_plans()
+        if printed is None:
+            printed = {}
         db = ProfileDatabase()
         for result in results:
-            db.merge_run(program, probe_map, result.probe_counts, result.steps)
+            db.merge_run(
+                program, probe_map, result.probe_counts, result.steps, printed
+            )
         units += db.training_steps * TRAIN_STEP_UNITS
         self._profile_cache = (db, units)
         return self._profile_cache

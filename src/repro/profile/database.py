@@ -131,19 +131,23 @@ class ProfileDatabase:
         probe_map: "Dict[int, Tuple[str, str]]",
         probe_counts: Dict[int, int],
         steps: int = 0,
+        printed: Optional[Dict[str, str]] = None,
     ) -> None:
         """Fold one training run's probe counters into the database.
 
         Multiple runs accumulate, supporting the paper's future-work
         idea of "incorporating profile information from a variety of
-        sources".
+        sources".  ``printed`` is an optional memo of procedure texts
+        (:func:`~repro.ir.printer.print_proc_once`) for the
+        fingerprints: runs of one program share it, so each procedure
+        is printed once, not once per run.
         """
         for counter_id, (proc, label) in probe_map.items():
             count = probe_counts.get(counter_id, 0)
             key = (proc, label)
             self.block_counts[key] = self.block_counts.get(key, 0) + count
         self._derive_site_counts(program)
-        self.fingerprints.update(fingerprint_program(program))
+        self.fingerprints.update(fingerprint_program(program, printed))
         self.training_runs += 1
         self.training_steps += steps
 

@@ -21,21 +21,33 @@ a fresh compile to classify each procedure as *fresh*, *remapped*
 from __future__ import annotations
 
 import hashlib
-from typing import Dict
+from typing import Dict, Optional
 
-from ..ir.printer import print_proc
+from ..ir.printer import print_proc, print_proc_once
 from ..ir.procedure import Procedure
 from ..ir.program import Program
 
 FINGERPRINT_HEX_DIGITS = 12
 
 
-def fingerprint_procedure(proc: Procedure) -> str:
-    """A stable short digest of one procedure's IR shape."""
-    digest = hashlib.sha256(print_proc(proc).encode("utf-8"))
+def fingerprint_procedure(
+    proc: Procedure, printed: Optional[Dict[str, str]] = None
+) -> str:
+    """A stable short digest of one procedure's IR shape.
+
+    ``printed`` is an optional memo of procedure texts
+    (:func:`~repro.ir.printer.print_proc_once`).
+    """
+    text = print_proc(proc) if printed is None else print_proc_once(proc, printed)
+    digest = hashlib.sha256(text.encode("utf-8"))
     return digest.hexdigest()[:FINGERPRINT_HEX_DIGITS]
 
 
-def fingerprint_program(program: Program) -> Dict[str, str]:
+def fingerprint_program(
+    program: Program, printed: Optional[Dict[str, str]] = None
+) -> Dict[str, str]:
     """Fingerprints for every procedure, keyed by procedure name."""
-    return {proc.name: fingerprint_procedure(proc) for proc in program.all_procs()}
+    return {
+        proc.name: fingerprint_procedure(proc, printed)
+        for proc in program.all_procs()
+    }

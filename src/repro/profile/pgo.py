@@ -8,7 +8,7 @@ drives both halves on one front-end compile per build.
 
 from __future__ import annotations
 
-from typing import Sequence, Union
+from typing import Dict, Sequence, Union
 
 from ..frontend.driver import SourceList, compile_program
 from ..interp.interpreter import DEFAULT_ENGINE, DEFAULT_MAX_STEPS, run_program
@@ -43,6 +43,7 @@ def train(
     ]
     strip_probes(program)
     db = ProfileDatabase()
+    printed: Dict[str, str] = {}  # one print per procedure for all runs
     for result in results:
-        db.merge_run(program, probe_map, result.probe_counts, result.steps)
+        db.merge_run(program, probe_map, result.probe_counts, result.steps, printed)
     return db

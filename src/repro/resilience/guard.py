@@ -306,7 +306,7 @@ class MutationRecord:
         """Undo every recorded write; the program is as the stage found it."""
         modules = self.program.modules
         for name, module in self.added.items():
-            modules[module].procs.pop(name, None)
+            modules[module].remove_proc(name)
         for proc, snapshot in self._snapshots.values():
             snapshot.restore(proc)
         for symbol, linkage in self.linkages.values():
@@ -319,7 +319,7 @@ class MutationRecord:
                 for name, (home, proc) in self._deleted.items()
                 if home == module_name
             )
-            mod.procs = {name: procs[name] for name in order if name in procs}
+            mod.set_procs({name: procs[name] for name in order if name in procs})
 
 
 @contextmanager

@@ -113,8 +113,7 @@ class ProgramSnapshot:
         for name, proc_snaps, gvars, externs in self._modules:
             mod = program.modules.get(name)
             if mod is None:  # pragma: no cover - stages never drop modules
-                mod = Module(name)
-                program.modules[name] = mod
+                mod = program.add_module(Module(name))
             mod.externs = dict(externs)
 
             new_globals: Dict[str, GlobalVar] = {}
@@ -137,4 +136,4 @@ class ProgramSnapshot:
                 else:
                     snap.restore(proc)
                 new_procs[snap.name] = proc
-            mod.procs = new_procs
+            mod.set_procs(new_procs)

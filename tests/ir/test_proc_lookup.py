@@ -1,14 +1,20 @@
-"""``Program.proc`` remembers where a name lives and stays right as modules change.
+"""``Program.proc`` looks names up in an index that stays complete as modules change.
 
-The lookup keeps a name -> module map that it checks on every hit and
-refills with a scan on a miss, so edits that bypass ``Program`` need no
-invalidation.  Each test looks every name up first, so the map holds
-the old home when the edit lands.
+The index maps every procedure to its module.  ``Program.add_module``
+fills it, and each module keeps it current through ``add_proc``,
+``remove_proc`` and ``set_procs``, which the delete and the two restores
+(a rolled-back stage, a program snapshot) go through, so a miss is one
+dict probe and scans no module.  Each test looks every name up first,
+so the index holds the old home when the edit lands.
 """
 
 from __future__ import annotations
 
-from repro.ir import IRBuilder, Module, Program
+import pickle
+
+import pytest
+
+from repro.ir import RUNTIME_BUILTINS, IRBuilder, Module, Program
 from repro.resilience import PassGuard, ProgramSnapshot
 
 
@@ -67,3 +73,52 @@ def test_lookup_after_a_program_snapshot_restore():
     assert restored is not None and restored.module == "a"
     assert restored is program.modules["a"].procs["f"]
     assert program.proc("h") is None
+
+
+class _CountingModules(dict):
+    """A module table that counts the scans over it."""
+
+    scans = 0
+
+    def items(self):
+        self.scans += 1
+        return super().items()
+
+    def values(self):
+        self.scans += 1
+        return super().values()
+
+    def __iter__(self):
+        self.scans += 1
+        return super().__iter__()
+
+
+def test_a_miss_scans_no_module():
+    program = _program()
+    program.modules = _CountingModules(program.modules)
+    for name in list(RUNTIME_BUILTINS) + ["missing"]:
+        assert program.proc(name) is None
+        assert not program.is_defined(name)
+    assert program.proc("g").module == "a"
+    assert program.modules.scans == 0
+
+
+def test_add_module_rejects_a_procedure_defined_elsewhere():
+    program = _program()
+    c = Module("c")
+    IRBuilder(c, "h").ret(3)
+    IRBuilder(c, "f").ret(4)
+    with pytest.raises(ValueError, match="duplicate procedure across modules: f"):
+        program.add_module(c)
+    assert "c" not in program.modules
+    assert program.proc("f").module == "a"
+    assert program.proc("h") is None
+
+
+def test_lookup_after_a_pickle_round_trip():
+    program = pickle.loads(pickle.dumps(_program()))
+    assert program.proc("f") is program.modules["a"].procs["f"]
+    added = IRBuilder(program.modules["b"], "h").proc
+    assert program.proc("h") is added
+    program.delete_proc("f")
+    assert program.proc("f") is None

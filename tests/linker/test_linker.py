@@ -1,10 +1,12 @@
 """Isoms, the link step, and the scope-aware toolchain."""
 
+from collections import Counter
+
 import pytest
 
 from repro.frontend import compile_module, compile_program
-from repro.interp import run_program
-from repro.ir import Signature, Type, print_module
+from repro.interp import engine, run_program
+from repro.ir import Signature, Type, print_module, printer
 from repro.linker import (
     LinkError,
     Toolchain,
@@ -17,6 +19,7 @@ from repro.linker import (
     to_isom_text,
     write_isom,
 )
+from repro.profile import fingerprint
 
 LIB = """
 static int tripled(int x) { return x * 3; }
@@ -56,6 +59,41 @@ class TestIsoms:
         before = run_program(program, [5]).behavior()
         relinked = link_modules(roundtrip_modules(program.modules.values()))
         assert run_program(relinked, [5]).behavior() == before
+
+
+# 1e400 overflows to inf: the printer writes ``inf``, which the isom
+# reader must take back, as an operand and as a global initializer.
+NON_FINITE = {
+    "operand": "int main() { float x = 1e400; print_flt(x); return 0; }",
+    "initializer": "float g = 1e400; int main() { print_flt(g); return 0; }",
+    "negative": "float g = -1e400; int main() { print_flt(g - 1e400); return 0; }",
+}
+
+
+class TestNonFiniteFloats:
+    @pytest.mark.parametrize("source", NON_FINITE.values(), ids=NON_FINITE.keys())
+    def test_isom_roundtrip(self, source):
+        text = to_isom_text(compile_module(source, "m"))
+        assert "inf" in text
+        assert to_isom_text(from_isom_text(text)) == text
+
+    def test_nan_roundtrip(self):
+        text = (
+            'module "m"\nglobal $g [2] global = nan -inf\n'
+            "proc @main() -> int global {\nentry:\n"
+            "  %x = mov nan\n  %y = add %x, inf\n  ret 0\n}\n"
+        )
+        assert to_isom_text(from_isom_text(text)).partition("\n")[2] == text
+
+    @pytest.mark.parametrize("scope", ["c", "cp"])
+    @pytest.mark.parametrize("source", NON_FINITE.values(), ids=NON_FINITE.keys())
+    def test_cross_module_build_keeps_whole_program_scope(self, source, scope):
+        toolchain = Toolchain([("m", source)], train_inputs=[[]])
+        base = toolchain.build("base").run(())[1].output
+        build = toolchain.build(scope)
+        assert build.diagnostics.module_fallbacks == []
+        assert not build.degraded
+        assert build.run(())[1].output == base
 
 
 class TestLinkStep:
@@ -120,6 +158,26 @@ class TestToolchain:
         assert prof.stats.train_runs == 1
         assert prof.stats.train_steps > 0
         assert prof.stats.annotated_blocks > 0
+
+    @pytest.mark.parametrize("scope", ["c", "p", "cp"])
+    def test_a_build_prints_each_procedure_once(self, monkeypatch, scope):
+        # Training's fingerprints (one per run) and the isom writer print
+        # the same unchanged program; one print per procedure serves all.
+        # The engine's plan cache prints to check its plans, not for the
+        # build, so it keeps the real printer.
+        printed = Counter()
+        real = printer.print_proc
+
+        def counting(proc):
+            printed[proc.name] += 1
+            return real(proc)
+
+        monkeypatch.setattr(printer, "print_proc", counting)
+        monkeypatch.setattr(fingerprint, "print_proc", counting)
+        monkeypatch.setattr(engine, "print_proc", real)
+        Toolchain([("lib", LIB), ("main", MAIN)], train_inputs=[[4], [5]]).build(scope)
+        assert set(printed) == {"main", "api", "tripled$lib"}
+        assert set(printed.values()) == {1}
 
     def test_profile_cached_across_builds(self):
         tc = self.toolchain()

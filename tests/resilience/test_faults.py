@@ -10,7 +10,7 @@ import pytest
 
 from repro.frontend import compile_module, compile_program
 from repro.interp import run_program
-from repro.linker import from_isom_text, to_isom_text
+from repro.linker import from_isom_text, read_isom, to_isom_text
 from repro.opt.pass_manager import default_pipeline
 from repro.profile.database import ProfileDatabase
 from repro.profile.instrument import instrument_program
@@ -96,6 +96,34 @@ class TestIsomDetection:
         _, _, payload = sample_isom().partition("\n")
         mod = from_isom_text(payload)
         assert mod.name == "lib"
+
+    @pytest.mark.parametrize(
+        "payload",
+        [
+            'module "m"\nglobal $g [1] global = abc\n',
+            'module "m"\nproc @f() -> int global {\nentry:\n  probe x\n  ret 0\n}\n',
+            'module "m"\nproc @f() -> wat global {\nentry:\n  ret 0\n}\n',
+            'module "m"\nextern @g (wat) -> int\n',
+        ],
+        ids=["initializer-word", "probe", "proc-type", "extern-type"],
+    )
+    def test_headerless_payload_the_ir_refuses_is_malformed(self, payload):
+        # No checksum guards a headerless payload, so the reader itself
+        # must turn what the IR refuses into the typed error.
+        with pytest.raises(IsomError) as err:
+            from_isom_text(payload)
+        assert err.value.kind == "malformed"
+
+    def test_text_no_encoding_can_hold_is_a_typed_error(self):
+        text = sample_isom().replace("module", "module\ud800", 1)
+        with pytest.raises(IsomError):
+            from_isom_text(text)
+
+    def test_undecodable_file_is_a_typed_error(self, tmp_path):
+        path = tmp_path / "lib.isom"
+        path.write_bytes(b"\xff\xfe\xfd" + sample_isom().encode("utf-8"))
+        with pytest.raises(IsomError):
+            read_isom(str(path))
 
 
 class TestProfileDetection:
