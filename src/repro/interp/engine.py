@@ -19,20 +19,24 @@ of bound Python closures with all of that decoding done ahead of time
   dict lookup leaves the inner loop entirely,
 - sink capability flags (:class:`~repro.interp.events.EventSink`) are
   burned into the compiled closures: modes that need no callback carry
-  no callback code at all, and ``batch_instr`` sinks get their
-  ``on_instr`` events replayed one segment at a time.
+  no callback code at all, and a sink that needs ``on_instr`` compiles
+  its per-instruction work into the plan as one hook per *fetch group*
+  (``EventSink.fetch_groups``), each run just before its group's last
+  instruction.
 
 Plans are cached on the :class:`~repro.ir.Program` (keyed by procedure
-name and sink-capability mode) and validated against a procedure
-fingerprint on every run, so repeated train/eval runs over an unchanged
-build reuse decoded code while transforms transparently invalidate it.
+name and sink-capability mode, which names the fetch groups) and
+validated against a procedure fingerprint on every run, so repeated
+train/eval runs over an unchanged build reuse decoded code while
+transforms transparently invalidate it.
 
 Observable behaviour — ``Result`` fields, sink event streams, trap
 messages and positions, and ``Interpreter.steps`` after a trap — is
 kept identical to the reference engine and is asserted by the
 differential harness (:mod:`repro.interp.diff`).  A fused part counts
 its whole segment up front; when an op in it traps, the part resets the
-count to end at that op before the trap propagates.
+count to end at that op, and delivers the ``on_instr`` events no hook
+has covered, before the trap propagates.
 """
 
 from __future__ import annotations
@@ -91,16 +95,17 @@ def _fingerprint(proc: Procedure) -> str:
     return hashlib.sha256(print_proc(proc).encode("utf-8")).hexdigest()
 
 
-def sink_mode(sink) -> Tuple[bool, bool, bool, bool, bool, bool]:
+def sink_mode(sink) -> tuple:
     """The capability mode tuple a plan is specialized (and keyed) on:
-    ``(exact_instr, batch_instr, branch, call, ret, mem)``."""
+    ``(groups, branch, call, ret, mem)``.  ``groups`` is None for a sink
+    that takes no ``on_instr`` events, else what its fetch-group hooks
+    are compiled from: the class's ``fetch_groups`` and the sink's
+    ``fetch_key``."""
     if sink is None:
-        return (False, False, False, False, False, False)
-    needs_instr = bool(sink.needs_instr)
-    batch = needs_instr and bool(sink.batch_instr)
+        return (None, False, False, False, False)
+    groups = (type(sink).fetch_groups, sink.fetch_key) if sink.needs_instr else None
     return (
-        needs_instr and not batch,
-        batch,
+        groups,
         bool(sink.needs_branch),
         bool(sink.needs_call),
         bool(sink.needs_return),
@@ -334,14 +339,14 @@ class PlanCache:
             self.plans.clear()
             self.globals_sig = sig
 
-    def get_plan(self, proc: Procedure, mode, global_addrs) -> ExecPlan:
+    def get_plan(self, proc: Procedure, mode, global_addrs, sink) -> ExecPlan:
         key = (proc.name, mode)
         plan = self.plans.get(key)
         fp = _fingerprint(proc)
         if plan is not None and plan.fingerprint == fp:
             self.cache_hits += 1
             return plan
-        plan = _PlanCompiler(proc, mode, global_addrs, fp).compile()
+        plan = _PlanCompiler(proc, mode, global_addrs, fp, sink).compile()
         self.plans[key] = plan
         self.plans_compiled += 1
         return plan
@@ -425,39 +430,23 @@ def _replay(st, frame, ops, events, fire_instr):
     return None
 
 
-def _trapped(st, ns, ops, op, pending):
-    """``op`` of a fused loop over ``ops`` trapped: count its steps exactly.
+def _trapped(st, ns, trap, op):
+    """``op`` of a fused part trapped: finish the reference's accounting.
 
-    The part counted ``ns`` up front: every op of ``ops`` plus
-    ``pending`` more (the boundary instruction).  Like the reference
-    loop, count through the faulting op and no further.  Each op is its
-    own closure, so ``index`` finds the one that raised.
+    The part counted ``ns`` up front, through its last instruction.
+    Like the reference loop, count through the faulting op and no
+    further, and deliver ``on_instr`` for the fetches no hook has
+    covered: those of the faulting op's group, from its first through
+    the faulting one, when the group's hook had not run yet.  Each op
+    is its own closure, so ``trap`` (see ``_seg_bundle``) finds the one
+    that raised; hooks never raise.
     """
-    st.steps = ns - pending - (len(ops) - ops.index(op) - 1)
-
-
-def _wrap_instr_op(op, ev):
-    """Exact-instr mode: weave the ``on_instr`` delivery into the
-    micro-op itself, so fused fast paths run one uniform op loop."""
-
-    def w(st, regs, _op=op, _e=ev):
-        e = _e
-        st.sink.on_instr(e[0], e[1], e[2], e[3])
-        _op(st, regs)
-
-    return w
-
-
-def _batch_firer(events):
-    """Batch mode: a pseudo-op that replays a segment's ``on_instr``
-    events in order before the segment body executes."""
-
-    def w(st, regs, _ev=events):
-        on_i = st.sink.on_instr
-        for e in _ev:
-            on_i(e[0], e[1], e[2], e[3])
-
-    return w
+    after, late = trap[op]
+    st.steps = ns - after
+    if late:
+        on_instr = st.sink.on_instr
+        for e in late:
+            on_instr(e[0], e[1], e[2], e[3])
 
 
 def _seg_overflow(st, frame, ops, events, fire_instr, pn, lb, ix):
@@ -480,14 +469,16 @@ _TERMINATORS = (Branch, Jump, Ret)
 
 
 class _PlanCompiler:
-    def __init__(self, proc: Procedure, mode, global_addrs, fingerprint: str):
+    def __init__(self, proc: Procedure, mode, global_addrs, fingerprint: str, sink):
         self.proc = proc
         self.procname = proc.name
         self.mode = mode
-        self.f_instr, self.f_batch, self.f_branch, self.f_call, self.f_ret, self.f_mem = mode
-        # Terminators and calls deliver their own on_instr inline in
-        # both the exact and the batched mode.
-        self.fire_boundary = self.f_instr or self.f_batch
+        groups, self.f_branch, self.f_call, self.f_ret, self.f_mem = mode
+        self.f_instr = groups is not None
+        # The sink whose fetch_groups compiles the hooks.  Only the
+        # compiler holds it: a hook reaches the sink of a run through
+        # ``st.sink``, so plans never keep a sink alive.
+        self.groups_sink = sink if self.f_instr else None
         self.global_addrs = global_addrs
         self.plan = ExecPlan(proc, mode, fingerprint)
         self.slots: Dict[str, int] = {}
@@ -714,53 +705,13 @@ class _PlanCompiler:
 
     # -- parts ---------------------------------------------------------
 
-    def _make_segment(self, ops, events):
-        ops = tuple(ops)
-        events = tuple(events)
-        k = len(ops)
-        if self.f_instr:
-            # Exact mode: interleave on_instr with execution, matching
-            # the reference ordering against on_mem/on_branch events.
-            def part(st, frame, _ops=ops, _ev=events, _k=k):
-                ns = st.steps + _k
-                if ns > st.max_steps:
-                    return _replay(st, frame, _ops, _ev, True)
-                st.steps = ns
-                regs = frame.regs
-                on_i = st.sink.on_instr
-                try:
-                    for e, op in zip(_ev, _ops):
-                        on_i(e[0], e[1], e[2], e[3])
-                        op(st, regs)
-                except ExecError:
-                    _trapped(st, ns, _ops, op, 0)
-                    raise
+    def _make_segment(self, seg_ops, seg_events):
+        raw, events, xops, k, _hook, trap = self._seg_bundle(seg_ops, seg_events)
+        fire_i = self.f_instr
+        if k == 1 and not fire_i:
+            op0 = raw[0]
 
-            return part
-        if self.f_batch:
-
-            def part(st, frame, _ops=ops, _ev=events, _k=k):
-                ns = st.steps + _k
-                if ns > st.max_steps:
-                    return _replay(st, frame, _ops, _ev, True)
-                st.steps = ns
-                on_i = st.sink.on_instr
-                for e in _ev:
-                    on_i(e[0], e[1], e[2], e[3])
-                regs = frame.regs
-                try:
-                    for op in _ops:
-                        op(st, regs)
-                except ExecError:
-                    _trapped(st, ns, _ops, op, 0)
-                    raise
-
-            return part
-
-        if k == 1:
-            op0 = ops[0]
-
-            def part(st, frame, _op=op0, _ops=ops, _ev=events):
+            def part(st, frame, _op=op0, _ops=raw, _ev=events):
                 ns = st.steps + 1
                 if ns > st.max_steps:
                     return _replay(st, frame, _ops, _ev, False)
@@ -769,17 +720,17 @@ class _PlanCompiler:
 
             return part
 
-        def part(st, frame, _ops=ops, _ev=events, _k=k):
+        def part(st, frame, _x=xops, _k=k, _tr=trap):
             ns = st.steps + _k
             if ns > st.max_steps:
-                return _replay(st, frame, _ops, _ev, False)
+                return _replay(st, frame, raw, events, fire_i)
             st.steps = ns
             regs = frame.regs
             try:
-                for op in _ops:
+                for op in _x:
                     op(st, regs)
             except ExecError:
-                _trapped(st, ns, _ops, op, 0)
+                _trapped(st, ns, _tr, op)
                 raise
 
         return part
@@ -804,31 +755,63 @@ class _PlanCompiler:
             self.missing[label] = pb
         return pb
 
-    def _seg_bundle(self, seg_ops, seg_events):
+    def _seg_bundle(self, seg_ops, seg_events, boundary=None):
         """Freeze the pending straight-line segment for fusion into the
-        boundary part that follows it.  Returns ``(raw, events, xops,
-        kk)``: ``xops`` is what the fused fast path iterates (instr
-        event delivery pre-woven in for sink modes), ``raw``/``events``
-        feed the exact replay slow path, and ``kk`` is the batched step
-        count — the segment plus the boundary instruction itself."""
+        part it ends in: the part of the boundary instruction whose event
+        is ``boundary``, or with None a segment that falls off its block.
+        Returns ``(raw, events, xops, kk, hook, trap)``:
+
+        - ``xops`` is what the fused fast path iterates: the segment's
+          ops with the sink's fetch-group hooks woven in, each just
+          before its group's last instruction;
+        - ``hook`` is the hook of the group that ends at the boundary
+          instruction, to run just before it (None without hooks);
+        - ``raw``/``events`` feed the exact replay slow path;
+        - ``kk`` is the batched step count, the boundary included;
+        - ``trap`` maps each op to what a trap in it leaves to do: the
+          number of counted instructions after it, and the fetches of
+          its group that no hook has covered (see ``_trapped``).
+        """
         raw = tuple(seg_ops)
         events = tuple(seg_events)
-        if self.f_instr:
-            xops = tuple(_wrap_instr_op(op, ev) for op, ev in zip(raw, events))
-        elif self.f_batch and raw:
-            xops = (_batch_firer(events),) + raw
-        else:
-            xops = raw
-        return raw, events, xops, len(raw) + 1
+        fetches = events if boundary is None else events + (boundary,)
+        kk = len(fetches)
+        ends: Dict[int, Any] = {}  # a group's last fetch -> its hook
+        firsts: List[int] = []  # each fetch's group's first fetch
+        if self.groups_sink is not None:
+            for count, hook in self.groups_sink.fetch_groups(fetches):
+                if count < 1:
+                    break
+                ends[len(firsts) + count - 1] = hook
+                firsts.extend([len(firsts)] * count)
+            if len(firsts) != kk:
+                raise ValueError(
+                    "fetch groups of {!r} do not cover {} fetches".format(
+                        self.groups_sink, kk
+                    )
+                )
+        xops: List[Any] = []
+        trap = {}
+        for i, op in enumerate(raw):
+            hook = ends.get(i)
+            if hook is not None:
+                xops.append(hook)
+            late = fetches[firsts[i] : i + 1] if ends and hook is None else ()
+            xops.append(op)
+            trap[op] = (kk - 1 - i, late)
+        hook = ends.get(kk - 1) if boundary is not None else None
+        return raw, events, tuple(xops), kk, hook, trap
 
     def _make_jump(self, instr, label, idx, seg_ops, seg_events):
         target = self._target(instr.target)
         pn = self.procname
-        ev = (self.proc, label, idx, instr)
-        fire_i = self.fire_boundary
+        proc = self.proc
+        fire_i = self.f_instr
         fire_b = self.f_branch
         tlabel = instr.target
-        raw, evs, xops, kk = self._seg_bundle(seg_ops, seg_events)
+        raw, evs, xops, kk, hook, trap = self._seg_bundle(
+            seg_ops, seg_events, (proc, label, idx, instr)
+        )
 
         if not fire_i and not fire_b:
             if not xops:
@@ -844,7 +827,7 @@ class _PlanCompiler:
 
                 return part
 
-            def part(st, frame, _t=target, _x=xops, _kk=kk):
+            def part(st, frame, _t=target, _x=xops, _kk=kk, _tr=trap):
                 ns = st.steps + _kk
                 if ns > st.max_steps:
                     _seg_overflow(st, frame, raw, evs, False, pn, label, idx)
@@ -854,13 +837,13 @@ class _PlanCompiler:
                     for op in _x:
                         op(st, regs)
                 except ExecError:
-                    _trapped(st, ns, _x, op, 1)
+                    _trapped(st, ns, _tr, op)
                     raise
                 return _t
 
             return part
 
-        def part(st, frame, _t=target, _x=xops, _kk=kk):
+        def part(st, frame, _t=target, _x=xops, _kk=kk, _h=hook, _tr=trap):
             ns = st.steps + _kk
             if ns > st.max_steps:
                 _seg_overflow(st, frame, raw, evs, fire_i, pn, label, idx)
@@ -870,13 +853,12 @@ class _PlanCompiler:
                 for op in _x:
                     op(st, regs)
             except ExecError:
-                _trapped(st, ns, _x, op, 1)
+                _trapped(st, ns, _tr, op)
                 raise
-            sink = st.sink
-            if fire_i:
-                sink.on_instr(ev[0], ev[1], ev[2], ev[3])
+            if _h is not None:
+                _h(st, regs)
             if fire_b:
-                sink.on_branch(ev[0], label, idx, "jump", True, tlabel)
+                st.sink.on_branch(proc, label, idx, "jump", True, tlabel)
             return _t
 
         return part
@@ -891,10 +873,12 @@ class _PlanCompiler:
         else_pb = self._target(instr.else_target)
         then_label = instr.then_target
         else_label = instr.else_target
-        ev = (self.proc, label, idx, instr)
-        fire_i = self.fire_boundary
+        proc = self.proc
+        fire_i = self.f_instr
         fire_b = self.f_branch
-        raw, evs, xops, kk = self._seg_bundle(seg_ops, seg_events)
+        raw, evs, xops, kk, hook, trap = self._seg_bundle(
+            seg_ops, seg_events, (proc, label, idx, instr)
+        )
 
         if not fire_i and not fire_b:
             if not xops:
@@ -914,7 +898,8 @@ class _PlanCompiler:
                 return part
 
             def part(
-                st, frame, _cs=cs, _cc=cc, _tp=then_pb, _ep=else_pb, _x=xops, _kk=kk
+                st, frame, _cs=cs, _cc=cc, _tp=then_pb, _ep=else_pb, _x=xops, _kk=kk,
+                _tr=trap,
             ):
                 ns = st.steps + _kk
                 if ns > st.max_steps:
@@ -925,7 +910,7 @@ class _PlanCompiler:
                     for op in _x:
                         op(st, regs)
                 except ExecError:
-                    _trapped(st, ns, _x, op, 1)
+                    _trapped(st, ns, _tr, op)
                     raise
                 c = regs[_cs] if _cs >= 0 else _cc
                 if c is _UNSET:
@@ -934,7 +919,10 @@ class _PlanCompiler:
 
             return part
 
-        def part(st, frame, _cs=cs, _cc=cc, _tp=then_pb, _ep=else_pb, _x=xops, _kk=kk):
+        def part(
+            st, frame, _cs=cs, _cc=cc, _tp=then_pb, _ep=else_pb, _x=xops, _kk=kk,
+            _h=hook, _tr=trap,
+        ):
             ns = st.steps + _kk
             if ns > st.max_steps:
                 _seg_overflow(st, frame, raw, evs, fire_i, pn, label, idx)
@@ -944,20 +932,19 @@ class _PlanCompiler:
                 for op in _x:
                     op(st, regs)
             except ExecError:
-                _trapped(st, ns, _x, op, 1)
+                _trapped(st, ns, _tr, op)
                 raise
-            sink = st.sink
-            if fire_i:
-                sink.on_instr(ev[0], ev[1], ev[2], ev[3])
+            if _h is not None:
+                _h(st, regs)
             c = regs[_cs] if _cs >= 0 else _cc
             if c is _UNSET:
                 _unset(cn, pn)
             if c:
                 if fire_b:
-                    sink.on_branch(ev[0], label, idx, "cond", True, then_label)
+                    st.sink.on_branch(proc, label, idx, "cond", True, then_label)
                 return _tp
             if fire_b:
-                sink.on_branch(ev[0], label, idx, "cond", False, else_label)
+                st.sink.on_branch(proc, label, idx, "cond", False, else_label)
             return _ep
 
         return part
@@ -972,12 +959,15 @@ class _PlanCompiler:
                 return self._make_raising_boundary(instr, label, idx, seg_ops, seg_events)
         else:
             vs, vc, vn = -1, None, None
-        ev = (self.proc, label, idx, instr)
-        fire_i = self.fire_boundary
+        fire_i = self.f_instr
         fire_r = self.f_ret
-        raw, evs, xops, kk = self._seg_bundle(seg_ops, seg_events)
+        raw, evs, xops, kk, hook, trap = self._seg_bundle(
+            seg_ops, seg_events, (self.proc, label, idx, instr)
+        )
 
-        def part(st, frame, _vs=vs, _vc=vc, _hv=has_value, _x=xops, _kk=kk):
+        def part(
+            st, frame, _vs=vs, _vc=vc, _hv=has_value, _x=xops, _kk=kk, _h=hook, _tr=trap
+        ):
             ns = st.steps + _kk
             if ns > st.max_steps:
                 _seg_overflow(st, frame, raw, evs, fire_i, pn, label, idx)
@@ -987,10 +977,10 @@ class _PlanCompiler:
                 for op in _x:
                     op(st, regs)
             except ExecError:
-                _trapped(st, ns, _x, op, 1)
+                _trapped(st, ns, _tr, op)
                 raise
-            if fire_i:
-                st.sink.on_instr(ev[0], ev[1], ev[2], ev[3])
+            if _h is not None:
+                _h(st, regs)
             if _hv:
                 value = regs[_vs] if _vs >= 0 else _vc
                 if value is _UNSET:
@@ -1032,12 +1022,16 @@ class _PlanCompiler:
         callee_static = None if is_icall else instr.callee
         dest_slot = self.slots[instr.dest.name] if instr.dest is not None else None
         sitekey = (proc.module, instr.site_id)
-        ev = (proc, label, idx, instr)
-        fire_i = self.fire_boundary
+        fire_i = self.f_instr
         fire_c = self.f_call
-        raw, evs, xops, kk = self._seg_bundle(seg_ops, seg_events)
+        raw, evs, xops, kk, hook, trap = self._seg_bundle(
+            seg_ops, seg_events, (proc, label, idx, instr)
+        )
 
-        def part(st, frame, _fs=fs, _fc=fc, _as=argspec, _ds=dest_slot, _x=xops, _kk=kk):
+        def part(
+            st, frame, _fs=fs, _fc=fc, _as=argspec, _ds=dest_slot, _x=xops, _kk=kk,
+            _h=hook, _tr=trap,
+        ):
             ns = st.steps + _kk
             if ns > st.max_steps:
                 _seg_overflow(st, frame, raw, evs, fire_i, pn, label, idx)
@@ -1047,10 +1041,10 @@ class _PlanCompiler:
                 for op in _x:
                     op(st, regs)
             except ExecError:
-                _trapped(st, ns, _x, op, 1)
+                _trapped(st, ns, _tr, op)
                 raise
-            if fire_i:
-                st.sink.on_instr(ev[0], ev[1], ev[2], ev[3])
+            if _h is not None:
+                _h(st, regs)
             if _fs >= 0 or _fc is not None:  # indirect call
                 f = regs[_fs] if _fs >= 0 else _fc
                 if f is _UNSET:
@@ -1123,15 +1117,16 @@ class _PlanCompiler:
 
     def _make_raising_boundary(self, instr, label, idx, seg_ops, seg_events):
         """A boundary instruction with an unresolvable operand: run the
-        fused segment, count the boundary step, deliver on_instr, then
-        trap via the spec walk."""
+        fused segment, count the boundary step, run the boundary's hook,
+        then trap via the spec walk."""
         pn = self.procname
-        ev = (self.proc, label, idx, instr)
-        fire_i = self.fire_boundary
+        fire_i = self.f_instr
         walk = _raise_walk(self._raising_specs(instr), pn, label, idx)
-        raw, evs, xops, kk = self._seg_bundle(seg_ops, seg_events)
+        raw, evs, xops, kk, hook, trap = self._seg_bundle(
+            seg_ops, seg_events, (self.proc, label, idx, instr)
+        )
 
-        def part(st, frame, _x=xops, _kk=kk):
+        def part(st, frame, _x=xops, _kk=kk, _h=hook, _tr=trap):
             ns = st.steps + _kk
             if ns > st.max_steps:
                 _seg_overflow(st, frame, raw, evs, fire_i, pn, label, idx)
@@ -1141,10 +1136,10 @@ class _PlanCompiler:
                 for op in _x:
                     op(st, regs)
             except ExecError:
-                _trapped(st, ns, _x, op, 1)
+                _trapped(st, ns, _tr, op)
                 raise
-            if fire_i:
-                st.sink.on_instr(ev[0], ev[1], ev[2], ev[3])
+            if _h is not None:
+                _h(st, regs)
             walk(st, regs)
 
         return part
@@ -1274,7 +1269,7 @@ class _ExecState:
         if proc is None:
             plan = None
         else:
-            plan = self.cache.get_plan(proc, self.mode, self.global_addrs)
+            plan = self.cache.get_plan(proc, self.mode, self.global_addrs, self.sink)
         self.link[name] = plan
         return plan
 

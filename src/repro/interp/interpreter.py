@@ -18,7 +18,7 @@ workloads do not consume Python stack.
 from __future__ import annotations
 
 from collections import Counter
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from ..ir.instructions import (
     Alloca,
@@ -171,18 +171,9 @@ class Interpreter:
         self._stack_top = STACK_BASE
         self._frames: List[_Frame] = []
         self._layout_globals()
-
-        self._builtins = {
-            "print_int": self._bi_print_int,
-            "print_flt": self._bi_print_flt,
-            "input": self._bi_input,
-            "input_len": self._bi_input_len,
-            "exit": self._bi_exit,
-            "abs": self._bi_abs,
-            "sbrk": self._bi_sbrk,
-            "va_arg": self._bi_va_arg,
-            "va_count": self._bi_va_count,
-        }
+        # The runtime library, bound to this interpreter while it runs
+        # (see run).
+        self._builtins: Optional[Dict[str, Callable[[List[Word]], Word]]] = None
 
     # ------------------------------------------------------------------
     # Setup
@@ -212,10 +203,31 @@ class Interpreter:
         proc = self._procs.get(entry)
         if proc is None:
             raise ExecError("entry procedure @{} not found".format(entry))
-        if self.engine == "fast":
-            from .engine import execute
+        # Bound methods of this interpreter: kept past the run, the table
+        # would be a reference cycle, and the interpreter, its program
+        # and its sink would outlive their last reference until the
+        # cyclic collector ran.
+        self._builtins = {
+            "print_int": self._bi_print_int,
+            "print_flt": self._bi_print_flt,
+            "input": self._bi_input,
+            "input_len": self._bi_input_len,
+            "exit": self._bi_exit,
+            "abs": self._bi_abs,
+            "sbrk": self._bi_sbrk,
+            "va_arg": self._bi_va_arg,
+            "va_count": self._bi_va_count,
+        }
+        try:
+            if self.engine == "fast":
+                from .engine import execute
 
-            return execute(self, proc, list(args))
+                return execute(self, proc, list(args))
+            return self._run_reference(proc, args)
+        finally:
+            self._builtins = None
+
+    def _run_reference(self, proc: Procedure, args: Sequence[Word]) -> Result:
         frame = self._push_frame(proc, list(args), dest=None)
         exit_code = 0
         try:

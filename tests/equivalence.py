@@ -8,17 +8,21 @@ before it and on the tree after it, then compares the two files::
     python -m tests.equivalence --compare before.jsonl after.jsonl
 
 ``--compare`` prints each build's differing fields and exits 1 when
-any field differs or a build is missing from one side.  ``--only TEXT``
-keeps the builds whose id contains ``TEXT``.
+any field differs or a build is missing from one side.  It only reads
+the two files, so it needs no ``PYTHONPATH``.  ``--only TEXT`` keeps the
+builds whose id contains ``TEXT``.
 
 Each output line is one build: its id, and digests of every isom,
 ``str(HLOReport)``, the pass traces, the transform events, the inlining
 ledger's JSONL, the pass failures and quarantines, the fault
 injector's log and the order of ``deleted_procs``; and, in clear, the
 analysis hits, misses and invalidations, the compile units, the code
-size, the training counters and the sorted set of deleted routines.
+size, the training counters and the sorted set of deleted routines.  A
+``sim/`` line is one simulation instead: a digest of the run's exit
+code and output, its step count, and every ``MachineMetrics`` field in
+clear.
 
-The builds (416):
+The builds (460):
 
 - ``suite``: every suite program under both strategies at budgets 100,
   400 and 1000 and at all four scopes (240); budget 400 shares one
@@ -36,7 +40,11 @@ The builds (416):
 - ``jobs``: compress, sc, vortex and li with two workers over a disk
   cache, cold and then warm, at ``p`` and ``cp`` (16);
 - ``large``: the 100-module generated program perfbench's
-  ``large-program`` builds, under both strategies (2).
+  ``large-program`` builds, under both strategies (2);
+- ``sim``: each suite program's ``cp`` build at budget 400 under both
+  strategies, run on its reference input, and the two ``large`` builds
+  (``sim/large-program/``), run on no input, each on the default
+  ``MachineConfig`` and on the fuzz harness's small one (44).
 
 This module is not a test; pytest does not collect it.
 """
@@ -51,13 +59,8 @@ import sys
 import tempfile
 from typing import Callable, Dict, Iterator, Optional, Sequence, Tuple
 
-from repro.core.config import HLOConfig
-from repro.linker.isom import to_isom_text
-from repro.linker.toolchain import Toolchain
-from repro.obs import BuildObserver, InliningLedger
-from repro.resilience import FaultInjector
-from repro.workloads.generator import generate_sources
-from repro.workloads.suite import all_workloads, get_workload
+# ``repro`` is imported by the functions that build, so ``--compare``
+# runs without it on the path.
 
 SCOPES = ("base", "c", "p", "cp")
 STRATEGIES = ("global", "demand")
@@ -77,16 +80,20 @@ LARGE_SHAPE = {
     "extern_window": 8,
 }
 
-# A build: its id and a thunk returning (BuildResult, ledger, injector or None).
-Build = Tuple[str, Callable[[], tuple]]
+MACHINES = ("default", "small")
+
+# A build: its id and a thunk returning its line's other fields.
+Build = Tuple[str, Callable[[], dict]]
 
 
 def _digest(text: str) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()[:16]
 
 
-def record(build_id: str, result, ledger: InliningLedger, injector=None) -> dict:
+def record(result, ledger, injector=None) -> dict:
     """One build's digests and counters."""
+    from repro.linker.isom import to_isom_text
+
     report = result.report
     program = result.program
     isoms = "\n".join(
@@ -95,7 +102,6 @@ def record(build_id: str, result, ledger: InliningLedger, injector=None) -> dict
     )
     stats = result.stats
     return {
-        "id": build_id,
         "isoms": _digest(isoms),
         "report": _digest(str(report)),
         "pass_traces": _digest(repr(report.pass_traces)),
@@ -115,18 +121,58 @@ def record(build_id: str, result, ledger: InliningLedger, injector=None) -> dict
     }
 
 
-def _observed(toolchain: Toolchain, scope: str, config: HLOConfig,
-              injector=None) -> Callable[[], tuple]:
+def _observed(toolchain, scope: str, config, injector=None) -> Callable[[], dict]:
     def build():
+        from repro.obs import BuildObserver, InliningLedger
+
         ledger = InliningLedger()
         result = toolchain.build(scope, config, observer=BuildObserver(ledger=ledger))
-        return result, ledger, injector
+        return record(result, ledger, injector)
+
+    return build
+
+
+def _simulated(build: Callable[[], object], inputs, machine: str) -> Callable[[], dict]:
+    """A simulation of the program ``build()`` returns, on ``inputs``."""
+
+    def simulate():
+        from repro.interp.fuzz import PA8000_SMALL
+        from repro.machine import MachineConfig
+
+        config = MachineConfig(**PA8000_SMALL) if machine == "small" else MachineConfig()
+        metrics, result = build().run(inputs, machine=config)
+        row = {"behavior": _digest(repr(result.behavior())), "steps": result.steps}
+        row.update(vars(metrics))
+        return row
+
+    return simulate
+
+
+def _cp_build(sources, train, strategy: str) -> Callable[[], object]:
+    """The ``cp`` build at budget 400, made at its first use: the
+    simulations on each machine share it, whichever ``--only`` keeps."""
+    made = []
+
+    def build():
+        if not made:
+            from repro.core.config import HLOConfig
+            from repro.linker.toolchain import Toolchain
+
+            config = HLOConfig(strategy=strategy, budget_percent=400)
+            made.append(Toolchain(sources, train_inputs=train).build("cp", config))
+        return made[0]
 
     return build
 
 
 def builds(cache_root: str) -> Iterator[Build]:
     """Every build of the sweep, in a fixed order, made lazily."""
+    from repro.core.config import HLOConfig
+    from repro.linker.toolchain import Toolchain
+    from repro.resilience import FaultInjector
+    from repro.workloads.generator import generate_sources
+    from repro.workloads.suite import all_workloads, get_workload
+
     for workload in all_workloads():
         sources = list(workload.sources)
         train = [list(t) for t in workload.train_inputs]
@@ -191,10 +237,28 @@ def builds(cache_root: str) -> Iterator[Build]:
                 )
     for strategy in STRATEGIES:
         yield ("large/{}".format(strategy), _large(strategy))
+    simulated = [
+        (w.name, list(w.sources), [list(t) for t in w.train_inputs], list(w.ref_input))
+        for w in all_workloads()
+    ]
+    # Not "large/": ``--only large/`` keeps selecting the two builds.
+    simulated.append(("large-program", generate_sources(0, **LARGE_SHAPE), [[]], []))
+    for name, sources, train, inputs in simulated:
+        for strategy in STRATEGIES:
+            build = _cp_build(sources, train, strategy)
+            for machine in MACHINES:
+                yield (
+                    "sim/{}/{}/{}".format(name, strategy, machine),
+                    _simulated(build, inputs, machine),
+                )
 
 
-def _large(strategy: str) -> Callable[[], tuple]:
+def _large(strategy: str) -> Callable[[], dict]:
     def build():
+        from repro.core.config import HLOConfig
+        from repro.linker.toolchain import Toolchain
+        from repro.workloads.generator import generate_sources
+
         toolchain = Toolchain(generate_sources(0, **LARGE_SHAPE), train_inputs=[[]])
         return _observed(toolchain, "cp", HLOConfig(strategy=strategy))()
 
@@ -210,9 +274,8 @@ def write(path: str, only: Optional[str] = None) -> int:
             for build_id, build in builds(cache_root):
                 if only is not None and only not in build_id:
                     continue
-                result, ledger, injector = build()
-                handle.write(json.dumps(record(build_id, result, ledger, injector),
-                                        sort_keys=True) + "\n")
+                row = dict(id=build_id, **build())
+                handle.write(json.dumps(row, sort_keys=True) + "\n")
                 count += 1
     finally:
         shutil.rmtree(cache_root, ignore_errors=True)

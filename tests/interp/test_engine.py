@@ -1,6 +1,8 @@
 """The pre-decoded engine: selection, plan caching, capabilities, metrics."""
 
+import gc
 import pickle
+import weakref
 
 import pytest
 
@@ -9,6 +11,7 @@ from repro.interp import (
     DEFAULT_ENGINE,
     ENGINES,
     CountingSink,
+    EventSink,
     Interpreter,
     RecordingSink,
     run_program,
@@ -136,6 +139,26 @@ class TestPlanCache:
         assert disabled.plan_cache_hits == 2
 
 
+class TestLifetime:
+    def test_a_run_program_and_its_model_are_freed_by_reference_counting(self):
+        from repro.machine.pa8000 import PA8000Model
+
+        workload = get_workload("compress")
+        for with_model in (False, True):
+            gc.disable()
+            try:
+                program = workload.compile()
+                model = PA8000Model(program) if with_model else None
+                Interpreter(program, list(workload.ref_input), sink=model).run()
+                refs = [weakref.ref(program)]
+                if with_model:
+                    refs.append(weakref.ref(model))
+                del program, model
+                assert [ref() for ref in refs] == [None] * len(refs)
+            finally:
+                gc.enable()
+
+
 def _run_shard(item):
     """Worker body: run one input vector on a Program that arrived by pickle."""
     program, inputs = item
@@ -175,9 +198,8 @@ class TestPickling:
 
 
 class TestCapabilityNegotiation:
-    def test_counting_sink_batched_results_match(self):
+    def test_counting_sink_results_match(self):
         program = compile_program(COUNT_SRC)
-        assert CountingSink.batch_instr is True
         fast_sink, ref_sink = CountingSink(), CountingSink()
         run_program(program, sink=fast_sink, engine="fast")
         run_program(program, sink=ref_sink, engine="reference")
@@ -199,7 +221,8 @@ class TestCapabilityNegotiation:
 
         assert SamplingSink.needs_branch is False
         assert SamplingSink.needs_mem is False
-        assert SamplingSink.batch_instr is False  # exact sample placement
+        # One on_instr per fetch: exact sample placement.
+        assert SamplingSink.fetch_groups is EventSink.fetch_groups
 
     def test_pa8000_parity_across_engines(self):
         from repro.machine.pa8000 import simulate

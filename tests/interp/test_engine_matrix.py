@@ -3,7 +3,7 @@
 The differential suite pins the optimized engine against the
 reference with no sink and a recording sink; this file sweeps the full
 capability matrix CI's ``engine-matrix`` job runs — each engine in
-``ENGINES`` under no sink, :class:`CountingSink` (batched ``on_instr``),
+``ENGINES`` under no sink, :class:`CountingSink` (one hook per part),
 :class:`SamplingSink` (jittered sampling state, call/return exact), the
 runtime profiler, and the :class:`~repro.machine.pa8000.PA8000Model`
 (every callback live) on the default machine and on a small one —
@@ -90,12 +90,25 @@ class TestTrapMatrix:
     }
     """
 
+    # The division traps with two more instructions of its straight-line
+    # run, and then the return, still to go: none of them may be seen.
+    TRAP_MID_PART = """
+    int g;
+    int helper(int x) { int y = 100 / x; int z = y * 3; g = z + y; return z + 1; }
+    int main() {
+      int i = 3;
+      while (i > 0 - 2) { print_int(helper(i)); i = i - 1; }
+      return 0;
+    }
+    """
+
     def test_trap_mid_run(self, kind):
-        program = compile_program([("m", self.TRAP)])
-        want = observe(program, [], "reference", kind)
-        assert want[0][0] == "execerror"
-        for engine in OPTIMIZED_ENGINES:
-            assert observe(program, [], engine, kind) == want
+        for source in (self.TRAP, self.TRAP_MID_PART):
+            program = compile_program([("m", source)])
+            want = observe(program, [], "reference", kind)
+            assert want[0][0] == "execerror"
+            for engine in OPTIMIZED_ENGINES:
+                assert observe(program, [], engine, kind) == want
 
     def test_step_limit_mid_run(self, kind):
         program = compile_program([("m", self.TRAP)])
