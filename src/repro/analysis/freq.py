@@ -38,8 +38,16 @@ def static_block_freqs(proc: Procedure) -> Dict[str, float]:
     loop is estimated at entry frequency again rather than inheriting
     the loop's amplification.  This is intentionally a heuristic in the
     paper's spirit ("without such data it uses heuristics to guess at
-    the relative importance").
+    the relative importance").  The map is kept in the procedure's CFG
+    record, shared and read-only.
     """
+    facts = proc.cfg_facts()
+    if facts.static_freqs is None:
+        facts.static_freqs = _static_block_freqs(proc)
+    return facts.static_freqs
+
+
+def _static_block_freqs(proc: Procedure) -> Dict[str, float]:
     depths = loop_depths(proc)
     factors: Dict[str, float] = {}
     preds = proc.predecessors()
@@ -115,24 +123,26 @@ def entry_counts(
             counts[name] = float(total)
         return counts
 
-    rel_cache: Dict[str, Dict[str, float]] = {}
-
-    def rel(proc: Procedure, label: str) -> float:
-        if proc.name not in rel_cache:
-            rel_cache[proc.name] = static_block_freqs(proc)
-        return rel_cache[proc.name].get(label, 0.0)
-
+    # Each site's frequency relative to its caller's entry, read once.
+    edges = [
+        (
+            site.caller.name,
+            site.callee.name,
+            static_block_freqs(site.caller).get(site.block.label, 0.0),
+            site.category == "recursive",
+        )
+        for site in graph.sites
+        if site.callee is not None
+    ]
     for _ in range(MAX_PROPAGATION_ROUNDS):
         new_counts = {name: 0.0 for name in counts}
         if "main" in new_counts:
             new_counts["main"] = 1.0
-        for site in graph.sites:
-            if site.callee is None:
-                continue
-            weight = counts[site.caller.name] * rel(site.caller, site.block.label)
-            if site.category == "recursive":
+        for caller, callee, rel, recursive in edges:
+            weight = counts[caller] * rel
+            if recursive:
                 weight *= RECURSION_DAMPING
-            new_counts[site.callee.name] += weight
+            new_counts[callee] += weight
         delta = max(
             abs(new_counts[n] - counts[n]) for n in counts
         ) if counts else 0.0

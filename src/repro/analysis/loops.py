@@ -29,7 +29,36 @@ class Loop:
 
 
 def find_loops(proc: Procedure) -> List[Loop]:
-    """All natural loops, loops with a shared header merged."""
+    """All natural loops, loops with a shared header merged.
+
+    The list is kept in the procedure's CFG record, shared and
+    read-only: a caller that reorders it sorts a copy.
+    """
+    facts = proc.cfg_facts()
+    if facts.loops is None:
+        facts.loops = _find_loops(proc) if _may_loop(proc) else []
+    return facts.loops
+
+
+def _may_loop(proc: Procedure) -> bool:
+    """False when no reachable edge retreats in reverse postorder.
+
+    A natural loop needs a back edge, and a back edge's target
+    dominates its source, so it sits at or before the source in any
+    reverse postorder: without such an edge there is no loop, and no
+    need for the dominators.
+    """
+    position = {label: i for i, label in enumerate(proc.rpo_labels())}
+    blocks = proc.blocks
+    for label, index in position.items():
+        for succ in blocks[label].successors():
+            target = position.get(succ)
+            if target is not None and target <= index:
+                return True
+    return False
+
+
+def _find_loops(proc: Procedure) -> List[Loop]:
     idom = immediate_dominators(proc)
     preds = proc.predecessors()
     reachable = set(idom)

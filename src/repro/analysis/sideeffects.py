@@ -27,19 +27,10 @@ from ..ir.instructions import Call, ICall, Store
 from ..ir.procedure import Procedure
 from ..ir.program import Program
 from .callgraph import CallGraph
-from .dominators import dominates, immediate_dominators
+from .loops import find_loops
 
 # Builtins whose execution is unobservable (pure reads of run state).
 PURE_BUILTINS = frozenset(["input", "input_len", "abs", "va_arg", "va_count"])
-
-
-def _cfg_acyclic(proc: Procedure) -> bool:
-    idom = immediate_dominators(proc)
-    for label in idom:
-        for succ in proc.blocks[label].successors():
-            if succ in idom and dominates(idom, succ, label):
-                return False
-    return True
 
 
 def side_effect_free_procs(program: Program, graph: CallGraph) -> Set[str]:
@@ -71,5 +62,6 @@ def _proc_is_free(
                     return False
             elif callee not in PURE_BUILTINS:
                 return False
-    # Last: the only check that computes dominators.
-    return _cfg_acyclic(proc)
+    # Last: the only check that reads the CFG.  A back edge (one whose
+    # target dominates its source) is what makes a natural loop.
+    return not find_loops(proc)

@@ -8,8 +8,9 @@ Figure 8 sweep these knobs.
 
 Only values some caller sets are fields here.  Fixed heuristics are
 module constants next to their one reader: the benefit thresholds in
-``inliner`` and ``cloner``, the use-kind weights in ``cloner`` and the
-region-formation limits in ``regions``.
+``inliner`` and ``cloner``, the use-kind weights in ``cloner``, the
+region-formation limits in ``regions`` and the outlining thresholds in
+``outliner``.
 """
 
 from __future__ import annotations
@@ -56,8 +57,6 @@ class HLOConfig:
     # shrinking hot bodies and freeing quadratic budget for hot-path
     # inlining.  Off by default, as it was for the paper.
     enable_outlining: bool = False
-    outline_cold_ratio: float = 0.05
-    outline_min_block_size: int = 4
 
     # ------------------------------------------------------------------
     # Resilience (docs/resilience.md).  Every pass runs behind the

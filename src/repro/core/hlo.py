@@ -107,12 +107,7 @@ def run_hlo(
         from .outliner import outline_pass
 
         def run_outline() -> None:
-            outline_pass(
-                program,
-                report,
-                cold_ratio=config.outline_cold_ratio,
-                min_block_size=config.outline_min_block_size,
-            )
+            outline_pass(program, report)
 
         with obs.tracer.span("outline", cat="hlo"):
             guard.run_program_stage(program, "outline", run_outline, phase="input")
@@ -246,6 +241,10 @@ def run_hlo(
     report.analysis_misses = manager.misses
     report.analysis_invalidations = manager.invalidations
 
+    # The CFG records die with the run, so a built program that is kept
+    # holds none (docs/performance.md, "CFG facts").
+    for proc in program.all_procs():
+        proc.drop_cfg_facts()
     if verify:
         verify_program(program)
     return report

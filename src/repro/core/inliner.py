@@ -252,6 +252,8 @@ def perform_inline(
         on_promote=report.record_promotion,
     )
     block.instrs.append(Jump(landing))
+    # The split, the spliced blocks and this jump changed the CFG.
+    caller.drop_cfg_facts()
 
     if callee.name != caller.name:
         subtract_moved_counts(program, callee, ratio)

@@ -17,12 +17,12 @@ complement to inlining under HLO's quadratic budget:
 
 A block is outlinable when:
 
-- it is cold: annotated profile count is 0 (or below ``cold_ratio`` of
-  the procedure entry count), or — without profile data — its static
-  frequency estimate is below ``cold_ratio``;
-- it is big enough to be worth a call (``min_block_size``);
+- it is cold: annotated profile count is 0 (or at most ``COLD_RATIO``
+  of the procedure entry count), or — without profile data — its
+  static frequency estimate is below ``COLD_RATIO``;
+- it is big enough to be worth a call (``MIN_BLOCK_SIZE``);
 - it has at most one live-out register (our calls return one value);
-- its live-ins fit the parameter budget (``max_params``);
+- its live-ins fit the parameter budget (``MAX_PARAMS``);
 - it contains no ``alloca`` (outlining would change the allocation's
   frame and lifetime) and no probes;
 - the enclosing procedure is not varargs (``va_arg``/``va_count`` read
@@ -43,9 +43,10 @@ from ..ir.values import Reg
 from ..opt.dce import liveness
 from .report import HLOReport
 
-DEFAULT_COLD_RATIO = 0.05
-DEFAULT_MIN_BLOCK_SIZE = 4
-DEFAULT_MAX_PARAMS = 6
+# Read at call time, so a test can patch them to shape a scenario.
+COLD_RATIO = 0.05
+MIN_BLOCK_SIZE = 4
+MAX_PARAMS = 6
 
 
 class OutlineCandidate:
@@ -70,12 +71,7 @@ def _block_uses_and_defs(block: BasicBlock) -> Tuple[Set[str], Set[str]]:
     return uses, defs
 
 
-def find_outline_candidates(
-    proc: Procedure,
-    cold_ratio: float = DEFAULT_COLD_RATIO,
-    min_block_size: int = DEFAULT_MIN_BLOCK_SIZE,
-    max_params: int = DEFAULT_MAX_PARAMS,
-) -> List[OutlineCandidate]:
+def find_outline_candidates(proc: Procedure) -> List[OutlineCandidate]:
     """Cold, extractable blocks of one procedure."""
     if ATTR_VARARGS in proc.attrs or proc.entry is None:
         return []
@@ -93,9 +89,9 @@ def find_outline_candidates(
     for label, block in proc.blocks.items():
         if label == proc.entry or label not in reachable:
             continue
-        if len(block.instrs) < min_block_size:
+        if len(block.instrs) < MIN_BLOCK_SIZE:
             continue
-        if not _is_cold(block, entry_count, cold_ratio, static_freqs, label):
+        if not _is_cold(block, entry_count, static_freqs, label):
             continue
         if any(isinstance(i, (Alloca, Probe)) for i in block.instrs):
             continue
@@ -104,7 +100,7 @@ def find_outline_candidates(
             continue  # conditional exits would need a return code path
 
         uses, defs = _block_uses_and_defs(block)
-        if len(uses) > max_params:
+        if len(uses) > MAX_PARAMS:
             continue
         live_after = live_out_sets[label]
         escaping = sorted(defs & live_after)
@@ -123,15 +119,14 @@ def find_outline_candidates(
 def _is_cold(
     block: BasicBlock,
     entry_count: Optional[int],
-    cold_ratio: float,
     static_freqs: Optional[Dict[str, float]],
     label: str,
 ) -> bool:
     if entry_count is not None and entry_count > 0:
         count = block.profile_count or 0
-        return count <= entry_count * cold_ratio
+        return count <= entry_count * COLD_RATIO
     if static_freqs is not None:
-        return static_freqs.get(label, 1.0) < cold_ratio
+        return static_freqs.get(label, 1.0) < COLD_RATIO
     return False
 
 
@@ -209,22 +204,13 @@ def _fresh_outline_name(program: Program, base: str) -> str:
         counter += 1
 
 
-def outline_pass(
-    program: Program,
-    report: Optional[HLOReport] = None,
-    cold_ratio: float = DEFAULT_COLD_RATIO,
-    min_block_size: int = DEFAULT_MIN_BLOCK_SIZE,
-    max_params: int = DEFAULT_MAX_PARAMS,
-) -> int:
+def outline_pass(program: Program, report: Optional[HLOReport] = None) -> int:
     """Outline every qualifying cold block; returns the number extracted."""
     performed = 0
     for proc in list(program.all_procs()):
         if proc.name.count(".o"):  # do not re-outline outlined bodies
             continue
-        candidates = find_outline_candidates(
-            proc, cold_ratio, min_block_size, max_params
-        )
-        for candidate in candidates:
+        for candidate in find_outline_candidates(proc):
             outline_block(program, candidate, report)
             performed += 1
     return performed

@@ -135,7 +135,9 @@ def splice_body(
 
     Returns the label of the landing block (parameter binding followed
     by a jump into the copied entry).  The caller must already have
-    been split so that ``continue_label`` receives the returns.
+    been split so that ``continue_label`` receives the returns.  Its
+    CFG facts are dropped by the code that jumps to the landing block
+    (``perform_inline``), after this function's writes.
     """
     from ..ir.instructions import Jump, Mov, Ret
 

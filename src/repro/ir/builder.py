@@ -181,11 +181,13 @@ class IRBuilder:
 
     def jump(self, target: BasicBlock) -> None:
         self.block.append(Jump(target.label))
+        self.proc.drop_cfg_facts()
 
     def branch(
         self, cond: ConstLike, then_block: BasicBlock, else_block: BasicBlock
     ) -> None:
         self.block.append(Branch(self._op(cond), then_block.label, else_block.label))
+        self.proc.drop_cfg_facts()
 
     def ret(self, value: Optional[ConstLike] = None) -> None:
         self.block.append(Ret(self._op(value) if value is not None else None))

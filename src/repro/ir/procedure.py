@@ -33,6 +33,28 @@ KNOWN_ATTRS = frozenset(
 )
 
 
+class CFGFacts:
+    """What a procedure's CFG alone determines, each computed on first read.
+
+    The CFG is the block labels, each block's terminator targets and
+    the entry.  Each field stays ``None`` until its reader fills it:
+    :meth:`Procedure.predecessors`, :meth:`~Procedure.rpo_labels` and
+    :meth:`~Procedure.reachable_labels`; ``analysis.loops.find_loops``
+    (whose dominator tree has no other reader, so it is not kept);
+    ``analysis.freq.static_block_freqs``.  Every caller gets the same
+    objects, so no caller may change them.
+    """
+
+    __slots__ = ("preds", "rpo", "reachable", "loops", "static_freqs")
+
+    def __init__(self) -> None:
+        self.preds: Optional[Dict[str, List[str]]] = None
+        self.rpo: Optional[List[str]] = None
+        self.reachable: Optional[Set[str]] = None
+        self.loops: Optional[list] = None  # of analysis.loops.Loop
+        self.static_freqs: Optional[Dict[str, float]] = None
+
+
 class Procedure:
     """One procedure: an ordered mapping of labelled basic blocks."""
 
@@ -65,6 +87,10 @@ class Procedure:
         # out the same names again.
         self._reg_counter = 0
         self._label_counter = 0
+        # The facts read since the CFG last changed (CFGFacts), or None;
+        # every write to the block list, the entry or a terminator
+        # drops them (drop_cfg_facts).
+        self._cfg_facts: Optional[CFGFacts] = None
 
     # ------------------------------------------------------------------
     # Structure
@@ -86,6 +112,7 @@ class Procedure:
         self.blocks[block.label] = block
         if entry or self.entry is None:
             self.entry = block.label
+        self.drop_cfg_facts()
         return block
 
     def new_block(self, hint: str = "b") -> BasicBlock:
@@ -95,6 +122,20 @@ class Procedure:
         if label == self.entry:
             raise ValueError("cannot remove entry block {}".format(label))
         del self.blocks[label]
+        self.drop_cfg_facts()
+
+    def cfg_facts(self) -> CFGFacts:
+        """The record of facts computed on the current CFG (read-only)."""
+        facts = self._cfg_facts
+        if facts is None:
+            facts = self._cfg_facts = CFGFacts()
+        return facts
+
+    def drop_cfg_facts(self) -> None:
+        """Forget every CFG fact: the block list, the entry or a
+        terminator changed.  A site that writes them directly calls
+        this once its writes are done, before the next read."""
+        self._cfg_facts = None
 
     def entry_block(self) -> BasicBlock:
         if self.entry is None:
@@ -160,28 +201,27 @@ class Procedure:
         ]
 
     def predecessors(self) -> Dict[str, List[str]]:
-        preds: Dict[str, List[str]] = {label: [] for label in self.blocks}
-        for label, block in self.blocks.items():
-            for succ in block.successors():
-                if succ in preds:
-                    preds[succ].append(label)
-        return preds
+        facts = self.cfg_facts()
+        if facts.preds is None:
+            preds: Dict[str, List[str]] = {label: [] for label in self.blocks}
+            for label, block in self.blocks.items():
+                for succ in block.successors():
+                    if succ in preds:
+                        preds[succ].append(label)
+            facts.preds = preds
+        return facts.preds
 
     def reachable_labels(self) -> Set[str]:
-        if self.entry is None:
-            return set()
-        seen: Set[str] = set()
-        work = [self.entry]
-        while work:
-            label = work.pop()
-            if label in seen or label not in self.blocks:
-                continue
-            seen.add(label)
-            work.extend(self.blocks[label].successors())
-        return seen
+        facts = self.cfg_facts()
+        if facts.reachable is None:
+            facts.reachable = set(self.rpo_labels())
+        return facts.reachable
 
     def rpo_labels(self) -> List[str]:
         """Reachable block labels in reverse postorder from the entry."""
+        facts = self.cfg_facts()
+        if facts.rpo is not None:
+            return facts.rpo
         seen: Set[str] = set()
         order: List[str] = []
 
@@ -201,9 +241,10 @@ class Procedure:
                     order.append(cur)
                     stack.pop()
 
-        if self.entry is not None:
+        if self.entry in self.blocks:  # an entry naming no block reaches nothing
             visit(self.entry)
         order.reverse()
+        facts.rpo = order
         return order
 
     @property

@@ -28,9 +28,9 @@ class CodeLayout:
             for proc in mod.procs.values():
                 self.proc_addrs[proc.name] = addr
                 # Entry block first, then remaining blocks in RPO.
-                ordered = proc.rpo_labels()
-                seen = set(ordered)
-                ordered += [l for l in proc.blocks if l not in seen]
+                rpo = proc.rpo_labels()
+                seen = set(rpo)
+                ordered = rpo + [l for l in proc.blocks if l not in seen]
                 for label in ordered:
                     self.block_addrs[(proc.name, label)] = addr
                     addr += len(proc.blocks[label]) * INSTR_BYTES

@@ -164,6 +164,7 @@ def constant_propagation(program: Program, proc: Procedure) -> bool:
                 target = instr.then_target if instr.cond.value else instr.else_target
                 instr = Jump(target)
                 rewritten = True
+                proc.drop_cfg_facts()
             elif cls is ICall and isinstance(instr.func, FuncRef):
                 # Devirtualization: a constant code pointer reached the
                 # function position (Section 3.1's staged optimization).

@@ -25,6 +25,7 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Set, Tuple
 
 from ..analysis.loops import Loop, find_loops
+from ..ir.basicblock import BasicBlock
 from ..ir.instructions import BinOp, Instr, Jump, Mov, UnOp
 from ..ir.procedure import Procedure
 from ..ir.program import Program
@@ -68,49 +69,32 @@ def _ensure_preheader(proc: Procedure, loop: Loop) -> Optional[str]:
         term = block.terminator
         if isinstance(term, Jump):
             return outside[0]
-    preheader = proc.new_block("preheader")
-    preheader.append(Jump(loop.header))
-    # Executes once per loop entry; leave its count unmeasured rather
-    # than inheriting the header's per-iteration count.
-    mapping = {loop.header: preheader.label}
+    # Retarget first: adding the block then drops the CFG facts after
+    # every write.
+    preheader = proc.new_label("preheader")
+    mapping = {loop.header: preheader}
     for label in outside:
         proc.blocks[label].terminator.retarget(mapping)
-    return preheader.label
+    # Executes once per loop entry; leave its count unmeasured rather
+    # than inheriting the header's per-iteration count.
+    proc.add_block(BasicBlock(preheader, [Jump(loop.header)]))
+    return preheader
 
 
 def licm(program: Program, proc: Procedure) -> bool:
     """Hoist invariants out of every natural loop; True when IR changed."""
-    if not _may_loop(proc):
-        return False
     loops = find_loops(proc)
     if not loops:
         return False
     # Inner loops first (smaller bodies), so invariants can percolate
-    # outward across repeated pipeline iterations.
-    loops.sort(key=lambda l: len(l.body))
+    # outward across repeated pipeline iterations.  A sorted copy: the
+    # list find_loops returns is shared.
+    loops = sorted(loops, key=lambda l: len(l.body))
     changed = False
     for loop in loops:
         if _hoist_from_loop(proc, loop):
             changed = True
     return changed
-
-
-def _may_loop(proc: Procedure) -> bool:
-    """False when no reachable edge retreats in reverse postorder.
-
-    A natural loop needs a back edge, and a back edge's target
-    dominates its source, so it sits at or before the source in any
-    reverse postorder: without such an edge there is no loop, and no
-    need for the dominators ``find_loops`` computes.
-    """
-    position = {label: i for i, label in enumerate(proc.rpo_labels())}
-    blocks = proc.blocks
-    for label, index in position.items():
-        for succ in blocks[label].successors():
-            target = position.get(succ)
-            if target is not None and target <= index:
-                return True
-    return False
 
 
 def _hoist_from_loop(proc: Procedure, loop: Loop) -> bool:

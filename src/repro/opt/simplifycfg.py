@@ -73,6 +73,10 @@ def _one_round(proc: Procedure) -> bool:
                 # Keep the entry block itself; only its jump threads.
                 pass
 
+    if changed:
+        # The folds and the threading rewrote terminators.
+        proc.drop_cfg_facts()
+
     # Remove unreachable blocks.
     reachable = proc.reachable_labels()
     for label in [l for l in proc.blocks if l not in reachable]:

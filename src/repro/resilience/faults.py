@@ -151,6 +151,7 @@ class FaultInjector:
             block = blocks[self.rng.randrange(len(blocks))]
             bogus = "__injected_missing_{}".format(self.rng.randrange(1 << 16))
             block.instrs[-1] = Jump(bogus)
+            proc.drop_cfg_facts()
             self.injected.append("corrupt:{}:{}".format(name, proc.name))
             return True
 

@@ -70,6 +70,7 @@ class ProcedureSnapshot:
         proc.attrs = set(self._attrs)
         proc.entry = self._entry
         proc.blocks = _copy_blocks(self._blocks)
+        proc.drop_cfg_facts()
         proc.at_fixed_point = self._at_fixed_point
         proc._reg_counter, proc._label_counter = self._counters
 

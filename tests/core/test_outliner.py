@@ -1,8 +1,15 @@
-"""Aggressive outlining (the paper's Section 5 extension)."""
+"""Aggressive outlining (the paper's Section 5 extension).
+
+Tests that need other thresholds patch ``outliner``'s module constants,
+which the pass reads at call time.
+"""
+
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.core import outliner
 from repro.core import (
     HLOConfig,
     HLOReport,
@@ -76,27 +83,28 @@ class TestCandidates:
         body_labels = {l for l in program.proc("main").blocks if "body" in l}
         assert not (hot_labels & body_labels)
 
-    def test_static_coldness_without_profile(self):
+    def test_static_coldness_without_profile(self, monkeypatch):
+        monkeypatch.setattr(outliner, "COLD_RATIO", 0.6)
         program = compile_program(COLDPATH)
-        candidates = find_outline_candidates(
-            program.proc("process"), cold_ratio=0.6
-        )
+        candidates = find_outline_candidates(program.proc("process"))
         assert candidates  # the branch arm is statically colder than entry
 
-    def test_min_size_respected(self):
+    def test_min_size_respected(self, monkeypatch):
+        monkeypatch.setattr(outliner, "MIN_BLOCK_SIZE", 10_000)
         program = trained_program()
-        candidates = find_outline_candidates(
-            program.proc("process"), min_block_size=10_000
-        )
+        candidates = find_outline_candidates(program.proc("process"))
         assert candidates == []
 
-    def test_entry_never_outlined(self):
+    def test_entry_never_outlined(self, monkeypatch):
+        monkeypatch.setattr(outliner, "COLD_RATIO", 1.0)
+        monkeypatch.setattr(outliner, "MIN_BLOCK_SIZE", 0)
         program = trained_program()
         for proc in program.all_procs():
-            for c in find_outline_candidates(proc, cold_ratio=1.0, min_block_size=0):
+            for c in find_outline_candidates(proc):
                 assert c.label != proc.entry
 
-    def test_varargs_procs_skipped(self):
+    def test_varargs_procs_skipped(self, monkeypatch):
+        monkeypatch.setattr(outliner, "COLD_RATIO", 1.0)
         program = compile_program(
             [
                 (
@@ -115,9 +123,11 @@ class TestCandidates:
                 )
             ]
         )
-        assert find_outline_candidates(program.proc("v"), cold_ratio=1.0) == []
+        assert find_outline_candidates(program.proc("v")) == []
 
-    def test_alloca_blocks_skipped(self):
+    def test_alloca_blocks_skipped(self, monkeypatch):
+        monkeypatch.setattr(outliner, "COLD_RATIO", 1.0)
+        monkeypatch.setattr(outliner, "MIN_BLOCK_SIZE", 0)
         program = compile_program(
             [
                 (
@@ -138,7 +148,7 @@ class TestCandidates:
         )
         # The alloca is hoisted to the entry (never a candidate), and the
         # cold arm itself has no alloca, so this just documents the rule:
-        for c in find_outline_candidates(program.proc("f"), cold_ratio=1.0, min_block_size=0):
+        for c in find_outline_candidates(program.proc("f")):
             block = program.proc("f").blocks[c.label]
             from repro.ir import Alloca
 
@@ -156,7 +166,8 @@ class TestTransform:
         verify_program(program)
         assert run_program(program).behavior() == reference
 
-    def test_cold_path_still_works_when_taken(self):
+    def test_cold_path_still_works_when_taken(self, monkeypatch):
+        monkeypatch.setattr(outliner, "COLD_RATIO", 0.6)
         sources = [
             (
                 "m",
@@ -181,7 +192,7 @@ class TestTransform:
         program = compile_program(sources)
         cold_ref = run_program(program, [-5]).behavior()
         hot_ref = run_program(program, [5]).behavior()
-        outline_pass(program, HLOReport(), cold_ratio=0.6)
+        outline_pass(program, HLOReport())
         verify_program(program)
         assert run_program(program, [-5]).behavior() == cold_ref
         assert run_program(program, [5]).behavior() == hot_ref
@@ -224,11 +235,9 @@ class TestHLOIntegration:
         sources = generate_sources(seed)
         reference = run_program(compile_program(sources), max_steps=500_000)
         program = compile_program(sources)
-        run_hlo(
-            program,
-            HLOConfig(budget_percent=400, enable_outlining=True,
-                      outline_cold_ratio=0.6, outline_min_block_size=2),
-        )
+        with mock.patch.object(outliner, "COLD_RATIO", 0.6), \
+                mock.patch.object(outliner, "MIN_BLOCK_SIZE", 2):
+            run_hlo(program, HLOConfig(budget_percent=400, enable_outlining=True))
         verify_program(program)
         result = run_program(program, max_steps=3_000_000)
         assert result.behavior() == reference.behavior()

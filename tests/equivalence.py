@@ -10,7 +10,8 @@ before it and on the tree after it, then compares the two files::
 ``--compare`` prints each build's differing fields and exits 1 when
 any field differs or a build is missing from one side.  It only reads
 the two files, so it needs no ``PYTHONPATH``.  ``--only TEXT`` keeps the
-builds whose id contains ``TEXT``.
+builds whose id starts with ``TEXT``: ``--only sim/`` keeps the
+simulations, and ``--only gen/1/`` the two builds of generator seed 1.
 
 Each output line is one build: its id, and digests of every isom,
 ``str(HLOReport)``, the pass traces, the transform events, the inlining
@@ -241,7 +242,6 @@ def builds(cache_root: str) -> Iterator[Build]:
         (w.name, list(w.sources), [list(t) for t in w.train_inputs], list(w.ref_input))
         for w in all_workloads()
     ]
-    # Not "large/": ``--only large/`` keeps selecting the two builds.
     simulated.append(("large-program", generate_sources(0, **LARGE_SHAPE), [[]], []))
     for name, sources, train, inputs in simulated:
         for strategy in STRATEGIES:
@@ -266,13 +266,13 @@ def _large(strategy: str) -> Callable[[], dict]:
 
 
 def write(path: str, only: Optional[str] = None) -> int:
-    """Run the sweep (or the builds whose id contains ``only``) into ``path``."""
+    """Run the sweep (or the builds whose id starts with ``only``) into ``path``."""
     cache_root = tempfile.mkdtemp(prefix="equivalence-")
     count = 0
     try:
         with open(path, "w") as handle:
             for build_id, build in builds(cache_root):
-                if only is not None and only not in build_id:
+                if only is not None and not build_id.startswith(only):
                     continue
                 row = dict(id=build_id, **build())
                 handle.write(json.dumps(row, sort_keys=True) + "\n")
@@ -315,7 +315,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     group.add_argument("--out", help="write one JSON line per build to this file")
     group.add_argument("--compare", nargs=2, metavar=("A", "B"),
                        help="compare two files written by --out")
-    parser.add_argument("--only", help="keep the builds whose id contains this text")
+    parser.add_argument("--only", help="keep the builds whose id starts with this text")
     args = parser.parse_args(argv)
     if args.compare:
         return compare(*args.compare)

@@ -7,7 +7,7 @@ the unit-test program sizes: ~60 procedures over six modules, through
 the PGO pipeline, HLO at suite budget, and the machine model.
 """
 
-from repro.core import HLOConfig, run_hlo
+from repro.core import HLOConfig, outliner, run_hlo
 from repro.core.budget import program_cost
 from repro.frontend import compile_program
 from repro.interp import run_program
@@ -53,11 +53,12 @@ class TestScale:
         assert result.behavior() == reference.behavior()
         assert metrics.cycles > 0
 
-    def test_large_program_outlining_and_variants(self):
+    def test_large_program_outlining_and_variants(self, monkeypatch):
+        monkeypatch.setattr(outliner, "COLD_RATIO", 0.5)
+        monkeypatch.setattr(outliner, "MIN_BLOCK_SIZE", 3)
         sources = build_large()
         reference = run_program(compile_program(sources), max_steps=2_000_000)
-        base = HLOConfig(budget_percent=200, enable_outlining=True,
-                         outline_cold_ratio=0.5, outline_min_block_size=3)
+        base = HLOConfig(budget_percent=200, enable_outlining=True)
         for cfg in (base, base.inline_only(), base.clone_only()):
             program = compile_program(sources)
             run_hlo(program, cfg)

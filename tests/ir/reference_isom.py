@@ -286,9 +286,9 @@ def print_proc(proc: Procedure) -> str:
             proc.name, params, proc.ret_type, proc.linkage, attrs
         )
     ]
-    ordered = proc.rpo_labels()
-    seen = set(ordered)
-    ordered += [label for label in proc.blocks if label not in seen]
+    rpo = proc.rpo_labels()
+    seen = set(rpo)
+    ordered = rpo + [label for label in proc.blocks if label not in seen]
     for label in ordered:
         block = proc.blocks[label]
         count = ""

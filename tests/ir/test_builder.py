@@ -82,6 +82,17 @@ class TestBuilder:
         assert run_program(program, [5]).exit_code == 1
         assert run_program(program, [50]).exit_code == 2
 
+    def test_a_cfg_read_mid_build_sees_each_new_edge(self):
+        b = IRBuilder(Module("m"), "main")
+        yes, no = b.new_block("yes"), b.new_block("no")
+        assert b.proc.rpo_labels() == ["entry"]
+        b.branch(1, yes, no)
+        assert b.proc.rpo_labels() == ["entry", no.label, yes.label]
+        b.set_block(yes)
+        assert b.proc.predecessors()[no.label] == ["entry"]
+        b.jump(no)
+        assert b.proc.predecessors()[no.label] == ["entry", yes.label]
+
     def test_duplicate_proc_name_rejected(self):
         mod = Module("m")
         IRBuilder(mod, "f").ret(0)

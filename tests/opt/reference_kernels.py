@@ -8,11 +8,14 @@ every time:
 - :func:`local_cse` scans both tables for every definition it kills;
 - :func:`licm` computes dominators and loops for every procedure;
 - :func:`eliminate_dead_calls` computes liveness in every procedure,
-  with :func:`side_effect_free_procs` proving acyclicity before it
-  looks at instructions.
+  with :func:`side_effect_free_procs` proving acyclicity, by its own
+  back-edge scan, before it looks at instructions.
 
 Apart from their imports (LICM's hoisting step is the production one,
-which did not change), this module is the old code.
+which did not change; its loop search is the production one without
+the check for a retreating edge that spares a loop-free procedure its
+dominators) and LICM sorting its own list of loops, this module is the
+old code.
 """
 
 from __future__ import annotations
@@ -20,8 +23,9 @@ from __future__ import annotations
 from typing import Dict, Optional, Set, Tuple
 
 from repro.analysis.callgraph import CallGraph
-from repro.analysis.loops import find_loops
-from repro.analysis.sideeffects import PURE_BUILTINS, _cfg_acyclic
+from repro.analysis.dominators import dominates, immediate_dominators
+from repro.analysis.loops import _find_loops
+from repro.analysis.sideeffects import PURE_BUILTINS
 from repro.ir.instructions import BinOp, Call, ICall, Load, Mov, Store, UnOp
 from repro.ir.ops import COMMUTATIVE_OPS
 from repro.ir.procedure import Procedure
@@ -118,15 +122,24 @@ def local_cse(program: Program, proc: Procedure) -> bool:
 
 def licm(program: Program, proc: Procedure) -> bool:
     """Hoist invariants out of every natural loop; True when IR changed."""
-    loops = find_loops(proc)
+    loops = _find_loops(proc)
     if not loops:
         return False
-    loops.sort(key=lambda l: len(l.body))
+    loops = sorted(loops, key=lambda l: len(l.body))
     changed = False
     for loop in loops:
         if _hoist_from_loop(proc, loop):
             changed = True
     return changed
+
+
+def _cfg_acyclic(proc: Procedure) -> bool:
+    idom = immediate_dominators(proc)
+    for label in idom:
+        for succ in proc.blocks[label].successors():
+            if succ in idom and dominates(idom, succ, label):
+                return False
+    return True
 
 
 def side_effect_free_procs(program: Program, graph: CallGraph) -> Set[str]:

@@ -62,3 +62,21 @@ def test_a_simulation_line_holds_every_machine_metric(tmp_path):
         assert fields <= set(row)
     assert rows[0]["steps"] == rows[1]["steps"]
     assert rows[0]["cycles"] != rows[1]["cycles"]
+
+
+def test_only_keeps_the_builds_whose_id_starts_with_the_text(tmp_path, monkeypatch):
+    ids = [
+        "suite/m88ksim/global/b400/cp",
+        "fault-ladder/m88ksim/crash-dce/global",
+        "sim/m88ksim/global/default",
+        "sim/large-program/demand/small",
+    ]
+    monkeypatch.setattr(
+        equivalence, "builds",
+        lambda cache_root: ((build_id, dict) for build_id in ids),
+    )
+    out = tmp_path / "builds.jsonl"
+    assert equivalence.write(str(out), only="sim/") == 2
+    rows = [json.loads(line) for line in out.read_text().splitlines()]
+    assert [row["id"] for row in rows] == ids[2:]
+    assert equivalence.write(str(out), only="m88ksim/") == 0
