@@ -18,15 +18,19 @@ of bound Python closures with all of that decoding done ahead of time
 - block successors are pre-linked to plan blocks, so the label->block
   dict lookup leaves the inner loop entirely,
 - sink capability flags (:class:`~repro.interp.events.EventSink`) are
-  burned into the compiled closures: modes that need no callback carry
-  no callback code at all, and a sink that needs ``on_instr`` compiles
-  its per-instruction work into the plan as one hook per *fetch group*
-  (``EventSink.fetch_groups``), each run just before its group's last
-  instruction.
+  burned into the compiled closures: modes that need no event carry no
+  event code at all, and every event a sink needs is one append of a
+  token the sink compiled with the plan onto the run's *tape*, which
+  the sink consumes in order through ``drain`` (see
+  :mod:`repro.interp.events`, "Tokens and the tape").  The parts make
+  no call into the sink; they reach the tape through the run state, so
+  a plan holds nothing of a sink or of a run.  The engine drains the
+  tape when it passes :data:`TAPE_BOUND`, before it calls ``on_instr``
+  directly, and before the run returns or raises.
 
 Plans are cached on the :class:`~repro.ir.Program` (keyed by procedure
-name and sink-capability mode, which names the fetch groups) and
-validated against a procedure fingerprint on every run, so repeated
+name and sink-capability mode, which names the sink's token methods)
+and validated against a procedure fingerprint on every run, so repeated
 train/eval runs over an unchanged build reuse decoded code while
 transforms transparently invalidate it.
 
@@ -35,8 +39,9 @@ messages and positions, and ``Interpreter.steps`` after a trap — is
 kept identical to the reference engine and is asserted by the
 differential harness (:mod:`repro.interp.diff`).  A fused part counts
 its whole segment up front; when an op in it traps, the part resets the
-count to end at that op, and delivers the ``on_instr`` events no hook
-has covered, before the trap propagates.
+count to end at that op, and delivers the ``on_instr`` events of the
+fetches whose group token is not on the tape yet, before the trap
+propagates.
 """
 
 from __future__ import annotations
@@ -64,6 +69,7 @@ from ..ir.printer import print_proc
 from ..ir.procedure import ATTR_VARARGS, Procedure
 from ..ir.values import FuncRef, GlobalRef, Imm, Reg
 from .errors import ExecError, StepLimitExceeded
+from .events import TOKEN_METHODS
 from .memory import CodePtr
 
 # interpreter.py never imports this module at top level (the fast path
@@ -89,6 +95,14 @@ _MISS = object()
 # an allocation per call.
 _NO_VARARGS: List[Any] = []
 
+#: The tape is drained when it holds more than this many tokens, checked
+#: where a part ends in a branch, jump or call: every loop passes one,
+#: so a run holds at most this many plus one part's tokens.  Returns are
+#: not checked; a run of them is bounded by the frame stack.
+TAPE_BOUND = 4096
+
+_NO_SINK = (None, False, False, False, False, False)
+
 
 def _fingerprint(proc: Procedure) -> str:
     """Content hash of a procedure's printed form (plan invalidation)."""
@@ -97,20 +111,43 @@ def _fingerprint(proc: Procedure) -> str:
 
 def sink_mode(sink) -> tuple:
     """The capability mode tuple a plan is specialized (and keyed) on:
-    ``(groups, branch, call, ret, mem)``.  ``groups`` is None for a sink
-    that takes no ``on_instr`` events, else what its fetch-group hooks
-    are compiled from: the class's ``fetch_groups`` and the sink's
-    ``fetch_key``."""
+    ``(tokens, instr, branch, call, ret, mem)``.  ``tokens`` is what the
+    sink's tokens are compiled from, the class's token methods and the
+    sink's ``token_key``; None when the sink compiles none (it takes no
+    event, or only data accesses, whose tokens are addresses)."""
     if sink is None:
-        return (None, False, False, False, False)
-    groups = (type(sink).fetch_groups, sink.fetch_key) if sink.needs_instr else None
-    return (
-        groups,
+        return _NO_SINK
+    needs = (
+        bool(sink.needs_instr),
         bool(sink.needs_branch),
         bool(sink.needs_call),
         bool(sink.needs_return),
-        bool(sink.needs_mem),
     )
+    if not any(needs):
+        return (None,) + needs + (bool(sink.needs_mem),)
+    cls = type(sink)
+    tokens = tuple(getattr(cls, name) for name in TOKEN_METHODS) + (sink.token_key,)
+    return (tokens,) + needs + (bool(sink.needs_mem),)
+
+
+def _drain(st) -> None:
+    """Deliver the run's tape to its sink, in order, and empty it."""
+    tape = st.tape
+    try:
+        st.sink.drain(tape)
+    finally:
+        tape.clear()
+
+
+def _putter(token):
+    """A plan op that appends ``token`` to the tape: the token of a
+    fetch group that ends inside a segment, run just before the group's
+    last instruction."""
+
+    def put(st, regs, _t=token):
+        st.tape.append(_t)
+
+    return put
 
 
 def _unset(name: str, procname: str) -> None:
@@ -294,12 +331,16 @@ class ExecPlan:
         "pad",
         "fingerprint",
         "mode",
+        "rtok",
     )
 
     def __init__(self, proc: Procedure, mode, fingerprint: str):
         self.proc = proc
         self.mode = mode
         self.fingerprint = fingerprint
+        # The sink's resume token: what a return into this procedure
+        # appends after the returning procedure's token (None: nothing).
+        self.rtok = None
         self.blocks: Dict[str, PlanBlock] = {}
         self.entry: Optional[PlanBlock] = None
         self.nslots = 0
@@ -402,7 +443,9 @@ def _replay(st, frame, ops, events, fire_instr):
     """Exact per-instruction execution of a segment whose batched step
     check found the limit inside it.  Mirrors the reference loop: bump,
     check, (on_instr), execute — so the raise position and the event
-    stream are identical to ``engine="reference"``."""
+    stream are identical to ``engine="reference"``.  The ops are the
+    segment's own, which append only their data accesses, so each
+    direct ``on_instr`` call first drains what came before it."""
     regs = frame.regs
     steps = st.steps
     max_steps = st.max_steps
@@ -420,6 +463,8 @@ def _replay(st, frame, ops, events, fire_instr):
                     ev[2],
                 )
             if fire_instr:
+                if st.tape:
+                    _drain(st)
                 sink.on_instr(ev[0], ev[1], ev[2], ev[3])
             op(st, regs)
             i += 1
@@ -435,15 +480,17 @@ def _trapped(st, ns, trap, op):
 
     The part counted ``ns`` up front, through its last instruction.
     Like the reference loop, count through the faulting op and no
-    further, and deliver ``on_instr`` for the fetches no hook has
-    covered: those of the faulting op's group, from its first through
-    the faulting one, when the group's hook had not run yet.  Each op
-    is its own closure, so ``trap`` (see ``_seg_bundle``) finds the one
-    that raised; hooks never raise.
+    further, and deliver ``on_instr`` for the fetches whose group token
+    is not on the tape: those of the faulting op's group, from its
+    first through the faulting one, when the group's token had not been
+    appended yet.  Each op is its own closure, so ``trap`` (see
+    ``_seg_bundle``) finds the one that raised; a token is appended
+    before anything in its op can raise.
     """
     after, late = trap[op]
     st.steps = ns - after
     if late:
+        _drain(st)
         on_instr = st.sink.on_instr
         for e in late:
             on_instr(e[0], e[1], e[2], e[3])
@@ -473,16 +520,25 @@ class _PlanCompiler:
         self.proc = proc
         self.procname = proc.name
         self.mode = mode
-        groups, self.f_branch, self.f_call, self.f_ret, self.f_mem = mode
-        self.f_instr = groups is not None
-        # The sink whose fetch_groups compiles the hooks.  Only the
-        # compiler holds it: a hook reaches the sink of a run through
-        # ``st.sink``, so plans never keep a sink alive.
-        self.groups_sink = sink if self.f_instr else None
+        tokens, self.f_instr, self.f_branch, self.f_call, self.f_ret, self.f_mem = mode
+        # The sink that compiles the tokens.  Only the compiler holds
+        # it: a part reaches the tape of a run through ``st.tape``, so
+        # plans never keep a sink, or a tape, alive.
+        self.sink = sink if tokens is not None else None
         self.global_addrs = global_addrs
         self.plan = ExecPlan(proc, mode, fingerprint)
+        if self.f_ret:
+            self.plan.rtok = sink.resume_token(proc)
         self.slots: Dict[str, int] = {}
         self.missing: Dict[str, PlanBlock] = {}
+
+    def _join(self, first, second):
+        """One token for ``first`` then ``second``; either may be None."""
+        if first is None:
+            return second
+        if second is None:
+            return first
+        return self.sink.join(first, second)
 
     # -- operand resolution --------------------------------------------
 
@@ -564,6 +620,7 @@ class _PlanCompiler:
     # -- micro-ops (segment instructions) ------------------------------
 
     def _compile_micro(self, instr, label, idx):
+        """The op of one segment instruction."""
         cls = instr.__class__
         pn = self.procname
         try:
@@ -611,21 +668,7 @@ class _PlanCompiler:
             if cls is Load:
                 d = self.slots[instr.dest.name]
                 s, c, n = self._rop(instr.addr)
-                if self.f_mem:
-
-                    def mo(st, regs, _d=d, _s=s, _c=c):
-                        a = regs[_s] if _s >= 0 else _c
-                        if a is _UNSET:
-                            _unset(n, pn)
-                        mem = st.memory
-                        if type(a) is int and a >= 0:
-                            v = mem.cells.get(a, 0)
-                        else:
-                            v = mem._load_slow(a)
-                        st.sink.on_mem(a, False)
-                        regs[_d] = v
-
-                else:
+                if not self.f_mem:
 
                     def mo(st, regs, _d=d, _s=s, _c=c):
                         a = regs[_s] if _s >= 0 else _c
@@ -637,27 +680,55 @@ class _PlanCompiler:
                         else:
                             regs[_d] = mem._load_slow(a)
 
+                else:
+
+                    def mo(st, regs, _d=d, _s=s, _c=c):
+                        a = regs[_s] if _s >= 0 else _c
+                        if a is _UNSET:
+                            _unset(n, pn)
+                        mem = st.memory
+                        if type(a) is int and a >= 0:
+                            v = mem.cells.get(a, 0)
+                        else:
+                            v = mem._load_slow(a)
+                        st.tape.append(a)
+                        regs[_d] = v
+
                 return mo
 
             if cls is Store:
                 sa, ca, na = self._rop(instr.addr)
                 sv, cv, nv = self._rop(instr.value)
-                fire_mem = self.f_mem
+                if not self.f_mem:
 
-                def mo(st, regs, _sa=sa, _ca=ca, _sv=sv, _cv=cv):
-                    a = regs[_sa] if _sa >= 0 else _ca
-                    if a is _UNSET:
-                        _unset(na, pn)
-                    v = regs[_sv] if _sv >= 0 else _cv
-                    if v is _UNSET:
-                        _unset(nv, pn)
-                    mem = st.memory
-                    if type(a) is int and a >= 0:
-                        mem.cells[a] = v
-                    else:
-                        mem._store_slow(a, v)
-                    if fire_mem:
-                        st.sink.on_mem(a, True)
+                    def mo(st, regs, _sa=sa, _ca=ca, _sv=sv, _cv=cv):
+                        a = regs[_sa] if _sa >= 0 else _ca
+                        if a is _UNSET:
+                            _unset(na, pn)
+                        v = regs[_sv] if _sv >= 0 else _cv
+                        if v is _UNSET:
+                            _unset(nv, pn)
+                        mem = st.memory
+                        if type(a) is int and a >= 0:
+                            mem.cells[a] = v
+                        else:
+                            mem._store_slow(a, v)
+
+                else:
+
+                    def mo(st, regs, _sa=sa, _ca=ca, _sv=sv, _cv=cv):
+                        a = regs[_sa] if _sa >= 0 else _ca
+                        if a is _UNSET:
+                            _unset(na, pn)
+                        v = regs[_sv] if _sv >= 0 else _cv
+                        if v is _UNSET:
+                            _unset(nv, pn)
+                        mem = st.memory
+                        if type(a) is int and a >= 0:
+                            mem.cells[a] = v
+                        else:
+                            mem._store_slow(a, v)
+                        st.tape.append(~a)
 
                 return mo
 
@@ -706,7 +777,7 @@ class _PlanCompiler:
     # -- parts ---------------------------------------------------------
 
     def _make_segment(self, seg_ops, seg_events):
-        raw, events, xops, k, _hook, trap = self._seg_bundle(seg_ops, seg_events)
+        raw, events, xops, k, _g, trap = self._seg_bundle(seg_ops, seg_events)
         fire_i = self.f_instr
         if k == 1 and not fire_i:
             op0 = raw[0]
@@ -759,61 +830,66 @@ class _PlanCompiler:
         """Freeze the pending straight-line segment for fusion into the
         part it ends in: the part of the boundary instruction whose event
         is ``boundary``, or with None a segment that falls off its block.
-        Returns ``(raw, events, xops, kk, hook, trap)``:
+        Returns ``(raw, events, xops, kk, token, trap)``:
 
         - ``xops`` is what the fused fast path iterates: the segment's
-          ops with the sink's fetch-group hooks woven in, each just
-          before its group's last instruction;
-        - ``hook`` is the hook of the group that ends at the boundary
-          instruction, to run just before it (None without hooks);
+          ops, with a putter before each group's last instruction, so
+          the group's token is on the tape before that instruction
+          executes or makes its own data access;
+        - ``token`` is the token of the group that ends at the boundary
+          instruction, for the boundary part to append (None without
+          fetch tokens);
         - ``raw``/``events`` feed the exact replay slow path;
         - ``kk`` is the batched step count, the boundary included;
         - ``trap`` maps each op to what a trap in it leaves to do: the
           number of counted instructions after it, and the fetches of
-          its group that no hook has covered (see ``_trapped``).
+          its group whose token is not on the tape (see ``_trapped``).
         """
         raw = tuple(seg_ops)
         events = tuple(seg_events)
         fetches = events if boundary is None else events + (boundary,)
         kk = len(fetches)
-        ends: Dict[int, Any] = {}  # a group's last fetch -> its hook
+        ends: Dict[int, Any] = {}  # a group's last fetch -> its token
         firsts: List[int] = []  # each fetch's group's first fetch
-        if self.groups_sink is not None:
-            for count, hook in self.groups_sink.fetch_groups(fetches):
+        if self.f_instr:
+            for count, token in self.sink.fetch_tokens(fetches):
                 if count < 1:
                     break
-                ends[len(firsts) + count - 1] = hook
+                ends[len(firsts) + count - 1] = token
                 firsts.extend([len(firsts)] * count)
             if len(firsts) != kk:
                 raise ValueError(
-                    "fetch groups of {!r} do not cover {} fetches".format(
-                        self.groups_sink, kk
+                    "fetch tokens of {!r} do not cover {} fetches".format(
+                        self.sink, kk
                     )
                 )
         xops: List[Any] = []
         trap = {}
         for i, op in enumerate(raw):
-            hook = ends.get(i)
-            if hook is not None:
-                xops.append(hook)
-            late = fetches[firsts[i] : i + 1] if ends and hook is None else ()
+            if i in ends:
+                xops.append(_putter(ends[i]))
+                late = ()
+            else:
+                late = fetches[firsts[i] : i + 1] if ends else ()
             xops.append(op)
             trap[op] = (kk - 1 - i, late)
-        hook = ends.get(kk - 1) if boundary is not None else None
-        return raw, events, tuple(xops), kk, hook, trap
+        token = ends.get(kk - 1) if boundary is not None else None
+        return raw, events, tuple(xops), kk, token, trap
 
     def _make_jump(self, instr, label, idx, seg_ops, seg_events):
         target = self._target(instr.target)
         pn = self.procname
         proc = self.proc
         fire_i = self.f_instr
-        fire_b = self.f_branch
-        tlabel = instr.target
-        raw, evs, xops, kk, hook, trap = self._seg_bundle(
+        raw, evs, xops, kk, g, trap = self._seg_bundle(
             seg_ops, seg_events, (proc, label, idx, instr)
         )
+        if self.f_branch:
+            g = self._join(
+                g, self.sink.branch_token(proc, label, idx, "jump", True, instr.target)
+            )
 
-        if not fire_i and not fire_b:
+        if g is None:
             if not xops:
 
                 def part(st, frame, _t=target, _pn=pn, _lb=label, _ix=idx):
@@ -843,7 +919,7 @@ class _PlanCompiler:
 
             return part
 
-        def part(st, frame, _t=target, _x=xops, _kk=kk, _h=hook, _tr=trap):
+        def part(st, frame, _t=target, _x=xops, _kk=kk, _gj=g, _tr=trap):
             ns = st.steps + _kk
             if ns > st.max_steps:
                 _seg_overflow(st, frame, raw, evs, fire_i, pn, label, idx)
@@ -855,10 +931,10 @@ class _PlanCompiler:
             except ExecError:
                 _trapped(st, ns, _tr, op)
                 raise
-            if _h is not None:
-                _h(st, regs)
-            if fire_b:
-                st.sink.on_branch(proc, label, idx, "jump", True, tlabel)
+            tape = st.tape
+            tape.append(_gj)
+            if len(tape) > TAPE_BOUND:
+                _drain(st)
             return _t
 
         return part
@@ -871,16 +947,22 @@ class _PlanCompiler:
             return self._make_raising_boundary(instr, label, idx, seg_ops, seg_events)
         then_pb = self._target(instr.then_target)
         else_pb = self._target(instr.else_target)
-        then_label = instr.then_target
-        else_label = instr.else_target
         proc = self.proc
         fire_i = self.f_instr
-        fire_b = self.f_branch
-        raw, evs, xops, kk, hook, trap = self._seg_bundle(
+        raw, evs, xops, kk, g, trap = self._seg_bundle(
             seg_ops, seg_events, (proc, label, idx, instr)
         )
+        gt = gn = g
+        if self.f_branch:
+            sink = self.sink
+            gt = self._join(
+                g, sink.branch_token(proc, label, idx, "cond", True, instr.then_target)
+            )
+            gn = self._join(
+                g, sink.branch_token(proc, label, idx, "cond", False, instr.else_target)
+            )
 
-        if not fire_i and not fire_b:
+        if gt is None:
             if not xops:
 
                 def part(st, frame, _cs=cs, _cc=cc, _tp=then_pb, _ep=else_pb):
@@ -921,7 +1003,7 @@ class _PlanCompiler:
 
         def part(
             st, frame, _cs=cs, _cc=cc, _tp=then_pb, _ep=else_pb, _x=xops, _kk=kk,
-            _h=hook, _tr=trap,
+            _g=g, _gt=gt, _gn=gn, _tr=trap,
         ):
             ns = st.steps + _kk
             if ns > st.max_steps:
@@ -934,17 +1016,20 @@ class _PlanCompiler:
             except ExecError:
                 _trapped(st, ns, _tr, op)
                 raise
-            if _h is not None:
-                _h(st, regs)
             c = regs[_cs] if _cs >= 0 else _cc
             if c is _UNSET:
+                if _g is not None:
+                    st.tape.append(_g)
                 _unset(cn, pn)
+            tape = st.tape
             if c:
-                if fire_b:
-                    st.sink.on_branch(proc, label, idx, "cond", True, then_label)
+                tape.append(_gt)
+                if len(tape) > TAPE_BOUND:
+                    _drain(st)
                 return _tp
-            if fire_b:
-                st.sink.on_branch(proc, label, idx, "cond", False, else_label)
+            tape.append(_gn)
+            if len(tape) > TAPE_BOUND:
+                _drain(st)
             return _ep
 
         return part
@@ -961,12 +1046,14 @@ class _PlanCompiler:
             vs, vc, vn = -1, None, None
         fire_i = self.f_instr
         fire_r = self.f_ret
-        raw, evs, xops, kk, hook, trap = self._seg_bundle(
+        raw, evs, xops, kk, g, trap = self._seg_bundle(
             seg_ops, seg_events, (self.proc, label, idx, instr)
         )
+        gr = self._join(g, self.sink.return_token(pn) if fire_r else None)
 
         def part(
-            st, frame, _vs=vs, _vc=vc, _hv=has_value, _x=xops, _kk=kk, _h=hook, _tr=trap
+            st, frame, _vs=vs, _vc=vc, _hv=has_value, _x=xops, _kk=kk, _g=g, _gr=gr,
+            _tr=trap,
         ):
             ns = st.steps + _kk
             if ns > st.max_steps:
@@ -979,11 +1066,11 @@ class _PlanCompiler:
             except ExecError:
                 _trapped(st, ns, _tr, op)
                 raise
-            if _h is not None:
-                _h(st, regs)
             if _hv:
                 value = regs[_vs] if _vs >= 0 else _vc
                 if value is _UNSET:
+                    if _g is not None:
+                        st.tape.append(_g)
                     _unset(vn, pn)
             else:
                 value = None
@@ -991,11 +1078,17 @@ class _PlanCompiler:
             frames.pop()
             st.stack_top = frame.saved_stack
             if len(frames) == st.depth0:
+                if _g is not None:
+                    st.tape.append(_g)
                 st.ret_value = value
                 return _DONE
             caller = frames[-1]
+            if _gr is not None:
+                st.tape.append(_gr)
             if fire_r:
-                st.sink.on_return(pn, caller.plan.proc)
+                rt = caller.plan.rtok
+                if rt is not None:
+                    st.tape.append(rt)
             ds = frame.dest_slot
             if ds is not None:
                 if value is None:
@@ -1023,14 +1116,22 @@ class _PlanCompiler:
         dest_slot = self.slots[instr.dest.name] if instr.dest is not None else None
         sitekey = (proc.module, instr.site_id)
         fire_i = self.f_instr
-        fire_c = self.f_call
-        raw, evs, xops, kk, hook, trap = self._seg_bundle(
+        raw, evs, xops, kk, g, trap = self._seg_bundle(
             seg_ops, seg_events, (proc, label, idx, instr)
         )
+        gu = gb = g
+        if self.f_call:
+            sink = self.sink
+            n_args = len(argspec)
+            kind = "indirect" if is_icall else "direct"
+            gu = self._join(g, sink.call_token(proc, callee_static, kind, n_args))
+            gb = self._join(g, sink.call_token(proc, callee_static, "builtin", n_args))
+        # An indirect call's token is followed by its callee's name.
+        name = is_icall and self.f_call
 
         def part(
             st, frame, _fs=fs, _fc=fc, _as=argspec, _ds=dest_slot, _x=xops, _kk=kk,
-            _h=hook, _tr=trap,
+            _g=g, _gu=gu, _gb=gb, _tr=trap,
         ):
             ns = st.steps + _kk
             if ns > st.max_steps:
@@ -1043,29 +1144,30 @@ class _PlanCompiler:
             except ExecError:
                 _trapped(st, ns, _tr, op)
                 raise
-            if _h is not None:
-                _h(st, regs)
-            if _fs >= 0 or _fc is not None:  # indirect call
-                f = regs[_fs] if _fs >= 0 else _fc
-                if f is _UNSET:
-                    _unset(fn, pn)
-                if not isinstance(f, CodePtr):
-                    raise ExecError(
-                        "indirect call through non-code value {!r}".format(f),
-                        pn,
-                        label,
-                        idx,
-                    )
-                callee_name = f.name
-                kind = "indirect"
-            else:
-                callee_name = callee_static
-                kind = "direct"
-            args = [regs[s] if s >= 0 else c for s, c, _n in _as]
-            if _UNSET in args:
-                for s, c, n in _as:
-                    if s >= 0 and regs[s] is _UNSET:
-                        _unset(n, pn)
+            try:
+                if _fs >= 0 or _fc is not None:  # indirect call
+                    f = regs[_fs] if _fs >= 0 else _fc
+                    if f is _UNSET:
+                        _unset(fn, pn)
+                    if not isinstance(f, CodePtr):
+                        raise ExecError(
+                            "indirect call through non-code value {!r}".format(f),
+                            pn,
+                            label,
+                            idx,
+                        )
+                    callee_name = f.name
+                else:
+                    callee_name = callee_static
+                args = [regs[s] if s >= 0 else c for s, c, _n in _as]
+                if _UNSET in args:
+                    for s, c, n in _as:
+                        if s >= 0 and regs[s] is _UNSET:
+                            _unset(n, pn)
+            except ExecError:
+                if _g is not None:
+                    st.tape.append(_g)
+                raise
             st.call_count += 1
             if st.collect_site:
                 st.site_counts[sitekey] += 1
@@ -1074,8 +1176,13 @@ class _PlanCompiler:
             if plan is _MISS:
                 plan = st.resolve(callee_name)
             if plan is not None:
-                if fire_c:
-                    st.sink.on_call(proc, callee_name, kind, len(args))
+                if _gu is not None:
+                    tape = st.tape
+                    tape.append(_gu)
+                    if name:
+                        tape.append(callee_name)
+                    if len(tape) > TAPE_BOUND:
+                        _drain(st)
                 if plan.simple_frame and len(args) == plan.nparams:
                     # Inlined fast push: the argument list we just built
                     # becomes the register file (params are the slot
@@ -1100,14 +1207,21 @@ class _PlanCompiler:
                 return _ENTER
             builtin = st.builtins.get(callee_name)
             if builtin is None:
+                if _g is not None:
+                    st.tape.append(_g)
                 raise ExecError(
                     "call to unresolved external @{}".format(callee_name),
                     pn,
                     label,
                     idx,
                 )
-            if fire_c:
-                st.sink.on_call(proc, callee_name, "builtin", len(args))
+            if _gb is not None:
+                tape = st.tape
+                tape.append(_gb)
+                if name:
+                    tape.append(callee_name)
+                if len(tape) > TAPE_BOUND:
+                    _drain(st)
             r = builtin(args)
             if _ds is not None:
                 regs[_ds] = r
@@ -1117,16 +1231,16 @@ class _PlanCompiler:
 
     def _make_raising_boundary(self, instr, label, idx, seg_ops, seg_events):
         """A boundary instruction with an unresolvable operand: run the
-        fused segment, count the boundary step, run the boundary's hook,
-        then trap via the spec walk."""
+        fused segment, count the boundary step, append the boundary's
+        group token, then trap via the spec walk."""
         pn = self.procname
         fire_i = self.f_instr
         walk = _raise_walk(self._raising_specs(instr), pn, label, idx)
-        raw, evs, xops, kk, hook, trap = self._seg_bundle(
+        raw, evs, xops, kk, g, trap = self._seg_bundle(
             seg_ops, seg_events, (self.proc, label, idx, instr)
         )
 
-        def part(st, frame, _x=xops, _kk=kk, _h=hook, _tr=trap):
+        def part(st, frame, _x=xops, _kk=kk, _g=g, _tr=trap):
             ns = st.steps + _kk
             if ns > st.max_steps:
                 _seg_overflow(st, frame, raw, evs, fire_i, pn, label, idx)
@@ -1138,8 +1252,8 @@ class _PlanCompiler:
             except ExecError:
                 _trapped(st, ns, _tr, op)
                 raise
-            if _h is not None:
-                _h(st, regs)
+            if _g is not None:
+                st.tape.append(_g)
             walk(st, regs)
 
         return part
@@ -1226,6 +1340,7 @@ class _ExecState:
         "frames",
         "memory",
         "sink",
+        "tape",
         "builtins",
         "max_steps",
         "steps",
@@ -1249,6 +1364,9 @@ class _ExecState:
         self.frames = interp._frames
         self.memory = interp.memory
         self.sink = interp.sink
+        # The run's tape: the tokens of events the sink has not been
+        # given yet (see repro.interp.events, "Tokens and the tape").
+        self.tape: List[Any] = []
         self.builtins = interp._builtins
         self.max_steps = interp.max_steps
         self.steps = interp.steps
@@ -1350,7 +1468,8 @@ def execute(interp, proc: Procedure, args: List[Any]):
     Shares the interpreter's memory, output, counters, builtins, and
     frame list, so builtins (including ``exit`` and the varargs pair)
     behave identically to the reference engine; run totals are synced
-    back even when the run unwinds with ``_Exit`` or a trap.
+    back, and the tape is drained into the sink, even when the run
+    unwinds with ``_Exit`` or a trap.
     """
     program = interp.program
     cache = getattr(program, "_plan_cache", None)
@@ -1375,6 +1494,8 @@ def execute(interp, proc: Procedure, args: List[Any]):
             interp._stack_top = st.stack_top
             interp.plans_compiled += cache.plans_compiled - compiled0
             interp.plan_cache_hits += cache.cache_hits - hits0
+            if st.tape:
+                _drain(st)
         if isinstance(ret, int):
             exit_code = wrap_int(ret)
     except _Exit as ex:

@@ -5,7 +5,7 @@ pins 50 generator seeds against the no-sink and recording-sink
 configurations.  This CLI is the wide version CI runs on a schedule:
 hundreds of generator seeds, each executed under the optimized
 engine × every sink *family* — no sink, :class:`CountingSink` (one
-fetch-group hook per part), :class:`SamplingSink` (exact
+token of counts per part), :class:`SamplingSink` (exact
 ``on_instr`` + call/return, jittered sampling state), the
 :class:`~repro.obs.runtime.RuntimeProfiler` (full-stack flamegraph
 sampling — its digest equality is what makes a flamegraph

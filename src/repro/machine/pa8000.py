@@ -78,17 +78,34 @@ class MachineConfig:
     max_spill_rate: float = 0.35
 
 
+# Token operations: what a PA8000 token does after its fetches.
+_FETCH, _TAKEN, _NOT_TAKEN, _JUMP, _CALL, _ICALL, _BCALL, _RESUME = range(8)
+
+
 class PA8000Model(EventSink):
     """EventSink that accumulates machine metrics during a run.
 
     Each piece of work does the least that keeps :meth:`metrics` exact
-    (docs/machine.md, "Host cost"): the fast engine runs the fetches as
-    compiled fetch-group hooks (:meth:`fetch_groups`), the I-cache tags
-    are checked only when the fetched line changes, and the cache and
-    predictor updates are written out inline against the tag and
-    counter state :class:`DirectMappedCache` and
+    (docs/machine.md, "Host cost").  The model compiles each event into
+    a token of numbers (I-cache lines and tag slots, spill rate,
+    predictor slot, save words) and applies tokens in one loop,
+    :meth:`drain`, over local variables: the only code that changes its
+    metrics.  The fast engine appends the tokens to its tape; the
+    ``on_*`` callbacks, which the reference engine and the fast
+    engine's direct paths call, build the same tokens and drain them.
+    The I-cache tags are checked only when the fetched line changes,
+    and the cache and predictor updates are written out against the
+    tag and counter state :class:`DirectMappedCache` and
     :class:`TwoBitPredictor` own.  The I-cache's access count is not
     kept per fetch; :meth:`metrics` derives it.
+
+    A token is ``(op, n, first, slot, rest, last, pslot, each, rate,
+    save)``: ``n`` fetches (0 for none) whose first line and its tag
+    slot are ``first`` and ``slot``, whose later changes of line are
+    ``rest`` (``(line, slot)`` pairs), whose last line is ``last`` and
+    last predictor slot ``pslot``, with the procedure's spill ``rate``
+    added once per fetch (``each``); then ``op``, a control transfer,
+    with ``save``, ``(words, span)`` of stack traffic or None.
     """
 
     def __init__(self, program: Program, config: Optional[MachineConfig] = None):
@@ -121,11 +138,18 @@ class PA8000Model(EventSink):
         # slot of the last fetched instruction (pc 0's before any).
         self._line = -1
         self._pslot = 0
-        # The fetch-group hooks bind this model's lines, tag slots, spill
-        # rates and predictor slots, as they were when it was built, so
-        # its plans serve no other model: the key is a token only it
-        # holds, and the plans keyed on it hold nothing of the model.
-        self.fetch_key = object()
+        # Per frame depth, the D-cache lines of each span of save
+        # traffic (see _stack_lines): derived from the config alone.
+        self._frame_lines: List[Dict[int, tuple]] = []
+        # The tokens bind this model's lines, tag slots, spill rates and
+        # save counts, as they were when it was built, so its plans
+        # serve no other model: the key is a token only it holds, and
+        # the plans keyed on it hold nothing of the model.
+        self.token_key = object()
+
+    # ------------------------------------------------------------------
+    # Tokens
+    # ------------------------------------------------------------------
 
     def _fetch(self, proc_name: str, label: str, index: int) -> Fetch:
         """The fetch of the instruction at ``index`` of a block."""
@@ -138,23 +162,30 @@ class PA8000Model(EventSink):
             (pc >> 2) % self.predictor.entries,
         )
 
-    def _spill(self) -> None:
-        """One spill: a store or reload near the top of the frame."""
-        self.spills += 1
-        self.retired += 1
-        dcache = self.dcache
-        dcache.accesses += 1
-        dline = (SIM_STACK_BASE - self.depth * FRAME_BYTES - 8) >> self._shift
-        dslot = dline % dcache.num_lines
-        if dcache.tags[dslot] != dline:
-            dcache.tags[dslot] = dline
-            dcache.misses += 1
+    def _fetch_token(self, fetches: Sequence[Fetch]) -> tuple:
+        """The token of a group of fetches in one procedure.  Only a
+        fetch that changes line checks a tag: the group's first line
+        when the line last checked differs, then each later change of
+        line, which is known here."""
+        lines: List[Tuple[int, int]] = []
+        for line, slot, _rate, _pslot in fetches:
+            if not lines or lines[-1][0] != line:
+                lines.append((line, slot))
+        n = len(fetches)
+        rate = fetches[0][2]
+        first, slot = lines[0]
+        return (
+            _FETCH, n, first, slot, tuple(lines[1:]), lines[-1][0], fetches[-1][3],
+            range(n) if rate else (), rate, None,
+        )
 
-    # ------------------------------------------------------------------
-    # Event callbacks
-    # ------------------------------------------------------------------
+    @staticmethod
+    def _control(op: int, words: int = 0) -> tuple:
+        """The token of a control transfer with ``words`` of save traffic."""
+        save = (words, (words - 1) * WORD_BYTES) if words else None
+        return (op, 0, 0, 0, (), 0, 0, (), 0.0, save)
 
-    def fetch_groups(self, events):
+    def fetch_tokens(self, events):
         """One group per part in a procedure that does not spill: its
         fetches touch only the I-cache and the predictor slot, which no
         event inside the part reads.  In one that spills, a group ends
@@ -163,128 +194,246 @@ class PA8000Model(EventSink):
         access does."""
         fetches = [self._fetch(proc.name, label, index) for proc, label, index, _ in events]
         if not fetches[0][2]:  # one procedure, one spill rate
-            return [(len(fetches), _fetch_hook(fetches))]
+            return [(len(fetches), self._fetch_token(fetches))]
         groups = []
         start = 0
         for end, event in enumerate(events, 1):
             if end == len(events) or isinstance(event[3], (Load, Store)):
-                groups.append((end - start, _fetch_hook(fetches[start:end])))
+                groups.append((end - start, self._fetch_token(fetches[start:end])))
                 start = end
         return groups
 
-    def on_instr(self, proc, label, index, instr) -> None:
-        line, slot, rate, self._pslot = self._fetch(proc.name, label, index)
-        self.retired += 1
-        if line != self._line:
-            # Every other I-cache access until the next fetch (spill and
-            # save traffic) is to this line, so it hits: only a fetch
-            # that changes line can miss.
-            self._line = line
-            icache = self.icache
-            if icache.tags[slot] != line:
-                icache.tags[slot] = line
-                icache.misses += 1
-        if rate:
-            acc = self._spill_acc + rate
-            if acc >= 1.0:
-                acc -= 1.0
-                self._spill()
-            self._spill_acc = acc
+    def branch_token(self, proc, label, index, kind, taken, target_label):
+        if kind != "cond":
+            return self._control(_JUMP)
+        return self._control(_TAKEN if taken else _NOT_TAKEN)
 
-    def on_branch(self, proc, label, index, kind, taken, target_label) -> None:
-        predictor = self.predictor
-        predictor.predictions += 1
-        if kind == "cond":
-            counters = predictor.counters
-            slot = self._pslot
-            counter = counters[slot]
-            if taken:
-                if counter < TAKEN_THRESHOLD:
-                    predictor.mispredictions += 1
-                if counter < 3:
-                    counters[slot] = counter + 1
-            else:
-                if counter >= TAKEN_THRESHOLD:
-                    predictor.mispredictions += 1
-                if counter > 0:
-                    counters[slot] = counter - 1
-        # else an unconditional jump: direction known, predicted correctly
-
-    def on_call(self, caller, callee_name, kind, n_args) -> None:
-        self.calls += 1
-        predictor = self.predictor
-        predictor.predictions += 1
-        if kind == "indirect":
-            predictor.mispredictions += 1
-
+    def call_token(self, caller, callee_name, kind, n_args):
         # Caller-save spills and excess outgoing arguments hit the stack.
         config = self.config
         words = self._save_counts.get(caller.name, config.max_save_regs)
         if n_args > config.reg_args:
             words += n_args - config.reg_args
-        self._frame_traffic(words)
-
         if kind == "builtin":
-            # The library body executes off-image: count its retired
-            # instructions and its (always mispredicted) return.
-            self.retired += config.builtin_instrs
-            self._off_image += config.builtin_instrs
-            predictor.predictions += 1
-            predictor.mispredictions += 1
-            self._frame_traffic(words)
-        else:
-            self.depth += 1
+            return self._control(_BCALL, words)
+        return self._control(_ICALL if kind == "indirect" else _CALL, words)
+
+    def return_token(self, callee_name):
+        return None  # a return's work depends only on the caller it resumes
+
+    def resume_token(self, caller):
+        saves = self._save_counts.get(caller.name, self.config.max_save_regs)
+        return self._control(_RESUME, saves)
+
+    def join(self, first, second):
+        """A fetch group's token and the control transfer after it."""
+        return (second[0],) + first[1:9] + (second[9],)
+
+    # ------------------------------------------------------------------
+    # Event callbacks: the same tokens, one at a time
+    # ------------------------------------------------------------------
+
+    def on_instr(self, proc, label, index, instr) -> None:
+        self.drain([self._fetch_token([self._fetch(proc.name, label, index)])])
+
+    def on_branch(self, proc, label, index, kind, taken, target_label) -> None:
+        self.drain([self.branch_token(proc, label, index, kind, taken, target_label)])
+
+    def on_call(self, caller, callee_name, kind, n_args) -> None:
+        self.drain([self.call_token(caller, callee_name, kind, n_args)])
 
     def on_return(self, callee_name, caller) -> None:
-        if self.depth:
-            self.depth -= 1
-        # "the PA8000 always mispredicts procedure return branches"
-        predictor = self.predictor
-        predictor.predictions += 1
-        predictor.mispredictions += 1
-        saves = self._save_counts.get(caller.name, self.config.max_save_regs)
-        self._frame_traffic(saves)
+        self.drain([self.resume_token(caller)])
 
     def on_mem(self, addr, is_store) -> None:
-        dcache = self.dcache
-        dcache.accesses += 1
-        line = addr * WORD_BYTES >> self._shift
-        slot = line % dcache.num_lines
-        if dcache.tags[slot] != line:
-            dcache.tags[slot] = line
-            dcache.misses += 1
+        self.drain([~addr if is_store else addr])
 
-    def _frame_traffic(self, words: int) -> None:
-        """Save/restore traffic at the current simulated frame.
+    # ------------------------------------------------------------------
+    # The tape loop
+    # ------------------------------------------------------------------
 
-        Each word is a retired instruction, fetched from the line of the
-        call or return (a hit, unless nothing has been fetched yet), and
-        a D-cache access.  The words run down from the top of the frame,
-        so a stack line's first word decides hit or miss and the rest of
-        the line hits: one tag check per line, not per word.
-        """
-        if not words:
-            return
-        self.retired += words
-        dcache = self.dcache
-        dcache.accesses += words
-        if self._line < 0:
-            # Nothing fetched yet: the words are fetched from pc 0.
-            self._line = 0
-            icache = self.icache
-            if icache.tags[0] != 0:
-                icache.tags[0] = 0
-                icache.misses += 1
-        base = SIM_STACK_BASE - self.depth * FRAME_BYTES
+    def _stack_lines(self, base: int, span: int) -> Tuple[Tuple[int, int], ...]:
+        """``(line, tag slot)`` of each D-cache line that save traffic
+        from ``base`` down through ``base - span`` touches, top first."""
         shift = self._shift
-        tags = dcache.tags
-        lines = dcache.num_lines
-        last = base - (words - 1) * WORD_BYTES >> shift
-        for line in range(base >> shift, last - 1, -self._word_lines):
-            slot = line % lines
-            if tags[slot] != line:
-                tags[slot] = line
-                dcache.misses += 1
+        lines = self.dcache.num_lines
+        last = (base - span) >> shift
+        return tuple(
+            (line, line % lines)
+            for line in range(base >> shift, last - 1, -self._word_lines)
+        )
+
+    def drain(self, tape) -> None:
+        """Apply ``tape``'s tokens in order: the model's only update.
+
+        - **Fetches.**  ``retired`` and the predictor slot take the
+          group's count and last fetch.  Every other I-cache access
+          until the next fetch (spill and save traffic) is to the line
+          just fetched, so it hits: only a fetch that changes line can
+          miss, and only then are the tags checked.
+        - **Spills.**  The accumulator receives the same floating-point
+          additions as one fetch at a time, in fetch order.  A group's
+          spills are stores or reloads near the top of one frame, with
+          no other D-cache access between them, so they cost one tag
+          check.
+        - **Save traffic** (calls and returns) runs down from the top of
+          the frame: a stack line's first word decides hit or miss and
+          the rest of the line hits, so one tag check per line.  The
+          lines of each span of words are worked out once per frame
+          depth.  A builtin's reloads are checked again after its saves.
+        - **Data accesses** are ``addr``, or ``~addr`` for a store.
+        """
+        tuple_ = tuple
+        str_ = str
+        taken, not_taken, jump = _TAKEN, _NOT_TAKEN, _JUMP
+        call, icall, bcall, resume = _CALL, _ICALL, _BCALL, _RESUME
+        threshold = TAKEN_THRESHOLD
+        word_bytes = WORD_BYTES
+        frame_bytes = FRAME_BYTES
+        icache = self.icache
+        dcache = self.dcache
+        predictor = self.predictor
+        itags = icache.tags
+        dtags = dcache.tags
+        dlines = dcache.num_lines
+        counters = predictor.counters
+        shift = self._shift
+        builtin_instrs = self.config.builtin_instrs
+        frames = self._frame_lines
+        retired = self.retired
+        calls = self.calls
+        spills = self.spills
+        depth = self.depth
+        off_image = self._off_image
+        imisses = icache.misses
+        daccesses = dcache.accesses
+        dmisses = dcache.misses
+        predictions = predictor.predictions
+        mispredictions = predictor.mispredictions
+        line = self._line
+        pslot = self._pslot
+        acc = self._spill_acc
+        base = SIM_STACK_BASE - depth * frame_bytes  # the frame's top
+        while len(frames) <= depth:
+            frames.append({})
+        here = frames[depth]  # span -> the lines its traffic touches
+        for token in tape:
+            if type(token) is tuple_:
+                op, n, first, slot, rest, last, ps, each, rate, save = token
+                if n:
+                    retired += n
+                    pslot = ps
+                    if line != first and itags[slot] != first:
+                        itags[slot] = first
+                        imisses += 1
+                    if rest:
+                        for ln, slot in rest:
+                            if itags[slot] != ln:
+                                itags[slot] = ln
+                                imisses += 1
+                    line = last
+                    if rate:
+                        k = 0
+                        for _ in each:
+                            acc += rate
+                            if acc >= 1.0:
+                                acc -= 1.0
+                                k += 1
+                        if k:
+                            spills += k
+                            retired += k
+                            daccesses += k
+                            ln = (base - 8) >> shift
+                            slot = ln % dlines
+                            if dtags[slot] != ln:
+                                dtags[slot] = ln
+                                dmisses += 1
+                if not op:
+                    continue
+                predictions += 1
+                if op == taken:
+                    counter = counters[pslot]
+                    if counter < threshold:
+                        mispredictions += 1
+                    if counter < 3:
+                        counters[pslot] = counter + 1
+                    continue
+                if op == not_taken:
+                    counter = counters[pslot]
+                    if counter >= threshold:
+                        mispredictions += 1
+                    if counter > 0:
+                        counters[pslot] = counter - 1
+                    continue
+                if op == jump:  # direction known, predicted correctly
+                    continue
+                checks = 1
+                if op == resume:
+                    # "the PA8000 always mispredicts procedure return
+                    # branches"; the restores are at the caller's frame.
+                    if depth:
+                        depth -= 1
+                        base += frame_bytes
+                        here = frames[depth]
+                    mispredictions += 1
+                else:
+                    calls += 1
+                    if op == icall:
+                        mispredictions += 1
+                    elif op == bcall:
+                        # The library body executes off-image: its
+                        # retired instructions and its (always
+                        # mispredicted) return, then its reloads.
+                        retired += builtin_instrs
+                        off_image += builtin_instrs
+                        predictions += 1
+                        mispredictions += 1
+                        checks = 2
+                if save is not None:
+                    words, span = save
+                    retired += words * checks
+                    daccesses += words * checks
+                    if line < 0:
+                        # Nothing fetched yet: the words are fetched from pc 0.
+                        line = 0
+                        if itags[0] != 0:
+                            itags[0] = 0
+                            imisses += 1
+                    lines = here.get(span)
+                    if lines is None:
+                        lines = here[span] = self._stack_lines(base, span)
+                    while checks:
+                        checks -= 1
+                        for ln, slot in lines:
+                            if dtags[slot] != ln:
+                                dtags[slot] = ln
+                                dmisses += 1
+                if op == call or op == icall:
+                    depth += 1
+                    base -= frame_bytes
+                    if depth == len(frames):
+                        frames.append({})
+                    here = frames[depth]
+            elif type(token) is not str_:  # not an indirect callee's name
+                daccesses += 1
+                ln = (token if token >= 0 else ~token) * word_bytes >> shift
+                slot = ln % dlines
+                if dtags[slot] != ln:
+                    dtags[slot] = ln
+                    dmisses += 1
+        self.retired = retired
+        self.calls = calls
+        self.spills = spills
+        self.depth = depth
+        self._off_image = off_image
+        icache.misses = imisses
+        dcache.accesses = daccesses
+        dcache.misses = dmisses
+        predictor.predictions = predictions
+        predictor.mispredictions = mispredictions
+        self._line = line
+        self._pslot = pslot
+        self._spill_acc = acc
 
     # ------------------------------------------------------------------
     # Results
@@ -312,51 +461,6 @@ class PA8000Model(EventSink):
             calls=self.calls,
             spills=self.spills,
         )
-
-
-def _fetch_hook(fetches: List[Fetch]):
-    """The hook that does ``on_instr``'s work for one group of fetches.
-
-    ``retired`` and the predictor slot take the group's count and last
-    fetch.  Only a fetch that changes line checks a tag: the group's
-    first line when the line last checked differs, then each later
-    change of line, which is known here.  Spills touch no I-cache line,
-    so they follow, one addition per fetch in fetch order.
-    """
-    lines = []  # (line, tag slot) at each change of line in the group
-    for line, slot, _rate, _pslot in fetches:
-        if not lines or lines[-1][0] != line:
-            lines.append((line, slot))
-    n = len(fetches)
-    first, first_slot = lines[0]
-
-    def hook(
-        st, regs, _n=n, _l=first, _s=first_slot, _rest=tuple(lines[1:]),
-        _last=lines[-1][0], _p=fetches[-1][3], _rate=fetches[0][2], _each=range(n),
-    ):
-        m = st.sink
-        m.retired += _n
-        m._pslot = _p
-        icache = m.icache
-        tags = icache.tags
-        if m._line != _l and tags[_s] != _l:
-            tags[_s] = _l
-            icache.misses += 1
-        for line, slot in _rest:
-            if tags[slot] != line:
-                tags[slot] = line
-                icache.misses += 1
-        m._line = _last
-        if _rate:
-            acc = m._spill_acc
-            for _ in _each:
-                acc += _rate
-                if acc >= 1.0:
-                    acc -= 1.0
-                    m._spill()
-            m._spill_acc = acc
-
-    return hook
 
 
 def simulate(

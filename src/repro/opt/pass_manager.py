@@ -30,6 +30,7 @@ before every application.
 
 from __future__ import annotations
 
+from importlib import import_module
 from typing import TYPE_CHECKING, Callable, List, Optional, Sequence, Tuple
 
 from ..ir.procedure import Procedure
@@ -43,26 +44,28 @@ ProcPass = Callable[[Program, Procedure], bool]
 
 MAX_ITERATIONS = 8
 
+# The standard pipeline, in order: (pass name, its module, its
+# function).  The modules are imported once, here; ``import_module``
+# because the package binds ``licm`` and ``peephole`` to the functions
+# of those names.  No pass module imports this one.
+_PIPELINE = tuple(
+    (name, import_module("." + module, __package__), function)
+    for name, module, function in (
+        ("constprop", "constprop", "constant_propagation"),
+        ("simplifycfg", "simplifycfg", "simplify_cfg"),
+        ("copyprop", "copyprop", "copy_propagation"),
+        ("peephole", "peephole", "peephole"),
+        ("cse", "cse", "local_cse"),
+        ("licm", "licm", "licm"),
+        ("dce", "dce", "dead_code_elimination"),
+    )
+)
+
 
 def default_pipeline() -> List[Tuple[str, ProcPass]]:
-    """The standard per-procedure pipeline, in order."""
-    from .constprop import constant_propagation
-    from .copyprop import copy_propagation
-    from .cse import local_cse
-    from .dce import dead_code_elimination
-    from .licm import licm
-    from .peephole import peephole
-    from .simplifycfg import simplify_cfg
-
-    return [
-        ("constprop", constant_propagation),
-        ("simplifycfg", simplify_cfg),
-        ("copyprop", copy_propagation),
-        ("peephole", peephole),
-        ("cse", local_cse),
-        ("licm", licm),
-        ("dce", dead_code_elimination),
-    ]
+    """The standard per-procedure pipeline, in order.  Each function is
+    looked up on its module at the call, so a patched pass runs."""
+    return [(name, getattr(module, function)) for name, module, function in _PIPELINE]
 
 
 def optimize_proc(

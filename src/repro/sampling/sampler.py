@@ -81,8 +81,8 @@ class SamplingSink(EventSink):
     # at branch or memory traffic, so the pre-decoded engine can skip
     # those callbacks entirely.  ``on_instr`` must stay exact and
     # in-order (the countdown defines *which* instruction each sample
-    # lands on), so it keeps the base class's fetch groups: one
-    # on_instr per instruction.
+    # lands on), so it keeps the base class's fetch tokens, which make
+    # one on_instr per instruction, in order.
     needs_branch = False
     needs_mem = False
 

@@ -222,7 +222,7 @@ class TestCapabilityNegotiation:
         assert SamplingSink.needs_branch is False
         assert SamplingSink.needs_mem is False
         # One on_instr per fetch: exact sample placement.
-        assert SamplingSink.fetch_groups is EventSink.fetch_groups
+        assert SamplingSink.fetch_tokens is EventSink.fetch_tokens
 
     def test_pa8000_parity_across_engines(self):
         from repro.machine.pa8000 import simulate

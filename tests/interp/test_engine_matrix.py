@@ -3,7 +3,7 @@
 The differential suite pins the optimized engine against the
 reference with no sink and a recording sink; this file sweeps the full
 capability matrix CI's ``engine-matrix`` job runs — each engine in
-``ENGINES`` under no sink, :class:`CountingSink` (one hook per part),
+``ENGINES`` under no sink, :class:`CountingSink` (one token per part),
 :class:`SamplingSink` (jittered sampling state, call/return exact), the
 runtime profiler, and the :class:`~repro.machine.pa8000.PA8000Model`
 (every callback live) on the default machine and on a small one —

@@ -15,6 +15,12 @@ changed underneath it.  Three mechanisms cover the matrix:
   effect on the next run, which is exactly the swap semantics the
   fleet relies on (a running request finishes on the build it started
   on).
+
+The mid-run swap comes from a sink's ``on_call``.  The fast engine
+delivers that callback when it drains the run's tape, so those runs
+make more helper calls than ``TAPE_BOUND``: a drain at the bound lands
+the swap while the loop still runs, and the calls after it show which
+plan they ran.
 """
 
 from __future__ import annotations
@@ -23,8 +29,13 @@ import pytest
 
 from repro.frontend.driver import compile_program
 from repro.interp.diff import OPTIMIZED_ENGINES
+from repro.interp.engine import TAPE_BOUND
 from repro.interp.events import EventSink
 from repro.interp.interpreter import Interpreter, run_program
+
+#: Helper calls in a mid-run swap test: twice the tape's bound, so at
+#: least one drain at the bound comes before the loop ends.
+LONG = 2 * TAPE_BOUND
 
 
 @pytest.fixture(params=OPTIMIZED_ENGINES)
@@ -32,7 +43,7 @@ def engine(request):
     return request.param
 
 
-def _sources(bonus: int) -> list:
+def _sources(bonus: int, iterations: int = 4) -> list:
     return [
         (
             "lib",
@@ -41,9 +52,9 @@ def _sources(bonus: int) -> list:
         (
             "main",
             "extern int helper(int x);\n"
-            "int main() { int i = 0; int acc = 0;\n"
-            "  while (i < 4) { acc = acc + helper(10); i = i + 1; }\n"
-            "  print_int(acc); return 0; }\n",
+            "int main() {{ int i = 0; int acc = 0;\n"
+            "  while (i < {}) {{ acc = acc + helper(10); i = i + 1; }}\n"
+            "  print_int(acc); return 0; }}\n".format(iterations),
         ),
     ]
 
@@ -112,7 +123,11 @@ def test_invalidate_plans_drops_the_cache_object(engine):
 
 
 class _MidRunSwapper(EventSink):
-    """Hot-swaps @helper after its second call, mid-run."""
+    """Hot-swaps @helper when told of its second call, mid-run.
+
+    ``printed_at_swap`` is the run's output when the swap landed: empty
+    while the loop still runs, since the program prints only after it.
+    """
 
     needs_instr = False
     needs_branch = False
@@ -123,39 +138,51 @@ class _MidRunSwapper(EventSink):
         self.program = program
         self.bonus = bonus
         self.calls = 0
+        self.output = None
+        self.printed_at_swap = None
+
+    def run(self, engine):
+        interp = Interpreter(self.program, sink=self, engine=engine)
+        self.output = interp.output
+        return interp.run()
 
     def on_call(self, caller, callee_name, kind, n_args):
         if callee_name == "helper":
             self.calls += 1
             if self.calls == 2:
                 _swap_helper(self.program, self.bonus)
+                self.printed_at_swap = list(self.output)
 
 
 def test_mid_run_swap_completes_on_old_plan_next_run_sees_new(engine):
-    program = compile_program(_sources(1))
+    program = compile_program(_sources(1, LONG))
     sink = _MidRunSwapper(program, 100)
-    first = Interpreter(program, sink=sink, engine=engine).run()
-    # All four iterations used the plan resolved at the run's first
+    first = sink.run(engine)
+    # The swap landed while the loop still ran, and every call, the
+    # ones after it included, used the plan resolved at the run's first
     # call — the in-flight run is never torn between two builds.
-    assert first.output == [44]
-    assert sink.calls >= 2
+    assert sink.printed_at_swap == []
+    assert sink.calls == LONG
+    assert first.output == [11 * LONG]
     # A fresh run re-validates fingerprints and sees the swapped body.
     second = run_program(program, engine=engine)
-    assert second.output == [440]
+    assert second.output == [110 * LONG]
 
 
 def test_mid_run_swap_matches_reference_engine_semantics(engine):
-    program_opt = compile_program(_sources(1))
-    program_ref = compile_program(_sources(1))
-    opt = Interpreter(
-        program_opt, sink=_MidRunSwapper(program_opt, 100), engine=engine
-    ).run()
-    ref = Interpreter(
-        program_ref, sink=_MidRunSwapper(program_ref, 100), engine="reference"
-    ).run()
+    program_opt = compile_program(_sources(1, LONG))
+    program_ref = compile_program(_sources(1, LONG))
+    opt_sink = _MidRunSwapper(program_opt, 100)
+    ref_sink = _MidRunSwapper(program_ref, 100)
+    opt = opt_sink.run(engine)
+    ref = ref_sink.run("reference")
+    assert opt_sink.printed_at_swap == ref_sink.printed_at_swap == []
     # The reference engine re-reads blocks each call, so it *does* see
-    # the new body mid-run; the contract the fleet needs is only about
-    # post-swap runs, where both engines agree.
+    # the new body mid-run, from the call its on_call announced; the
+    # contract the fleet needs is only about post-swap runs, where both
+    # engines agree.
+    assert opt.output == [11 * LONG]
+    assert ref.output == [11 + 110 * (LONG - 1)]
     assert opt.exit_code == ref.exit_code == 0
     assert run_program(program_opt, engine=engine).output == \
-        run_program(program_ref, engine="reference").output == [440]
+        run_program(program_ref, engine="reference").output == [110 * LONG]

@@ -1,18 +1,22 @@
-"""The PA8000 model's fetch-group hooks on the fast engine.
+"""The PA8000 model's fetch-group tokens on the fast engine.
 
-On the fast engine :class:`PA8000Model` does its fetches as compiled
-hooks, one per group of fetches (``EventSink.fetch_groups``), which
-bind lines, tag slots, spill rates and predictor slots; the reference
-engine calls ``on_instr`` per instruction.  Each case here compares a
-fast-engine simulation with a fresh reference-engine run of the same
-program: a second model on the same program, which compiles its own
-plans, plans outdated by an edit, and runs cut by a trap or the step
-limit inside a group of a procedure that spills.
+On the fast engine :class:`PA8000Model` compiles each group of fetches
+into one token (``EventSink.fetch_tokens``) that binds lines, tag
+slots, spill rates and predictor slots, and applies the tokens from
+the run's tape in its ``drain`` loop; the reference engine calls
+``on_instr`` per instruction, which drains a one-fetch token.  Each
+case here compares a fast-engine simulation with a fresh
+reference-engine run of the same program: a second model on the same
+program, which compiles its own plans, plans outdated by an edit, and
+runs cut by a trap or the step limit inside a group of a procedure
+that spills.  And no plan holds a sink or a tape, for every sink
+family.
 """
 
 from __future__ import annotations
 
 import gc
+import types
 import weakref
 
 import pytest
@@ -21,7 +25,7 @@ from repro.core import HLOConfig, run_hlo
 from repro.frontend import compile_program
 from repro.interp import Interpreter
 from repro.interp.errors import ExecError
-from repro.interp.fuzz import PA8000_SMALL
+from repro.interp.fuzz import PA8000_SMALL, SINK_KINDS, _make_sink
 from repro.interp.interpreter import DEFAULT_MAX_STEPS
 from repro.ir.instructions import Load, Mov, Store
 from repro.ir.values import Imm, Reg
@@ -151,11 +155,11 @@ def test_a_spilling_group_ends_at_each_load_and_store():
     label = helper.entry
     instrs = helper.blocks[label].instrs
     events = [(helper, label, index, instr) for index, instr in enumerate(instrs)]
-    counts = [count for count, _hook in PA8000Model(program).fetch_groups(events)]
+    counts = [count for count, _token in PA8000Model(program).fetch_tokens(events)]
     assert counts == [len(instrs)]  # the default register file: no spills
     counts = [
         count
-        for count, _hook in PA8000Model(program, CONFIGS["small"]).fetch_groups(events)
+        for count, _token in PA8000Model(program, CONFIGS["small"]).fetch_tokens(events)
     ]
     ends = [i for i, instr in enumerate(instrs) if isinstance(instr, (Load, Store))]
     assert len(ends) == 2
@@ -186,15 +190,54 @@ def test_step_limits_that_cut_groups():
         assert got == want, max_steps
 
 
-def test_the_plan_cache_holds_no_model():
+def _reachable(root):
+    """Every object a plan cache reaches through containers, instance
+    state and closures (not through modules, classes or code)."""
+    seen = {}
+    stack = [root]
+    while stack:
+        obj = stack.pop()
+        if id(obj) in seen or isinstance(obj, (type, types.ModuleType, types.CodeType)):
+            continue
+        seen[id(obj)] = obj
+        if isinstance(obj, types.FunctionType):
+            stack.extend(obj.__defaults__ or ())
+            for cell in obj.__closure__ or ():
+                try:
+                    stack.append(cell.cell_contents)
+                except ValueError:  # an empty cell
+                    pass
+        else:
+            stack.extend(gc.get_referents(obj))
+    return seen.values()
+
+
+def test_the_plan_cache_holds_no_model(monkeypatch):
+    """For every sink family: the plans a run compiled hold neither its
+    sink nor its tape, and the sink is freed at its last reference."""
     program = compile_program(LOOPS)
-    model = PA8000Model(program, CONFIGS["small"])
-    Interpreter(program, [], sink=model).run()
-    assert program._plan_cache.plans
-    dead = weakref.ref(model)
-    gc.disable()
-    try:
-        del model
-        assert dead() is None
-    finally:
-        gc.enable()
+    tapes = []
+    for kind in [k for k in SINK_KINDS if k != "none"] + ["recording"]:
+        sink = _make_sink(kind, program)
+        cls = type(sink)
+        drain = cls.drain
+
+        def capture(self, tape, _drain=drain):
+            tapes.append(tape)
+            _drain(self, tape)
+
+        monkeypatch.setattr(cls, "drain", capture)
+        Interpreter(program, [], sink=sink).run()
+        monkeypatch.undo()
+        assert tapes, kind
+        assert program._plan_cache.plans
+        held = _reachable(program._plan_cache)
+        assert not any(obj is sink for obj in held), kind
+        assert not any(obj is tape for tape in tapes for obj in held), kind
+        dead = weakref.ref(sink)
+        gc.disable()
+        try:
+            del sink
+            assert dead() is None, kind
+        finally:
+            gc.enable()

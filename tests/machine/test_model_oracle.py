@@ -1,7 +1,7 @@
 """The production PA8000 model against the per-event reference model.
 
 :class:`PA8000Model` skips work the per-event model does: on the fast
-engine it does a group of fetches in one compiled hook, it checks
+engine it applies a group of fetches as one compiled token, it checks
 I-cache tags only when the fetched line changes, derives the I-cache
 access count, and checks save traffic once per stack line.  Every
 :class:`MachineMetrics` field must still come out identical to

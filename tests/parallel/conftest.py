@@ -5,6 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.linker.isom import to_isom_text
+from repro.workloads.suite import get_workload
 
 # A three-module program with cross-module calls, small enough that a
 # full cp build (train + compile + HLO) stays fast in the suite.
@@ -29,6 +30,22 @@ SOURCES = [
 
 TRAIN_INPUTS = [[5]]
 REF_INPUT = [7]
+
+#: The programs the jobs and warm-cache gates run on: the toy above and
+#: the three suite programs bench smoke builds.
+GATE_PROGRAMS = ("toy", "compress", "sc", "vortex")
+
+
+def gate_program(name):
+    """``(sources, train inputs, reference input)`` of a gate program."""
+    if name == "toy":
+        return [(mod, text) for mod, text in SOURCES], TRAIN_INPUTS, REF_INPUT
+    workload = get_workload(name)
+    return (
+        list(workload.sources),
+        [list(vector) for vector in workload.train_inputs],
+        list(workload.ref_input),
+    )
 
 
 @pytest.fixture

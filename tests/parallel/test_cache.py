@@ -4,13 +4,15 @@ from __future__ import annotations
 
 import os
 
+import pytest
+
 from repro.core.config import HLOConfig
 from repro.frontend.driver import compile_module
 from repro.linker.isom import to_isom_text
 from repro.linker.toolchain import Toolchain
 from repro.parallel import ModuleCache
 
-from .conftest import TRAIN_INPUTS
+from .conftest import GATE_PROGRAMS, TRAIN_INPUTS, gate_program
 
 MODULE_SOURCE = "int add(int a, int b) { return a + b; }\n"
 
@@ -154,20 +156,22 @@ def test_unbounded_cache_never_size_evicts(tmp_path):
     assert cache.stats.size_evictions == 0
 
 
-def _build(sources, tmp_path, config=None):
+def _build(sources, tmp_path, config=None, train_inputs=TRAIN_INPUTS):
     toolchain = Toolchain(
         sources,
-        train_inputs=TRAIN_INPUTS,
+        train_inputs=train_inputs,
         config=config,
         cache_dir=str(tmp_path),
     )
     return toolchain.build("cp")
 
 
-def test_warm_rebuild_recompiles_nothing(sources, tmp_path):
-    cold = _build(sources, tmp_path)
+@pytest.mark.parametrize("program", GATE_PROGRAMS)
+def test_warm_rebuild_recompiles_nothing(program, tmp_path):
+    sources, train_inputs, _ref_input = gate_program(program)
+    cold = _build(sources, tmp_path, train_inputs=train_inputs)
     assert cold.diagnostics.modules_compiled > 0
-    warm = _build(sources, tmp_path)
+    warm = _build(sources, tmp_path, train_inputs=train_inputs)
     assert warm.diagnostics.modules_compiled == 0
     assert warm.diagnostics.cache_hit_rate == 1.0
     assert "cache: " in warm.diagnostics.summary(warm.report)

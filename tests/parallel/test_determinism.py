@@ -15,16 +15,18 @@ import pytest
 from repro.linker.toolchain import Toolchain
 from repro.parallel import compile_sources
 
-from .conftest import REF_INPUT, TRAIN_INPUTS, isoms
+from .conftest import GATE_PROGRAMS, REF_INPUT, TRAIN_INPUTS, gate_program, isoms
 
 
 @pytest.mark.parametrize("scope", ["base", "cp"])
-def test_jobs_do_not_change_output(sources, scope):
-    serial = Toolchain(sources, train_inputs=TRAIN_INPUTS, jobs=1).build(scope)
-    wide = Toolchain(sources, train_inputs=TRAIN_INPUTS, jobs=4).build(scope)
+@pytest.mark.parametrize("program", GATE_PROGRAMS)
+def test_jobs_do_not_change_output(program, scope):
+    sources, train_inputs, ref_input = gate_program(program)
+    serial = Toolchain(sources, train_inputs=train_inputs, jobs=1).build(scope)
+    wide = Toolchain(sources, train_inputs=train_inputs, jobs=4).build(scope)
     assert isoms(serial) == isoms(wide)
-    behavior_serial = serial.run(REF_INPUT)[1].behavior()
-    behavior_wide = wide.run(REF_INPUT)[1].behavior()
+    behavior_serial = serial.run(ref_input)[1].behavior()
+    behavior_wide = wide.run(ref_input)[1].behavior()
     assert behavior_serial == behavior_wide
 
 
