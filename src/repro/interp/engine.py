@@ -25,8 +25,8 @@ of bound Python closures with all of that decoding done ahead of time
   :mod:`repro.interp.events`, "Tokens and the tape").  The parts make
   no call into the sink; they reach the tape through the run state, so
   a plan holds nothing of a sink or of a run.  The engine drains the
-  tape when it passes :data:`TAPE_BOUND`, before it calls ``on_instr``
-  directly, and before the run returns or raises.
+  tape when it passes :data:`~repro.interp.events.TAPE_BOUND`, before
+  it calls ``on_instr`` directly, and before the run returns or raises.
 
 Plans are cached on the :class:`~repro.ir.Program` (keyed by procedure
 name and sink-capability mode, which names the sink's token methods)
@@ -69,7 +69,7 @@ from ..ir.printer import print_proc
 from ..ir.procedure import ATTR_VARARGS, Procedure
 from ..ir.values import FuncRef, GlobalRef, Imm, Reg
 from .errors import ExecError, StepLimitExceeded
-from .events import TOKEN_METHODS
+from .events import TAPE_BOUND, TOKEN_METHODS
 from .memory import CodePtr
 
 # interpreter.py never imports this module at top level (the fast path
@@ -94,12 +94,6 @@ _MISS = object()
 # builtins only ever read ``frame.varargs``, so sharing one list avoids
 # an allocation per call.
 _NO_VARARGS: List[Any] = []
-
-#: The tape is drained when it holds more than this many tokens, checked
-#: where a part ends in a branch, jump or call: every loop passes one,
-#: so a run holds at most this many plus one part's tokens.  Returns are
-#: not checked; a run of them is bounded by the frame stack.
-TAPE_BOUND = 4096
 
 _NO_SINK = (None, False, False, False, False, False)
 

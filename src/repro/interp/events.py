@@ -56,15 +56,23 @@ values (the sink's own tuples, numbers, procedures), compiled once:
   ``token < 0`` and the address ``~token``.
 
 Delivery.  The fast engine calls :meth:`drain` when the tape passes a
-fixed bound (``repro.interp.engine.TAPE_BOUND``), before any callback
-it makes directly (``on_instr`` while it replays a part one
-instruction at a time at the step limit, and for the fetches of a
-trapping instruction's group whose token it had not appended), and
-before ``Interpreter.run`` returns or raises, ``exit()`` included.  So
-the fast engine delivers every event in order, in batches, and
-completely before ``run`` returns or raises; the reference engine
-delivers each as it happens.  A sink's state is complete when
-``run_program`` returns.
+fixed bound (:data:`TAPE_BOUND`), before any callback it makes
+directly (``on_instr`` while it replays a part one instruction at a
+time at the step limit, and for the fetches of a trapping
+instruction's group whose token it had not appended), and before
+``Interpreter.run`` returns or raises, ``exit()`` included.  So the
+fast engine delivers every event in order, in batches, and completely
+before ``run`` returns or raises; the reference engine delivers each
+as it happens.
+
+The end of a run.  When a run ends, however it ends (a return, a
+trap, ``exit()`` or the step limit), ``Interpreter.run`` calls the
+sink's :meth:`EventSink.on_run_end` on either engine, after the fast
+engine's last drain and before it returns or raises.  A sink that
+defers work, such as the PA8000 model whose state may live in a
+worker process (:mod:`repro.machine.worker`), completes its state
+there; the base class's does nothing.  So a sink's state is complete
+when ``run_program`` returns or raises.
 
 On the fast engine a callback therefore runs at a drain, after its
 event: the run may have gone on by up to a bound's worth of tokens.  A
@@ -101,6 +109,13 @@ from ..ir.instructions import Load, Store
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..ir.instructions import Instr
     from ..ir.procedure import Procedure
+
+#: The fast engine drains the tape when it holds more than this many
+#: tokens, checked where a part ends in a branch, jump or call: every
+#: loop passes one, so a run holds at most this many plus one part's
+#: tokens.  Returns are not checked; a run of them is bounded by the
+#: frame stack.
+TAPE_BOUND = 4096
 
 # A fetch event, ``(proc, label, index, instr)``.
 Event = Tuple["Procedure", str, int, "Instr"]
@@ -143,7 +158,8 @@ class EventSink:
     engines.  On the fast engine those calls come at a drain, after
     their events, so a callback must not act on the program or the run
     expecting the event to be the latest, and must not raise (module
-    docstring, "Delivery").
+    docstring, "Delivery").  On both engines :meth:`on_run_end`
+    follows a run's last event.
     """
 
     needs_instr = True
@@ -181,6 +197,10 @@ class EventSink:
 
     def on_mem(self, addr: int, is_store: bool) -> None:
         """A data memory access at word address ``addr``."""
+
+    def on_run_end(self) -> None:
+        """A run ended, and every one of its events has been delivered
+        (module docstring, "The end of a run")."""
 
     # -- tokens (the fast engine's delivery, see module docstring) -------
 

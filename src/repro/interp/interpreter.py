@@ -226,6 +226,8 @@ class Interpreter:
             return self._run_reference(proc, args)
         finally:
             self._builtins = None
+            if self.sink is not None:
+                self.sink.on_run_end()
 
     def _run_reference(self, proc: Procedure, args: Sequence[Word]) -> Result:
         frame = self._push_frame(proc, list(args), dest=None)

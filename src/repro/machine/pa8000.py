@@ -22,10 +22,11 @@ Capacities are scaled to our workload sizes (DESIGN.md, substitutions).
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
-from ..interp.events import EventSink
+from ..interp.events import TAPE_BOUND, EventSink
 from ..interp.interpreter import (
     DEFAULT_ENGINE,
     DEFAULT_MAX_STEPS,
@@ -82,22 +83,74 @@ class MachineConfig:
 _FETCH, _TAKEN, _NOT_TAKEN, _JUMP, _CALL, _ICALL, _BCALL, _RESUME = range(8)
 
 
+def _control(op: int, words: int = 0) -> tuple:
+    """The token of a control transfer with ``words`` of save traffic."""
+    save = (words, (words - 1) * WORD_BYTES) if words else None
+    return (op, 0, 0, 0, (), 0, 0, (), 0.0, save)
+
+
+_TAKEN_TOKEN = _control(_TAKEN)
+_NOT_TAKEN_TOKEN = _control(_NOT_TAKEN)
+_JUMP_TOKEN = _control(_JUMP)
+
+
+def _cpus() -> int:
+    """How many CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # not on Linux
+        return os.cpu_count() or 1
+
+
+# A process made by fork (a --jobs pool's worker) keeps its models'
+# state in-process: the worker's pipe belongs to its parent, and such a
+# process may end with os._exit, which would leave a worker of its own
+# running.
+_forked = False
+
+
+def _note_fork() -> None:
+    global _forked
+    _forked = True
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_note_fork)
+
+
+def _worker():
+    """The worker this process's models keep their state in, or None to
+    keep it in-process (docs/machine.md, "Host cost")."""
+    if _forked or _cpus() < 2:
+        return None
+    from .worker import shared
+
+    return shared()
+
+
 class PA8000Model(EventSink):
     """EventSink that accumulates machine metrics during a run.
 
     Each piece of work does the least that keeps :meth:`metrics` exact
     (docs/machine.md, "Host cost").  The model compiles each event into
     a token of numbers (I-cache lines and tag slots, spill rate,
-    predictor slot, save words) and applies tokens in one loop,
-    :meth:`drain`, over local variables: the only code that changes its
-    metrics.  The fast engine appends the tokens to its tape; the
-    ``on_*`` callbacks, which the reference engine and the fast
-    engine's direct paths call, build the same tokens and drain them.
-    The I-cache tags are checked only when the fetched line changes,
-    and the cache and predictor updates are written out against the
-    tag and counter state :class:`DirectMappedCache` and
-    :class:`TwoBitPredictor` own.  The I-cache's access count is not
-    kept per fetch; :meth:`metrics` derives it.
+    predictor slot, save words), and its :class:`MachineState` applies
+    tokens in one loop, :meth:`MachineState.drain`: the only code that
+    changes its metrics.  The fast engine appends the tokens to its
+    tape; the ``on_*`` callbacks, which the reference engine and the
+    fast engine's direct paths call, append the same tokens to a tape
+    of the model's own, which ships at the same bound.  The I-cache
+    tags are checked only when the fetched line changes, and the cache
+    and predictor updates are written out against the tag and counter
+    state :class:`DirectMappedCache` and :class:`TwoBitPredictor` own.
+    The I-cache's access count is not kept per fetch; :meth:`metrics`
+    derives it.
+
+    On a host with two or more CPUs the state lives in the machine-state
+    worker (:mod:`repro.machine.worker`), which applies the tapes while
+    the interpreter runs on, and :attr:`state` is a copy of it, brought
+    up to date when a run ends (:meth:`on_run_end`) and by
+    :meth:`metrics`.  Otherwise :attr:`state` is the state itself.
 
     A token is ``(op, n, first, slot, rest, last, pslot, each, rate,
     save)``: ``n`` fetches (0 for none) whose first line and its tag
@@ -111,13 +164,7 @@ class PA8000Model(EventSink):
     def __init__(self, program: Program, config: Optional[MachineConfig] = None):
         self.config = config or MachineConfig()
         self.layout = CodeLayout(program)
-        self.icache = DirectMappedCache(self.config.icache_bytes, self.config.line_bytes)
-        self.dcache = DirectMappedCache(self.config.dcache_bytes, self.config.line_bytes)
-        self.predictor = TwoBitPredictor(self.config.predictor_entries)
-        self.retired = 0
-        self.calls = 0
-        self.spills = 0
-        self.depth = 0
+        self.state = MachineState(self.config)
         self._save_counts: Dict[str, int] = {}
         self._spill_rates: Dict[str, float] = {}
         for proc in program.all_procs():
@@ -127,20 +174,17 @@ class PA8000Model(EventSink):
             self._spill_rates[proc.name] = min(
                 self.config.max_spill_rate, excess * self.config.spill_rate_per_reg
             )
-        self._spill_acc = 0.0
-        self._shift = self.config.line_bytes.bit_length() - 1
-        # Lines from one stack word to the next (1 unless lines are
-        # narrower than a word).
-        self._word_lines = max(1, WORD_BYTES >> self._shift)
-        # Retired instructions that never touch the I-cache (builtin bodies).
-        self._off_image = 0
-        # The I-cache line last checked (-1: none yet) and the predictor
-        # slot of the last fetched instruction (pc 0's before any).
-        self._line = -1
-        self._pslot = 0
-        # Per frame depth, the D-cache lines of each span of save
-        # traffic (see _stack_lines): derived from the config alone.
-        self._frame_lines: List[Dict[int, tuple]] = []
+        self._shift = self.state.shift
+        self._icache_lines = self.state.icache.num_lines
+        self._predictor_entries = self.state.predictor.entries
+        # The callbacks' tokens not yet applied, and the one-fetch token
+        # of each instruction on_instr has seen, by (procedure, label,
+        # index).
+        self._pending: List = []
+        self._one_fetch: Dict[Tuple[str, str, int], tuple] = {}
+        # The state's place in the worker, or None: it is in-process.
+        worker = _worker()
+        self._remote = worker.open() if worker is not None else None
         # The tokens bind this model's lines, tag slots, spill rates and
         # save counts, as they were when it was built, so its plans
         # serve no other model: the key is a token only it holds, and
@@ -157,9 +201,9 @@ class PA8000Model(EventSink):
         line = pc >> self._shift
         return (
             line,
-            line % self.icache.num_lines,
+            line % self._icache_lines,
             self._spill_rates.get(proc_name, 0.0),
-            (pc >> 2) % self.predictor.entries,
+            (pc >> 2) % self._predictor_entries,
         )
 
     def _fetch_token(self, fetches: Sequence[Fetch]) -> tuple:
@@ -178,12 +222,6 @@ class PA8000Model(EventSink):
             _FETCH, n, first, slot, tuple(lines[1:]), lines[-1][0], fetches[-1][3],
             range(n) if rate else (), rate, None,
         )
-
-    @staticmethod
-    def _control(op: int, words: int = 0) -> tuple:
-        """The token of a control transfer with ``words`` of save traffic."""
-        save = (words, (words - 1) * WORD_BYTES) if words else None
-        return (op, 0, 0, 0, (), 0, 0, (), 0.0, save)
 
     def fetch_tokens(self, events):
         """One group per part in a procedure that does not spill: its
@@ -205,8 +243,8 @@ class PA8000Model(EventSink):
 
     def branch_token(self, proc, label, index, kind, taken, target_label):
         if kind != "cond":
-            return self._control(_JUMP)
-        return self._control(_TAKEN if taken else _NOT_TAKEN)
+            return _JUMP_TOKEN
+        return _TAKEN_TOKEN if taken else _NOT_TAKEN_TOKEN
 
     def call_token(self, caller, callee_name, kind, n_args):
         # Caller-save spills and excess outgoing arguments hit the stack.
@@ -215,56 +253,164 @@ class PA8000Model(EventSink):
         if n_args > config.reg_args:
             words += n_args - config.reg_args
         if kind == "builtin":
-            return self._control(_BCALL, words)
-        return self._control(_ICALL if kind == "indirect" else _CALL, words)
+            return _control(_BCALL, words)
+        return _control(_ICALL if kind == "indirect" else _CALL, words)
 
     def return_token(self, callee_name):
         return None  # a return's work depends only on the caller it resumes
 
     def resume_token(self, caller):
         saves = self._save_counts.get(caller.name, self.config.max_save_regs)
-        return self._control(_RESUME, saves)
+        return _control(_RESUME, saves)
 
     def join(self, first, second):
         """A fetch group's token and the control transfer after it."""
         return (second[0],) + first[1:9] + (second[9],)
 
     # ------------------------------------------------------------------
-    # Event callbacks: the same tokens, one at a time
+    # Event callbacks: the same tokens, on a tape of the model's own
     # ------------------------------------------------------------------
 
     def on_instr(self, proc, label, index, instr) -> None:
-        self.drain([self._fetch_token([self._fetch(proc.name, label, index)])])
+        key = (proc.name, label, index)
+        token = self._one_fetch.get(key)
+        if token is None:
+            token = self._one_fetch[key] = self._fetch_token([self._fetch(*key)])
+        pending = self._pending
+        pending.append(token)
+        if len(pending) > TAPE_BOUND:
+            self._ship()
 
     def on_branch(self, proc, label, index, kind, taken, target_label) -> None:
-        self.drain([self.branch_token(proc, label, index, kind, taken, target_label)])
+        self._put(self.branch_token(proc, label, index, kind, taken, target_label))
 
     def on_call(self, caller, callee_name, kind, n_args) -> None:
-        self.drain([self.call_token(caller, callee_name, kind, n_args)])
+        self._put(self.call_token(caller, callee_name, kind, n_args))
 
     def on_return(self, callee_name, caller) -> None:
-        self.drain([self.resume_token(caller)])
+        self._put(self.resume_token(caller))
 
     def on_mem(self, addr, is_store) -> None:
-        self.drain([~addr if is_store else addr])
+        self._put(~addr if is_store else addr)
+
+    def _put(self, token) -> None:
+        pending = self._pending
+        pending.append(token)
+        if len(pending) > TAPE_BOUND:
+            self._ship()
 
     # ------------------------------------------------------------------
-    # The tape loop
+    # Delivery
     # ------------------------------------------------------------------
 
-    def _stack_lines(self, base: int, span: int) -> Tuple[Tuple[int, int], ...]:
+    def _apply(self, tape) -> None:
+        """Apply ``tape`` to the state, where it lives."""
+        remote = self._remote
+        if remote is not None:
+            if remote.drain(self.state, tape):
+                return
+            self._remote = None  # no worker for this process any more
+        self.state.drain(tape)
+
+    def _ship(self) -> None:
+        """Apply the callbacks' tape and empty it."""
+        pending = self._pending
+        try:
+            self._apply(pending)
+        finally:
+            pending.clear()
+
+    def drain(self, tape) -> None:
+        if self._pending:  # the callbacks' events came first
+            self._ship()
+        self._apply(tape)
+
+    def on_run_end(self) -> None:
+        """Apply what the callbacks left, and copy the worker's state
+        back into :attr:`state`, which is then complete."""
+        if self._pending:
+            self._ship()
+        remote = self._remote
+        if remote is not None and remote.dirty:
+            self.state = remote.fetch()
+
+    # ------------------------------------------------------------------
+    # Results
+    # ------------------------------------------------------------------
+
+    def metrics(self, ir_steps: int = 0) -> MachineMetrics:
+        self.on_run_end()  # events given outside a run are applied too
+        config = self.config
+        state = self.state
+        cycles = (
+            state.retired / config.issue_width
+            + state.icache.misses * config.icache_miss_penalty
+            + state.dcache.misses * config.dcache_miss_penalty
+            + state.predictor.mispredictions * config.mispredict_penalty
+        )
+        return MachineMetrics(
+            cycles=cycles,
+            instructions=state.retired,
+            icache_accesses=state.retired - state.off_image,
+            icache_misses=state.icache.misses,
+            dcache_accesses=state.dcache.accesses,
+            dcache_misses=state.dcache.misses,
+            branches=state.predictor.predictions,
+            branch_mispredicts=state.predictor.mispredictions,
+            code_bytes=self.layout.code_bytes,
+            ir_steps=ir_steps,
+            calls=state.calls,
+            spills=state.spills,
+        )
+
+
+class MachineState:
+    """The machine a PA8000 model drives: its caches, predictor and
+    counters, the spill accumulator and the stack lines of each frame
+    depth, and :meth:`drain`, the only code that changes them.
+
+    It holds nothing of a program, only numbers, so it works the same in
+    the interpreter's process and in the machine-state worker
+    (:mod:`repro.machine.worker`), and it pickles whole.
+    """
+
+    def __init__(self, config: MachineConfig):
+        self.icache = DirectMappedCache(config.icache_bytes, config.line_bytes)
+        self.dcache = DirectMappedCache(config.dcache_bytes, config.line_bytes)
+        self.predictor = TwoBitPredictor(config.predictor_entries)
+        self.builtin_instrs = config.builtin_instrs
+        self.shift = config.line_bytes.bit_length() - 1
+        # Lines from one stack word to the next (1 unless lines are
+        # narrower than a word).
+        self.word_lines = max(1, WORD_BYTES >> self.shift)
+        self.retired = 0
+        self.calls = 0
+        self.spills = 0
+        self.depth = 0
+        # Retired instructions that never touch the I-cache (builtin bodies).
+        self.off_image = 0
+        # The I-cache line last checked (-1: none yet) and the predictor
+        # slot of the last fetched instruction (pc 0's before any).
+        self.line = -1
+        self.pslot = 0
+        self.spill_acc = 0.0
+        # Per frame depth, the D-cache lines of each span of save
+        # traffic (see stack_lines): derived from the config alone.
+        self.frame_lines: List[Dict[int, tuple]] = []
+
+    def stack_lines(self, base: int, span: int) -> Tuple[Tuple[int, int], ...]:
         """``(line, tag slot)`` of each D-cache line that save traffic
         from ``base`` down through ``base - span`` touches, top first."""
-        shift = self._shift
+        shift = self.shift
         lines = self.dcache.num_lines
         last = (base - span) >> shift
         return tuple(
             (line, line % lines)
-            for line in range(base >> shift, last - 1, -self._word_lines)
+            for line in range(base >> shift, last - 1, -self.word_lines)
         )
 
     def drain(self, tape) -> None:
-        """Apply ``tape``'s tokens in order: the model's only update.
+        """Apply ``tape``'s tokens in order: the machine's only update.
 
         - **Fetches.**  ``retired`` and the predictor slot take the
           group's count and last fetch.  Every other I-cache access
@@ -297,22 +443,22 @@ class PA8000Model(EventSink):
         dtags = dcache.tags
         dlines = dcache.num_lines
         counters = predictor.counters
-        shift = self._shift
-        builtin_instrs = self.config.builtin_instrs
-        frames = self._frame_lines
+        shift = self.shift
+        builtin_instrs = self.builtin_instrs
+        frames = self.frame_lines
         retired = self.retired
         calls = self.calls
         spills = self.spills
         depth = self.depth
-        off_image = self._off_image
+        off_image = self.off_image
         imisses = icache.misses
         daccesses = dcache.accesses
         dmisses = dcache.misses
         predictions = predictor.predictions
         mispredictions = predictor.mispredictions
-        line = self._line
-        pslot = self._pslot
-        acc = self._spill_acc
+        line = self.line
+        pslot = self.pslot
+        acc = self.spill_acc
         base = SIM_STACK_BASE - depth * frame_bytes  # the frame's top
         while len(frames) <= depth:
             frames.append({})
@@ -401,7 +547,7 @@ class PA8000Model(EventSink):
                             imisses += 1
                     lines = here.get(span)
                     if lines is None:
-                        lines = here[span] = self._stack_lines(base, span)
+                        lines = here[span] = self.stack_lines(base, span)
                     while checks:
                         checks -= 1
                         for ln, slot in lines:
@@ -425,42 +571,15 @@ class PA8000Model(EventSink):
         self.calls = calls
         self.spills = spills
         self.depth = depth
-        self._off_image = off_image
+        self.off_image = off_image
         icache.misses = imisses
         dcache.accesses = daccesses
         dcache.misses = dmisses
         predictor.predictions = predictions
         predictor.mispredictions = mispredictions
-        self._line = line
-        self._pslot = pslot
-        self._spill_acc = acc
-
-    # ------------------------------------------------------------------
-    # Results
-    # ------------------------------------------------------------------
-
-    def metrics(self, ir_steps: int = 0) -> MachineMetrics:
-        config = self.config
-        cycles = (
-            self.retired / config.issue_width
-            + self.icache.misses * config.icache_miss_penalty
-            + self.dcache.misses * config.dcache_miss_penalty
-            + self.predictor.mispredictions * config.mispredict_penalty
-        )
-        return MachineMetrics(
-            cycles=cycles,
-            instructions=self.retired,
-            icache_accesses=self.retired - self._off_image,
-            icache_misses=self.icache.misses,
-            dcache_accesses=self.dcache.accesses,
-            dcache_misses=self.dcache.misses,
-            branches=self.predictor.predictions,
-            branch_mispredicts=self.predictor.mispredictions,
-            code_bytes=self.layout.code_bytes,
-            ir_steps=ir_steps,
-            calls=self.calls,
-            spills=self.spills,
-        )
+        self.line = line
+        self.pslot = pslot
+        self.spill_acc = acc
 
 
 def simulate(

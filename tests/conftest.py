@@ -9,6 +9,21 @@ from repro.interp import run_program
 from repro.ir import IRBuilder, Module, Program, Type, verify_program
 
 
+# Where a PA8000 model keeps its machine state: in-process, as on a
+# one-CPU host, or in the machine-state worker, as on two or more CPUs.
+# The model chooses by the CPU count, which the fixture fakes.
+TRANSPORT_CPUS = {"in-process": 1, "worker": 2}
+
+
+@pytest.fixture(params=sorted(TRANSPORT_CPUS))
+def transport(request, monkeypatch):
+    from repro.machine import pa8000
+
+    cpus = TRANSPORT_CPUS[request.param]
+    monkeypatch.setattr(pa8000, "_cpus", lambda: cpus)
+    return request.param
+
+
 def build_program(*module_specs):
     """Build a Program from (name, builder_fn) pairs.
 

@@ -10,7 +10,7 @@ check here runs on both engines.
 import pytest
 
 from repro.frontend import compile_program
-from repro.interp import ENGINES, EventSink, run_program
+from repro.interp import DEFAULT_MAX_STEPS, ENGINES, EventSink, ExecError, run_program
 
 
 class RecordingSink(EventSink):
@@ -168,3 +168,45 @@ class TestDelivery:
         [(addr, _store), _load] = sink.mems
         accesses = [token for token in sink.tokens if type(token) is int]
         assert accesses == [~addr, addr]
+
+
+class EndingSink(RecordingSink):
+    """Records how many events had arrived at each end of a run."""
+
+    def __init__(self):
+        super().__init__()
+        self.ends = []
+
+    def delivered(self):
+        streams = (self.instrs, self.branches, self.calls, self.returns, self.mems)
+        return sum(len(stream) for stream in streams)
+
+    def on_run_end(self):
+        self.ends.append(self.delivered())
+
+
+# How a run can end: (source, step limit).
+ENDINGS = {
+    "return": ("int main() { print_int(1); return 0; }", DEFAULT_MAX_STEPS),
+    "trap": ("int g; int main() { g = 1; return 10 / (g - 1); }", DEFAULT_MAX_STEPS),
+    "exit": ("int leaf() { exit(3); return 0; } int main() { return leaf(); }", DEFAULT_MAX_STEPS),
+    "step limit": (
+        "int main() { int s = 0; for (int i = 0; i < 100; i++) s = s + i; return s; }",
+        50,
+    ),
+}
+
+
+@pytest.mark.parametrize("ending", sorted(ENDINGS))
+def test_the_end_of_a_run_follows_its_last_event(engine, ending):
+    """``on_run_end`` comes once per run, however it ends, and after
+    every event of the run has been delivered."""
+    source, max_steps = ENDINGS[ending]
+    sink = EndingSink()
+    program = compile_program([("m", source)])
+    try:
+        run_program(program, sink=sink, engine=engine, max_steps=max_steps)
+    except ExecError:
+        assert ending in ("trap", "step limit")
+    assert sink.delivered() > 0
+    assert sink.ends == [sink.delivered()]

@@ -7,7 +7,8 @@ access count, and checks save traffic once per stack line.  Every
 :class:`MachineMetrics` field must still come out identical to
 :class:`~tests.machine.reference_model.ReferencePA8000Model`'s, on every
 engine, under configurations small enough to evict and alias, and on
-runs cut short by the step limit.
+runs cut short by the step limit, with the model's state in-process and
+in the machine-state worker.
 """
 
 from __future__ import annotations
@@ -29,6 +30,8 @@ from repro.workloads.generator import generate_sources
 from repro.workloads.suite import all_workloads
 
 from .reference_model import ReferencePA8000Model
+
+pytestmark = pytest.mark.usefixtures("transport")
 
 CONFIGS = {
     "default": MachineConfig(),

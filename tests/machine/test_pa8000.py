@@ -137,7 +137,7 @@ class TestRegisterPressure:
         from repro.interp import Interpreter
 
         Interpreter(program, [1], sink=model).run()
-        assert model.spills == 0
+        assert model.state.spills == 0
 
     def test_fat_proc_spills(self):
         program = self.build_fat_proc(80)
@@ -145,7 +145,7 @@ class TestRegisterPressure:
         from repro.interp import Interpreter
 
         Interpreter(program, [1], sink=model).run()
-        assert model.spills > 0
+        assert model.state.spills > 0
 
     def test_spills_raise_cycles(self):
         program = self.build_fat_proc(80)
