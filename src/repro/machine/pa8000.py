@@ -95,11 +95,55 @@ _JUMP_TOKEN = _control(_JUMP)
 
 
 def _cpus() -> int:
-    """How many CPUs this process may run on."""
+    """How many CPUs this process may keep busy: those it may run on,
+    as many as its cgroup's CPU quota allows (a container started with
+    ``--cpus=1`` may still run on every CPU of its host)."""
     try:
-        return len(os.sched_getaffinity(0))
+        cpus = len(os.sched_getaffinity(0))
     except AttributeError:  # not on Linux
         return os.cpu_count() or 1
+    quota = _cpu_quota()
+    return cpus if quota is None else max(1, min(cpus, int(quota)))
+
+
+_SELF_CGROUP = "/proc/self/cgroup"
+_CGROUP_ROOT = "/sys/fs/cgroup"
+
+
+def _cpu_quota() -> Optional[float]:
+    """The CPU quota, in CPUs, of this process's cgroup: the least that
+    it or a cgroup above it sets (cgroup v2's ``cpu.max``, v1's
+    ``cpu.cfs_quota_us`` over ``cpu.cfs_period_us``); None for none."""
+    try:
+        with open(_SELF_CGROUP) as f:
+            entries = [line.rstrip("\n").split(":", 2) for line in f]
+    except OSError:
+        return None
+    quotas = []
+    for _hierarchy, controllers, path in entries:
+        if not controllers:  # v2
+            base, files = _CGROUP_ROOT, ("cpu.max",)
+        elif "cpu" in controllers.split(","):  # v1
+            base = os.path.join(_CGROUP_ROOT, controllers)
+            files = ("cpu.cfs_quota_us", "cpu.cfs_period_us")
+        else:
+            continue
+        # Where the cgroup is not mounted at its own path (a container
+        # without a cgroup namespace), the files are at the mount's root.
+        parts = [part for part in path.split("/") if part]
+        for depth in range(len(parts), -1, -1):
+            directory = os.path.join(base, *parts[:depth])
+            try:
+                words = []
+                for name in files:
+                    with open(os.path.join(directory, name)) as f:
+                        words += f.read().split()
+                quota, period = int(words[0]), int(words[-1])
+            except (OSError, ValueError, IndexError):  # none, or "max"
+                continue
+            if quota > 0 and period > 0:
+                quotas.append(quota / period)
+    return min(quotas) if quotas else None
 
 
 # A process made by fork (a --jobs pool's worker) keeps its models'

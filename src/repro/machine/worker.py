@@ -13,8 +13,11 @@ for at exit (docs/machine.md, "Host cost").
 Each message down the pipe is one pickle, ``(op, key, payload)``; a
 drain's payload is the tape as the engine left it (token tuples,
 addresses, indirect callees' names).  Each answer up the pipe (to
-``_FETCH`` and ``_KEYS``) is a pickle after its length.  Only this
-module writes either pipe.
+``_FETCH``, and to ``_KEYS``, which only the lifecycle tests ask, to see
+that freed states leave the worker) is a pickle after its length.  Only
+this module writes either pipe, and only whole exchanges: one that is
+cut short (by Ctrl-C in the middle of a write or a read) leaves the
+pipes out of step, so the worker is then killed as if it had died.
 """
 
 from __future__ import annotations
@@ -28,6 +31,8 @@ import subprocess
 import sys
 import threading
 from typing import List, Optional
+
+from . import pa8000
 
 _DRAIN, _SEED, _FETCH, _FREE, _KEYS = range(5)
 _PROTOCOL = pickle.HIGHEST_PROTOCOL
@@ -60,7 +65,6 @@ class Worker:
 
     def __init__(self) -> None:
         self.lock = threading.Lock()
-        self.pid = os.getpid()
         self.proc: Optional[subprocess.Popen] = None
         # Counts the worker processes started; a Remote records the one
         # that holds its state.
@@ -74,7 +78,7 @@ class Worker:
     def usable(self) -> bool:
         """Whether this process may use the worker: not a fork of the
         one that started it, and not one where it cannot start."""
-        return not self.broken and self.pid == os.getpid()
+        return not self.broken and not pa8000._forked
 
     def open(self) -> "Remote":
         """A place for a new model's state."""
@@ -110,14 +114,33 @@ class Worker:
             proc.wait()
         proc.stdout.close()
 
-    def close(self) -> None:
-        """Stop the worker, from the process that started it (at exit)."""
-        if self.pid == os.getpid():
+    def kill(self) -> None:
+        """End the worker now, and wait for it."""
+        if self.proc is not None:
+            self.proc.kill()
             self.stop()
 
-    def send(self, data: bytes) -> None:
+    def close(self) -> None:
+        """Stop the worker, from the process that started it (at exit)."""
+        if not pa8000._forked:
+            self.stop()
+
+    def exchange(self, data: bytes, answer: bool = False):
+        """Write ``data`` down the pipe and, with ``answer``, read the
+        answer; the caller holds the lock.  An exchange that does not
+        finish, because the worker has died (OSError, EOFError) or
+        because it was cut short, ends the worker: its pipes may hold
+        part of a message."""
+        try:
+            self._send(data)
+            return self._receive() if answer else None
+        except BaseException:
+            self.kill()
+            raise
+
+    def _send(self, data: bytes) -> None:
         """Write ``data``, after the frees of models freed since the last
-        message, down the pipe; the caller holds the lock."""
+        message, down the pipe."""
         freed, self.freed = self.freed, []
         if freed:
             data = pickle.dumps((_FREE, None, freed), _PROTOCOL) + data
@@ -126,8 +149,8 @@ class Worker:
         while view:
             view = view[os.write(fd, view) :]
 
-    def receive(self):
-        """Read one answer; the caller holds the lock."""
+    def _receive(self):
+        """Read one answer."""
         size = int.from_bytes(self._read(_LENGTH_BYTES), "little")
         return pickle.loads(self._read(size))
 
@@ -145,8 +168,7 @@ class Worker:
     def keys(self) -> List[int]:
         """The keys of the states the worker holds."""
         with self.lock:
-            self.send(pickle.dumps((_KEYS, None, None), _PROTOCOL))
-            return self.receive()
+            return self.exchange(pickle.dumps((_KEYS, None, None), _PROTOCOL), True)
 
 
 class Remote:
@@ -191,10 +213,12 @@ class Remote:
                         return False
                     message = pickle.dumps((_SEED, self.key, state), _PROTOCOL) + data
                 try:
-                    worker.send(message)
-                except OSError:  # the worker has died
-                    worker.stop()
+                    worker.exchange(message)
+                except OSError:  # the worker had died
                     continue
+                except BaseException:  # cut short: the tape is lost
+                    self.dirty = True
+                    raise
                 self.generation = worker.generation
                 self.dirty = True
                 return True
@@ -209,10 +233,8 @@ class Remote:
             if worker.proc is None or self.generation != worker.generation:
                 raise WorkerLost()
             try:
-                worker.send(pickle.dumps((_FETCH, self.key, None), _PROTOCOL))
-                state = worker.receive()
+                state = worker.exchange(pickle.dumps((_FETCH, self.key, None), _PROTOCOL), True)
             except (OSError, EOFError):
-                worker.stop()
                 raise WorkerLost() from None
             self.dirty = False
             return state

@@ -26,6 +26,8 @@ from repro.interp.events import EventSink
 from repro.interp.fuzz import SINK_KINDS, _make_sink
 from repro.machine import PA8000Model
 
+from ..conftest import TRANSPORT_CPUS
+
 # A call-free loop whose every iteration puts its branch's token and
 # two data accesses on the tape: about five tokens an iteration, so the
 # whole run's tokens are several times the bound.
@@ -105,6 +107,13 @@ RUNS = {
 }
 
 KINDS = [kind for kind in SINK_KINDS if kind != "none"] + ["recording"]
+# The model's cases run on both transports; the other sinks keep their
+# state in-process either way.
+CASES = [
+    (kind, transport)
+    for kind in KINDS
+    for transport in (sorted(TRANSPORT_CPUS) if kind.startswith("pa8000") else ["in-process"])
+]
 
 
 def _state(kind, sink):
@@ -144,7 +153,7 @@ def _run(source, kind, engine, max_steps):
     return outcome, interp.steps, state
 
 
-@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("kind, transport", CASES, indirect=["transport"])
 @pytest.mark.parametrize("run", sorted(RUNS))
 def test_sink_state_is_complete_when_the_run_ends(run, kind, transport):
     source, max_steps, raised = RUNS[run]

@@ -1,4 +1,5 @@
-"""The machine-state worker's lifecycle.
+"""The machine-state worker's lifecycle, and the CPU rule that decides
+when a model uses it.
 
 On a host with two or more CPUs a PA8000 model's state lives in one
 worker process per interpreter process (repro.machine.worker).  These
@@ -190,6 +191,43 @@ def test_a_worker_killed_mid_run_fails_the_run(worker, monkeypatch, model_class,
     )
 
 
+def _cut_short(monkeypatch, name, fd):
+    """Make the next ``os.<name>`` on ``fd`` do half its work and then
+    raise KeyboardInterrupt, as a Ctrl-C there would."""
+    real = getattr(os, name)
+
+    def cut(target, arg):
+        if target != fd:
+            return real(target, arg)
+        monkeypatch.setattr(os, name, real)
+        real(target, arg[: len(arg) // 2] if name == "write" else arg // 2)
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(os, name, cut)
+
+
+@pytest.mark.parametrize("call", ["write", "read"])
+def test_an_exchange_cut_short_ends_the_worker(worker, monkeypatch, call):
+    # A Ctrl-C in the middle of a tape's write (at a drain) or of the
+    # state's read (when the run ends) leaves part of a message in a
+    # pipe.  The worker is then ended, as if it had died: the model
+    # whose tapes it held raises, and later models are exact.
+    program = loop()
+    want = in_process(monkeypatch, program)
+    assert run(PA8000Model(program), program) == want  # the worker is up
+    proc = worker.proc
+    model = PA8000Model(program)
+    _cut_short(monkeypatch, call, (proc.stdin if call == "write" else proc.stdout).fileno())
+    with pytest.raises(BaseException) as raised:
+        Interpreter(program, [], sink=model).run()
+    assert KeyboardInterrupt in (type(raised.value), type(raised.value.__context__))
+    assert proc.wait(timeout=WAIT_S) is not None
+    with pytest.raises(WorkerLost):
+        model.metrics(0)
+    assert run(PA8000Model(program), program) == want
+    assert worker.proc.pid != proc.pid
+
+
 def test_a_freed_models_state_leaves_the_worker(worker):
     program = loop(10)
     model = PA8000Model(program)
@@ -267,3 +305,46 @@ def test_a_forked_process_never_writes_to_the_parents_pipe(worker, monkeypatch):
     assert set(worker.keys()) <= set(keys_before)
     assert run(model, program) == twice
     assert run(model, program) == thrice
+
+
+def _cgroups(tmp_path, monkeypatch, entries, files):
+    """Fake this process's cgroups: ``entries`` are the lines of
+    /proc/self/cgroup, ``files`` the cgroup files by path under the
+    cgroup root."""
+    listing = tmp_path / "cgroup"
+    listing.write_text("".join(line + "\n" for line in entries))
+    root = tmp_path / "fs"
+    for path, text in files.items():
+        (root / path).parent.mkdir(parents=True, exist_ok=True)
+        (root / path).write_text(text + "\n")
+    monkeypatch.setattr(pa8000, "_SELF_CGROUP", str(listing))
+    monkeypatch.setattr(pa8000, "_CGROUP_ROOT", str(root))
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3})
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_getaffinity"), reason="Linux only")
+@pytest.mark.parametrize(
+    "entries, files, cpus",
+    [
+        # cgroup v2 without a quota, then 1.5 CPUs under a parent
+        # allowing 4: the least quota, rounded down, is 1 CPU.
+        (["0::/box"], {"box/cpu.max": "max 100000"}, 4),
+        (["0::/a/box"], {"a/cpu.max": "400000 100000", "a/box/cpu.max": "150000 100000"}, 1),
+        # cgroup v1, at the mount's root when the path is the host's.
+        (
+            ["4:memory:/docker/c1", "2:cpu,cpuacct:/docker/c1"],
+            {"cpu,cpuacct/cpu.cfs_quota_us": "200000", "cpu,cpuacct/cpu.cfs_period_us": "100000"},
+            2,
+        ),
+        (
+            ["2:cpu,cpuacct:/"],
+            {"cpu,cpuacct/cpu.cfs_quota_us": "-1", "cpu,cpuacct/cpu.cfs_period_us": "100000"},
+            4,
+        ),
+        ([], {}, 4),
+    ],
+    ids=["v2-no-quota", "v2-nested", "v1-host-path", "v1-no-quota", "no-cgroup"],
+)
+def test_the_cpu_count_heeds_the_cgroup_quota(tmp_path, monkeypatch, entries, files, cpus):
+    _cgroups(tmp_path, monkeypatch, entries, files)
+    assert pa8000._cpus() == cpus
