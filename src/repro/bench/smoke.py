@@ -26,8 +26,8 @@ isoms, and the host wall time.  On top of that it measures:
   ``interp.steps_per_sec`` and the plan-cache counters land in the
   report on the canonical ``interp.*`` metric names.
 
-Every other gate (sampled decisions, runtime observer, fleet, serve,
-scale) has one owner elsewhere: a tier-1 test or a dedicated CI job
+Every other gate (sampled decisions, runtime observer, scale) has one
+owner elsewhere: a tier-1 test or a dedicated CI job
 (docs/performance.md, "Where each gate runs").
 
 ``--check --baseline benchmarks/baseline.json`` turns the run into a

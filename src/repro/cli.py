@@ -21,21 +21,6 @@ Subcommands:
     staleness), ``check`` (health gate with per-procedure staleness and
     optional salvage remapping), ``flame`` (run once with the runtime
     profiler attached and write a guest flamegraph).
-``fleet``
-    The continuous-profiling fleet loop: ``run`` (collect / rebuild /
-    canary / hot-swap under an optional fault plan, optionally sending
-    rebuilds to a ``--build-server`` daemon) and ``explain`` (same loop
-    with the fleet decision ledger on — why every shard was ACKed,
-    NACKed, or quarantined, and what each round decided).
-``serve``
-    The long-running build daemon (docs/serving.md): one warm
-    toolchain — module cache, worker pool, finished-build LRU — behind
-    a CRC32-framed JSON socket protocol, with in-flight dedupe,
-    bounded-queue load shedding, and drain on SIGTERM.
-``bench-serve``
-    Load-generate a daemon with hundreds of concurrent clients and
-    gate latency percentiles, dedupe, and artifact byte-identity
-    (``repro.bench.serve``).
 
 Module names come from file stems; inputs are comma-separated integers.
 
@@ -65,7 +50,6 @@ from .obs import (
     NULL_OBSERVER,
     BuildObserver,
     CliLogger,
-    FleetLedger,
     InliningLedger,
     MetricsRegistry,
     RuntimeProfiler,
@@ -134,23 +118,17 @@ def _observer_from_args(args: argparse.Namespace) -> BuildObserver:
     the :data:`NULL_OBSERVER` fast path end to end.
     """
     want_trace = bool(getattr(args, "trace_out", None))
-    # --series-out forces the metrics registry live: the series bank
-    # rides inside it and is sampled only when metrics are enabled.
-    want_metrics = bool(
-        getattr(args, "metrics_out", None) or getattr(args, "series_out", None)
-    )
+    want_metrics = bool(getattr(args, "metrics_out", None))
     want_ledger = bool(
         getattr(args, "explain_inlining", False)
         or getattr(args, "explain_inlining_out", None)
     )
-    want_fleet = bool(getattr(args, "fleet_ledger_out", None))
-    if not (want_trace or want_metrics or want_ledger or want_fleet):
+    if not (want_trace or want_metrics or want_ledger):
         return NULL_OBSERVER
     return BuildObserver(
         tracer=Tracer() if want_trace else None,
         metrics=MetricsRegistry() if want_metrics else None,
         ledger=InliningLedger() if want_ledger else None,
-        fleet=FleetLedger() if want_fleet else None,
     )
 
 
@@ -175,16 +153,6 @@ def _emit_observability(
             obs.ledger.considered, ledger_out))
     if getattr(args, "explain_inlining", False) and obs.ledger.enabled:
         print(obs.ledger.format_text())
-    series_out = getattr(args, "series_out", None)
-    if series_out and obs.metrics.enabled:
-        obs.metrics.series.write_jsonl(series_out)
-        log.debug("wrote time series ({} series) to {}".format(
-            len(obs.metrics.series), series_out))
-    fleet_ledger_out = getattr(args, "fleet_ledger_out", None)
-    if fleet_ledger_out and obs.fleet.enabled:
-        obs.fleet.write_jsonl(fleet_ledger_out)
-        log.debug("wrote fleet ledger ({} entries) to {}".format(
-            obs.fleet.total, fleet_ledger_out))
 
 
 def _compile_cli(
@@ -652,271 +620,6 @@ def cmd_profile_check(args: argparse.Namespace) -> int:
     return 0
 
 
-def _int_list(values) -> tuple:
-    return tuple(int(v) for v in values or ())
-
-
-def _fleet_loop_from_args(args: argparse.Namespace, obs: BuildObserver):
-    """Build the :class:`FleetLoop` that ``fleet run`` / ``fleet
-    explain`` share: same workload, fault plan, and config flags."""
-    from .fleet import FleetConfig, FleetLoop
-    from .resilience.faults import SHARD_FAULTS, FaultInjector
-    from .workloads.suite import get_workload, workload_names
-
-    try:
-        workload = get_workload(args.workload)
-    except KeyError:
-        raise SystemExit(
-            "unknown workload {!r}; available: {}".format(
-                args.workload, ", ".join(workload_names())
-            )
-        )
-    faults: Tuple[str, ...] = tuple(
-        f for f in (args.faults.split(",") if args.faults else []) if f
-    )
-    if not faults and args.fault_rate > 0:
-        faults = SHARD_FAULTS
-    injector = None
-    plan_active = bool(
-        faults or args.wal_tail or args.kill_mid_swap
-        or args.canary_trap or args.flap
-    )
-    if plan_active:
-        try:
-            injector = FaultInjector(
-                seed=args.seed,
-                shard_faults=faults,
-                shard_fault_rate=args.fault_rate,
-                wal_tail_rounds=_int_list(args.wal_tail),
-                kill_mid_swap_epochs=_int_list(args.kill_mid_swap),
-                canary_trap_epochs=_int_list(args.canary_trap),
-                flap_sources=tuple(args.flap or ()),
-            )
-        except ValueError as exc:
-            raise SystemExit(str(exc))
-    config = FleetConfig(
-        rounds=args.rounds,
-        rate=args.rate,
-        seed=args.seed,
-        engine=getattr(args, "engine", DEFAULT_ENGINE),
-        restart_collector_rounds=_int_list(args.restart_collector),
-        max_wall_s=args.max_wall,
-        build_server=getattr(args, "build_server", None),
-    )
-    return FleetLoop(
-        list(workload.sources),
-        [list(t) for t in workload.train_inputs],
-        list(workload.ref_input),
-        config=config,
-        injector=injector,
-        observer=obs,
-        spool_path=args.spool,
-    )
-
-
-def cmd_fleet_run(args: argparse.Namespace) -> int:
-    """Run the continuous-profiling fleet loop on a suite workload."""
-    import json
-
-    obs = _observer_from_args(args)
-    log = _logger_from_args(args)
-    loop = _fleet_loop_from_args(args, obs)
-    report = loop.run()
-    if args.json:
-        print(json.dumps(report.to_dict(), indent=2, sort_keys=True))
-    else:
-        print(
-            "fleet: {} round(s), final build {}, swaps {}, "
-            "rollbacks {} (quarantined epochs: {})".format(
-                report.rounds_run, report.final_build, report.swaps,
-                report.rollbacks,
-                ", ".join(map(str, report.quarantined_epochs)) or "none",
-            )
-        )
-        print(
-            "fleet: shards sent {}, accepted {}, quarantined {}, "
-            "retried {}, breaker opens {}".format(
-                report.shards_sent, report.shards_accepted,
-                report.shards_quarantined, report.shards_retried,
-                report.breaker_opens,
-            )
-        )
-        print(
-            "fleet: wal appended {}, truncations {}, collector restarts {}, "
-            "instance restarts {}".format(
-                report.wal_appended, report.wal_truncations,
-                report.collector_restarts, report.instance_restarts,
-            )
-        )
-        for line in report.history:
-            print("fleet: " + line)
-        if report.convergence_jaccard is not None:
-            print(
-                "fleet: convergence jaccard {} "
-                "({} exact vs {} fleet decisions)".format(
-                    report.convergence_jaccard, report.exact_decisions,
-                    report.fleet_decisions,
-                )
-            )
-    _emit_observability(args, obs, log)
-    if obs.fleet.enabled and not _fleet_ledger_complete(obs, report):
-        return 1
-    if args.assert_convergence and not report.converged:
-        print(
-            "fleet: convergence assertion failed (jaccard {})".format(
-                report.convergence_jaccard
-            ),
-            file=sys.stderr,
-        )
-        return 1
-    return 0
-
-
-def _fleet_ledger_complete(obs: BuildObserver, report) -> bool:
-    """Check the completeness invariant: every verdict the collector
-    issued and every round the controller considered is in the ledger.
-    The counts on the right come from the loop, tallied independently
-    of the ledger appends."""
-    ok = (
-        obs.fleet.verdicts == report.collector_verdicts
-        and obs.fleet.decisions == report.controller_decisions
-    )
-    if not ok:
-        print(
-            "fleet: ledger INCOMPLETE: {} verdict(s) ledgered vs {} "
-            "issued; {} decision(s) ledgered vs {} rounds considered".format(
-                obs.fleet.verdicts, report.collector_verdicts,
-                obs.fleet.decisions, report.controller_decisions,
-            ),
-            file=sys.stderr,
-        )
-    return ok
-
-
-def cmd_fleet_explain(args: argparse.Namespace) -> int:
-    """Run the fleet loop with the decision ledger on and report it.
-
-    Exits 1 unless the ledger accounts for 100% of collector verdicts
-    and controller decisions (the completeness invariant CI gates on).
-    """
-    want_trace = bool(getattr(args, "trace_out", None))
-    want_metrics = bool(
-        getattr(args, "metrics_out", None) or getattr(args, "series_out", None)
-    )
-    # The whole point of `explain` is the fleet ledger: always live
-    # here, whatever the other observability flags say.
-    obs = BuildObserver(
-        tracer=Tracer() if want_trace else None,
-        metrics=MetricsRegistry() if want_metrics else None,
-        fleet=FleetLedger(),
-    )
-    log = _logger_from_args(args)
-    loop = _fleet_loop_from_args(args, obs)
-    report = loop.run()
-    ledger = obs.fleet
-    if args.json:
-        sys.stdout.write(ledger.to_jsonl())
-    else:
-        print(ledger.format_text(limit=args.limit))
-        print(
-            "completeness: {}/{} collector verdicts, {}/{} controller "
-            "decisions ledgered".format(
-                ledger.verdicts, report.collector_verdicts,
-                ledger.decisions, report.controller_decisions,
-            )
-        )
-    _emit_observability(args, obs, log)
-    if not _fleet_ledger_complete(obs, report):
-        return 1
-    return 0
-
-
-def cmd_serve(args: argparse.Namespace) -> int:
-    """Run the long-lived build daemon until SIGTERM/SIGINT drains it.
-
-    Exit codes: 0 after a clean drain (including one triggered by a
-    ``shutdown`` request), 130 on an interrupt the event loop could not
-    convert into a drain.
-    """
-    import asyncio
-    import json
-
-    from .serve.server import ReproServer
-    from .serve.state import ServerState
-
-    obs = _observer_from_args(args)
-    log = _logger_from_args(args)
-    state = ServerState(
-        jobs=args.jobs,
-        cache_dir=args.cache_dir,
-        cache_max_mb=getattr(args, "cache_max_mb", None),
-        engine=args.engine,
-        compile_timeout=args.compile_timeout,
-        observer=obs,
-        results_capacity=args.results_capacity,
-    )
-    server = ReproServer(
-        state,
-        host=args.host,
-        port=args.port,
-        concurrency=args.concurrency,
-        max_pending=args.max_pending,
-        request_timeout=args.timeout,
-        observer=obs,
-    )
-
-    async def _serve() -> dict:
-        await server.start()
-        server.install_signal_handlers()
-        # The line CI (and any parent process) scrapes for the port.
-        print(
-            "repro serve listening on {}:{}".format(server.host, server.port),
-            flush=True,
-        )
-        return await server.serve_until_shutdown()
-
-    try:
-        snapshot = asyncio.run(_serve())
-    except KeyboardInterrupt:  # pragma: no cover - non-Unix loops only
-        return 130
-    log.info(
-        "serve: drained after {} request(s) over {} connection(s) "
-        "({} build(s), {} warm hit(s), {} deduped)".format(
-            snapshot["requests"], snapshot["connections"],
-            snapshot["state"]["builds"], snapshot["state"]["result_hits"],
-            snapshot["scheduler"]["dedupe_hits"],
-        )
-    )
-    if args.stats_out:
-        with open(args.stats_out, "w") as handle:
-            json.dump(snapshot, handle, indent=2, sort_keys=True)
-            handle.write("\n")
-        log.debug("wrote stats snapshot to {}".format(args.stats_out))
-    _emit_observability(args, obs, log)
-    return 0
-
-
-def cmd_bench_serve(args: argparse.Namespace) -> int:
-    from .bench.serve import main as serve_bench_main
-
-    argv: List[str] = ["--clients", str(args.clients), "--scope", args.scope]
-    if args.workloads:
-        argv += ["--workloads", args.workloads]
-    argv += ["--engine", getattr(args, "engine", DEFAULT_ENGINE)]
-    if args.connect:
-        argv += ["--connect", args.connect]
-    if args.jobs is not None:
-        argv += ["--jobs", str(args.jobs)]
-    argv += ["--concurrency", str(args.concurrency)]
-    argv += ["--max-pending", str(args.max_pending)]
-    argv += ["--timeout", str(args.timeout)]
-    if args.output:
-        argv += ["--output", args.output]
-    if args.json:
-        argv.append("--json")
-    return serve_bench_main(argv)
-
-
 def cmd_bench_scale(args: argparse.Namespace) -> int:
     from .bench.scale import main as scale_main
 
@@ -1016,8 +719,6 @@ def cmd_bench(args: argparse.Namespace) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    from .resilience.faults import SHARD_FAULTS
-
     parser = argparse.ArgumentParser(
         prog="repro",
         description="HLO-style aggressive inlining/cloning toolchain "
@@ -1281,159 +982,6 @@ def build_parser() -> argparse.ArgumentParser:
                          help="append a Markdown summary table "
                          "($GITHUB_STEP_SUMMARY in CI)")
     p_scale.set_defaults(func=cmd_bench_scale)
-
-    p_serve = sub.add_parser(
-        "serve",
-        help="long-running build daemon: warm caches, in-flight dedupe, "
-        "drain on SIGTERM",
-    )
-    p_serve.add_argument("--host", default="127.0.0.1")
-    p_serve.add_argument("--port", type=int, default=0,
-                         help="listen port (default 0 = ephemeral; the "
-                         "bound port is printed on startup)")
-    p_serve.add_argument("--jobs", type=int, default=None, metavar="N",
-                         help="compile worker processes kept warm "
-                         "across requests")
-    p_serve.add_argument("--cache-dir", metavar="DIR",
-                         help="content-addressed incremental compile cache")
-    p_serve.add_argument("--cache-max-mb", type=float, metavar="MB",
-                         help="bound the disk cache (LRU eviction)")
-    p_serve.add_argument("--concurrency", type=int, default=4, metavar="N",
-                         help="requests built concurrently (default 4)")
-    p_serve.add_argument("--max-pending", type=int, default=64, metavar="N",
-                         help="queue bound; past it requests are shed "
-                         "with a 'busy' reply (default 64)")
-    p_serve.add_argument("--timeout", type=float, default=None, metavar="S",
-                         help="default per-request deadline in seconds")
-    p_serve.add_argument("--compile-timeout", type=float, metavar="S",
-                         help="per-module compile watchdog in seconds")
-    p_serve.add_argument("--results-capacity", type=int, default=32,
-                         metavar="N",
-                         help="finished builds kept warm in the result "
-                         "LRU (default 32)")
-    p_serve.add_argument("--stats-out", metavar="FILE",
-                         help="write the final stats snapshot JSON after "
-                         "the drain")
-    p_serve.add_argument("--series-out", metavar="FILE",
-                         help="write per-request time series (queue "
-                         "depth, in-flight) as JSONL after the drain")
-    engine_flag(p_serve)
-    observability(p_serve)
-    p_serve.set_defaults(func=cmd_serve)
-
-    p_bserve = sub.add_parser(
-        "bench-serve",
-        help="load-generate a build daemon (in-process, or a running "
-        "`repro serve` via --connect) and gate its behaviour",
-    )
-    p_bserve.add_argument("--clients", type=int, default=200, metavar="N",
-                          help="concurrent clients (default 200)")
-    p_bserve.add_argument("--workloads", metavar="NAMES",
-                          help="comma-separated workload names "
-                          "(default: compress,sc)")
-    p_bserve.add_argument("--scope", choices=SCOPES, default="c")
-    p_bserve.add_argument("--connect", metavar="HOST:PORT",
-                          help="drive a running daemon instead of an "
-                          "in-process one")
-    p_bserve.add_argument("--jobs", type=int, default=None, metavar="N",
-                          help="compile workers for the in-process server")
-    p_bserve.add_argument("--concurrency", type=int, default=4, metavar="N")
-    p_bserve.add_argument("--max-pending", type=int, default=64, metavar="N")
-    p_bserve.add_argument("--timeout", type=float, default=120.0, metavar="S")
-    p_bserve.add_argument("--output", metavar="FILE",
-                          help="write the report JSON here")
-    p_bserve.add_argument("--json", action="store_true",
-                          help="print the report as JSON")
-    engine_flag(p_bserve)
-    p_bserve.set_defaults(func=cmd_bench_serve)
-
-    p_fleet = sub.add_parser(
-        "fleet", help="continuous-profiling fleet loop"
-    )
-    fleet_sub = p_fleet.add_subparsers(dest="fleet_command", required=True)
-
-    def fleet_common(p):
-        """Flags `fleet run` and `fleet explain` share: the same loop,
-        fault plan, and workload run under both."""
-        p.add_argument("workload")
-        p.add_argument("--rounds", type=int, default=8, metavar="N",
-                       help="collection rounds to run (default 8)")
-        p.add_argument("--rate", type=int, default=50, metavar="N",
-                       help="sampling rate: one sample every ~N steps "
-                       "(default 50)")
-        p.add_argument("--seed", type=int, default=7,
-                       help="fleet + fault-plan seed (default 7)")
-        p.add_argument("--faults", metavar="F1,F2",
-                       help="comma-separated transit faults to inject "
-                       "({})".format(", ".join(SHARD_FAULTS)))
-        p.add_argument("--fault-rate", type=float, default=0.0,
-                       metavar="P",
-                       help="per-shard transit fault probability "
-                       "(default 0.0; >0 with no --faults injects all)")
-        p.add_argument("--wal-tail", type=int, nargs="*", default=(),
-                       metavar="ROUND",
-                       help="rounds whose end tears the spool tail")
-        p.add_argument("--kill-mid-swap", type=int, nargs="*", default=(),
-                       metavar="EPOCH",
-                       help="epochs whose swap is interrupted by a crash")
-        p.add_argument("--canary-trap", type=int, nargs="*", default=(),
-                       metavar="EPOCH",
-                       help="epochs whose canary build traps")
-        p.add_argument("--flap", nargs="*", default=(), metavar="SOURCE",
-                       help="instance sources that flap (restart loop)")
-        p.add_argument("--restart-collector", type=int, nargs="*",
-                       default=(), metavar="ROUND",
-                       help="rounds after which the collector restarts "
-                       "and replays its journal")
-        p.add_argument("--spool", metavar="FILE",
-                       help="shard write-ahead spool path "
-                       "(default: a fresh temp file)")
-        p.add_argument("--max-wall", type=float, default=None, metavar="S",
-                       help="wall-clock budget; the loop stops early "
-                       "when exceeded")
-        p.add_argument("--series-out", metavar="FILE",
-                       help="write per-tick time series (drift, "
-                       "confidence, jaccard-vs-exact, per-instance "
-                       "queues) as JSONL")
-        engine_flag(p)
-
-    pf_run = fleet_sub.add_parser(
-        "run",
-        help="run the collect/rebuild/canary/hot-swap loop on a workload",
-    )
-    fleet_common(pf_run)
-    pf_run.add_argument("--fleet-ledger-out", metavar="FILE",
-                        help="write the fleet decision ledger (every "
-                        "collector verdict and controller decision) as "
-                        "JSONL; also enforces ledger completeness")
-    pf_run.add_argument("--build-server", metavar="HOST:PORT",
-                        help="send profile-fed rebuilds to a running "
-                        "`repro serve` daemon (local fallback when it "
-                        "is unreachable)")
-    pf_run.add_argument("--assert-convergence", action="store_true",
-                        help="exit 1 unless the loop converged to the "
-                        "exact-profile decisions (jaccard 1.0)")
-    pf_run.add_argument("--json", action="store_true",
-                        help="print the full report as JSON")
-    observability(pf_run)
-    pf_run.set_defaults(func=cmd_fleet_run)
-
-    pf_explain = fleet_sub.add_parser(
-        "explain",
-        help="run the loop with the decision ledger on; print why every "
-        "shard was ACKed/NACKed/quarantined and what each round decided",
-    )
-    fleet_common(pf_explain)
-    pf_explain.add_argument("--json", action="store_true",
-                            help="print the ledger as JSONL instead of text")
-    pf_explain.add_argument("--limit", type=int, default=None, metavar="N",
-                            help="entries to print in text mode "
-                            "(default: all)")
-    pf_explain.add_argument("-o", "--out", dest="fleet_ledger_out",
-                            metavar="FILE",
-                            help="also write the ledger as JSONL here")
-    observability(pf_explain)
-    pf_explain.set_defaults(func=cmd_fleet_explain)
 
     return parser
 

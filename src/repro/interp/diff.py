@@ -42,8 +42,7 @@ def run_outcome(
 
     Returns ``(outcome, events)``.  ``outcome`` is one of::
 
-        ("result", exit_code, output, steps, call_count,
-                   probe_counts, site_counts, block_counts)
+        ("result", exit_code, output, steps, call_count, probe_counts)
         ("steplimit", str(exc), steps)
         ("execerror", str(exc), steps)
 
@@ -71,8 +70,6 @@ def run_outcome(
         result.steps,
         result.call_count,
         dict(result.probe_counts),
-        dict(result.site_counts),
-        dict(result.block_counts),
     )
     return outcome, (sink.events if sink else [])
 
@@ -110,8 +107,7 @@ def diff_engines(
     if opt != ref:
         if opt[0] == "result":
             fields = (
-                "exit_code", "output", "steps", "call_count",
-                "probe_counts", "site_counts", "block_counts",
+                "exit_code", "output", "steps", "call_count", "probe_counts",
             )
             for name, fv, rv in zip(fields, opt[1:], ref[1:]):
                 if fv != rv:

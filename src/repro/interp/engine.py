@@ -298,15 +298,13 @@ class PlanBlock:
 
     Each part returns ``None`` (fall through to the next part), a
     ``PlanBlock`` (control transfer), or one of the executor sentinels
-    (_ENTER/_RETURN/_DONE).  ``key`` is the ``block_counts`` key, or
-    ``None`` for the synthetic missing-block trampoline.
+    (_ENTER/_RETURN/_DONE).
     """
 
-    __slots__ = ("label", "key", "parts")
+    __slots__ = ("label", "parts")
 
-    def __init__(self, label: str, key):
+    def __init__(self, label: str):
         self.label = label
-        self.key = key
         self.parts: List[Any] = []
 
 
@@ -809,7 +807,7 @@ class _PlanCompiler:
             # Lazy trap: a never-taken edge to a missing block must not
             # fail at compile time.  Raised without a step, like the
             # reference loop's top-of-iteration lookup.
-            pb = PlanBlock(str(label), None)
+            pb = PlanBlock(str(label))
             pn = self.procname
             lbl = str(label)
 
@@ -1108,7 +1106,6 @@ class _PlanCompiler:
             return self._make_raising_boundary(instr, label, idx, seg_ops, seg_events)
         callee_static = None if is_icall else instr.callee
         dest_slot = self.slots[instr.dest.name] if instr.dest is not None else None
-        sitekey = (proc.module, instr.site_id)
         fire_i = self.f_instr
         raw, evs, xops, kk, g, trap = self._seg_bundle(
             seg_ops, seg_events, (proc, label, idx, instr)
@@ -1163,8 +1160,6 @@ class _PlanCompiler:
                     st.tape.append(_g)
                 raise
             st.call_count += 1
-            if st.collect_site:
-                st.site_counts[sitekey] += 1
 
             plan = st.link.get(callee_name, _MISS)
             if plan is _MISS:
@@ -1267,7 +1262,7 @@ class _PlanCompiler:
         plan = self.plan
         self._assign_slots()
         for label in proc.blocks:
-            plan.blocks[label] = PlanBlock(label, (proc.name, label))
+            plan.blocks[label] = PlanBlock(label)
         for label, block in proc.blocks.items():
             pb = plan.blocks[label]
             parts: List[Any] = []
@@ -1341,10 +1336,6 @@ class _ExecState:
         "stack_top",
         "call_count",
         "probe_counts",
-        "site_counts",
-        "collect_site",
-        "block_counts",
-        "collect_block",
         "link",
         "depth0",
         "ret_value",
@@ -1367,10 +1358,6 @@ class _ExecState:
         self.stack_top = interp._stack_top
         self.call_count = interp.call_count
         self.probe_counts = interp.probe_counts
-        self.site_counts = interp.site_counts
-        self.collect_site = interp.collect_site_counts
-        self.block_counts = interp.block_counts
-        self.collect_block = interp.collect_block_counts
         self.link: Dict[str, Optional[ExecPlan]] = {}
         self.depth0 = len(self.frames)
         self.ret_value = None
@@ -1422,10 +1409,6 @@ class _ExecState:
         frames = self.frames
         frame = frames[-1]
         block = frame.block
-        collect_block = self.collect_block
-        block_counts = self.block_counts
-        if collect_block and block.key is not None:
-            block_counts[block.key] += 1
         parts = block.parts
         pi = 0
         while True:
@@ -1436,8 +1419,6 @@ class _ExecState:
                 block = r
                 parts = block.parts
                 pi = 0
-                if collect_block and block.key is not None:
-                    block_counts[block.key] += 1
             elif r is _ENTER:
                 frame.block = block
                 frame.pi = pi + 1
@@ -1445,8 +1426,6 @@ class _ExecState:
                 block = frame.block
                 parts = block.parts
                 pi = 0
-                if collect_block and block.key is not None:
-                    block_counts[block.key] += 1
             elif r is _RETURN:
                 frame = frames[-1]
                 block = frame.block
@@ -1499,7 +1478,5 @@ def execute(interp, proc: Procedure, args: List[Any]):
         interp.output,
         interp.steps,
         interp.probe_counts,
-        interp.site_counts,
-        interp.block_counts,
         interp.call_count,
     )

@@ -69,8 +69,6 @@ class Result:
         "output",
         "steps",
         "probe_counts",
-        "site_counts",
-        "block_counts",
         "call_count",
     )
 
@@ -80,16 +78,12 @@ class Result:
         output: List[Union[int, float]],
         steps: int,
         probe_counts: Dict[int, int],
-        site_counts: Dict[Tuple[str, int], int],
-        block_counts: Dict[Tuple[str, str], int],
         call_count: int,
     ):
         self.exit_code = exit_code
         self.output = output
         self.steps = steps
         self.probe_counts = probe_counts
-        self.site_counts = site_counts
-        self.block_counts = block_counts
         self.call_count = call_count
 
     def behavior(self) -> Tuple[int, Tuple[Union[int, float], ...]]:
@@ -124,8 +118,6 @@ class Interpreter:
         inputs: Sequence[Union[int, float]] = (),
         sink: Optional[EventSink] = None,
         max_steps: int = DEFAULT_MAX_STEPS,
-        collect_site_counts: bool = False,
-        collect_block_counts: bool = False,
         engine: str = DEFAULT_ENGINE,
     ):
         if engine not in ENGINES:
@@ -136,8 +128,6 @@ class Interpreter:
         self.inputs = list(inputs)
         self.sink = sink
         self.max_steps = max_steps
-        self.collect_site_counts = collect_site_counts
-        self.collect_block_counts = collect_block_counts
         self.engine = engine
 
         self.memory = Memory()
@@ -145,8 +135,6 @@ class Interpreter:
         self.steps = 0
         self.call_count = 0
         self.probe_counts: Dict[int, int] = Counter()
-        self.site_counts: Dict[Tuple[str, int], int] = Counter()
-        self.block_counts: Dict[Tuple[str, str], int] = Counter()
         # Plan-cache accounting for the fast engine (obs `interp.*` metrics).
         self.plans_compiled = 0
         self.plan_cache_hits = 0
@@ -243,8 +231,6 @@ class Interpreter:
             self.output,
             self.steps,
             self.probe_counts,
-            self.site_counts,
-            self.block_counts,
             self.call_count,
         )
 
@@ -291,8 +277,6 @@ class Interpreter:
         memory = self.memory
         eval_ = self._eval
         probe_counts = self.probe_counts
-        block_counts = self.block_counts
-        collect_block = self.collect_block_counts
         on_instr = sink.on_instr if self._sink_instr else None
         on_branch = sink.on_branch if self._sink_branch else None
         on_mem = sink.on_mem if self._sink_mem else None
@@ -307,8 +291,6 @@ class Interpreter:
                     raise ExecError(
                         "jump to missing block", proc.name, str(frame.label), 0
                     )
-                if frame.index == 0 and collect_block:
-                    block_counts[(proc.name, frame.label)] += 1
 
                 instrs = block.instrs
                 regs = frame.regs
@@ -463,8 +445,6 @@ class Interpreter:
 
         args = [self._eval(frame, a) for a in instr.args]
         self.call_count += 1
-        if self.collect_site_counts:
-            self.site_counts[(proc.module, instr.site_id)] += 1
 
         callee = self._procs.get(callee_name)
         if callee is not None:
@@ -587,8 +567,6 @@ def run_program(
     entry: str = "main",
     sink: Optional[EventSink] = None,
     max_steps: int = DEFAULT_MAX_STEPS,
-    collect_site_counts: bool = False,
-    collect_block_counts: bool = False,
     engine: str = DEFAULT_ENGINE,
 ) -> Result:
     """One-shot convenience wrapper around :class:`Interpreter`."""
@@ -597,8 +575,6 @@ def run_program(
         inputs,
         sink=sink,
         max_steps=max_steps,
-        collect_site_counts=collect_site_counts,
-        collect_block_counts=collect_block_counts,
         engine=engine,
     )
     return interp.run(entry)

@@ -18,7 +18,6 @@ from .toolchain import (
     BuildResult,
     BuildStats,
     Toolchain,
-    ToolchainState,
     scope_flags,
 )
 
@@ -31,7 +30,6 @@ __all__ = [
     "LinkError",
     "SCOPES",
     "Toolchain",
-    "ToolchainState",
     "from_isom_text",
     "is_isom_text",
     "link_modules",

@@ -2,19 +2,16 @@
 
 One :class:`BuildObserver` rides through the whole pipeline — CLI,
 toolchain, parallel executor, HLO driver, transforms, resilience
-guard, fleet loop — carrying four sinks:
+guard — carrying three sinks:
 
 - :class:`~repro.obs.tracer.Tracer` — hierarchical spans exported as
   Chrome trace-event JSON (``--trace-out``, Perfetto-loadable);
 - :class:`~repro.obs.metrics.MetricsRegistry` — counters / gauges /
-  p50-p95 histograms plus bounded time series
-  (:mod:`repro.obs.series`), the one source of build and fleet
-  numbers (``--metrics-out``, ``--series-out``);
+  p50-p95 histograms, the one source of build numbers
+  (``--metrics-out``);
 - :class:`~repro.obs.ledger.InliningLedger` — every call site the
   inliner or cloner evaluated, with its outcome and reason
-  (``--explain-inlining``);
-- :class:`~repro.obs.fleetledger.FleetLedger` — every fleet collector
-  verdict and controller decision (``repro fleet explain``).
+  (``--explain-inlining``).
 
 Guest *runtime* observability lives in :mod:`repro.obs.runtime`:
 :class:`RuntimeProfiler` is an event sink (not a bundle member) that
@@ -27,12 +24,6 @@ no-op fast path — disabling observability costs (nearly) nothing and
 needs no conditionals at the call sites.
 """
 
-from .fleetledger import (
-    FLEET_LEDGER_SCHEMA_VERSION,
-    FleetLedger,
-    NULL_FLEET_LEDGER,
-    NullFleetLedger,
-)
 from .ledger import (
     InliningLedger,
     NULL_LEDGER,
@@ -49,29 +40,24 @@ from .metrics import (
     format_build_summary,
 )
 from .runtime import RuntimeProfiler
-from .series import Series, SeriesBank
 from .tracer import NULL_TRACER, NullTracer, Span, Tracer
 
 
 class BuildObserver:
-    """The tracer + metrics + ledgers bundle threaded through a build."""
+    """The tracer + metrics + ledger bundle threaded through a build."""
 
-    __slots__ = ("tracer", "metrics", "ledger", "fleet")
+    __slots__ = ("tracer", "metrics", "ledger")
 
-    def __init__(self, tracer=None, metrics=None, ledger=None, fleet=None):
+    def __init__(self, tracer=None, metrics=None, ledger=None):
         self.tracer = tracer if tracer is not None else NULL_TRACER
         self.metrics = metrics if metrics is not None else NULL_METRICS
         self.ledger = ledger if ledger is not None else NULL_LEDGER
-        self.fleet = fleet if fleet is not None else NULL_FLEET_LEDGER
 
     @property
     def enabled(self) -> bool:
         """True when any sink is live (used to skip setup-only work)."""
         return bool(
-            self.tracer.enabled
-            or self.metrics.enabled
-            or self.ledger.enabled
-            or self.fleet.enabled
+            self.tracer.enabled or self.metrics.enabled or self.ledger.enabled
         )
 
 
@@ -80,22 +66,16 @@ NULL_OBSERVER = BuildObserver()
 __all__ = [
     "BuildObserver",
     "CliLogger",
-    "FLEET_LEDGER_SCHEMA_VERSION",
-    "FleetLedger",
     "InliningLedger",
     "MetricsRegistry",
-    "NULL_FLEET_LEDGER",
     "NULL_LEDGER",
     "NULL_METRICS",
     "NULL_OBSERVER",
     "NULL_TRACER",
-    "NullFleetLedger",
     "NullLedger",
     "NullMetrics",
     "NullTracer",
     "RuntimeProfiler",
-    "Series",
-    "SeriesBank",
     "Span",
     "Tracer",
     "VERBOSITY_LEVELS",

@@ -29,7 +29,6 @@ import json
 from typing import Dict, List, Optional
 
 from . import names
-from .series import SeriesBank
 
 METRICS_SCHEMA_VERSION = 1
 
@@ -79,7 +78,6 @@ class MetricsRegistry:
         self._counters: Dict[str, float] = {}
         self._gauges: Dict[str, float] = {}
         self._histograms: Dict[str, Histogram] = {}
-        self.series = SeriesBank()
 
     # ------------------------------------------------------------------
     # Recording
@@ -96,10 +94,6 @@ class MetricsRegistry:
         if hist is None:
             hist = self._histograms[name] = Histogram()
         hist.observe(value)
-
-    def record_series(self, name: str, tick: int, value: float) -> None:
-        """One bounded time-series point (see :mod:`repro.obs.series`)."""
-        self.series.record(name, tick, value)
 
     # ------------------------------------------------------------------
     # Reading
@@ -152,9 +146,6 @@ class NullMetrics:
         pass
 
     def observe(self, name: str, value: float) -> None:
-        pass
-
-    def record_series(self, name: str, tick: int, value: float) -> None:
         pass
 
     def value(self, name: str, default: float = 0) -> float:

@@ -2,22 +2,12 @@
 
 Every dotted metric name the registry ever sees is declared here as a
 constant; emitters (``collect_*`` in :mod:`repro.obs.metrics`, the
-fleet subsystem, the toolchain, the resilience guard) and readers
-(``repro.obs.validate``, ``repro.bench.smoke``, tests) import the same
-constant, so a producer and its consumer cannot drift apart by typo —
-which is exactly what had happened before this module existed: the
-transport counted transit-duplicated frames as
-``fleet.shards_duplicated`` while the collector counted dedupe hits as
-``fleet.shards_duplicate``, two near-identical names for two different
-facts.  The collector's name is now :data:`FLEET_SHARDS_DEDUPED`
-(what it does: drop an already-seen shard), keeping
-:data:`FLEET_SHARDS_DUPLICATED` for the transport fault that *creates*
-the extra copies.
+toolchain, the resilience guard) and readers (``repro.obs.validate``,
+``repro.bench.smoke``, tests) import the same constant, so a producer
+and its consumer cannot drift apart by typo.
 
-Naming scheme (unchanged from PR 3): ``<subsystem>.<fact>``, all
-lowercase, underscores inside a segment, dots only between segments.
-Per-instance fleet series append the instance name as a segment via
-the ``fleet_instance_*`` helpers.
+Naming scheme: ``<subsystem>.<fact>``, all lowercase, underscores
+inside a segment, dots only between segments.
 """
 
 from __future__ import annotations
@@ -102,72 +92,7 @@ RUNTIME_FRAMES = "runtime.frames"
 RUNTIME_CALL_EDGES = "runtime.call_edges"
 RUNTIME_MAX_STACK_DEPTH = "runtime.max_stack_depth"
 
-# -- fleet data plane ---------------------------------------------------
-FLEET_SHARDS_SENT = "fleet.shards_sent"
-FLEET_SHARDS_DROPPED = "fleet.shards_dropped"
-FLEET_SHARDS_DELAYED = "fleet.shards_delayed"
-FLEET_SHARDS_DAMAGED = "fleet.shards_damaged"
-FLEET_SHARDS_DUPLICATED = "fleet.shards_duplicated"  # transport fault
-FLEET_SHARDS_RETRIED = "fleet.shards_retried"
-FLEET_SHARDS_ACCEPTED = "fleet.shards_accepted"
-FLEET_SHARDS_DEDUPED = "fleet.shards_deduped"  # collector dedupe hit
-FLEET_SHARDS_CORRUPT = "fleet.shards_corrupt"
-FLEET_SHARDS_QUARANTINED = "fleet.shards_quarantined"
-FLEET_SHARDS_REJECTED_BREAKER = "fleet.shards_rejected_breaker"
-FLEET_BREAKER_OPENS = "fleet.breaker_opens"
-FLEET_WAL_APPENDED = "fleet.wal_appended"
-FLEET_WAL_REPLAYED = "fleet.wal_replayed"
-FLEET_WAL_TRUNCATIONS = "fleet.wal_truncations"
-
-# -- fleet control plane ------------------------------------------------
-FLEET_DRIFT = "fleet.drift"
-FLEET_CONFIDENCE = "fleet.confidence"
-FLEET_REBUILDS = "fleet.rebuilds"
-FLEET_ROLLBACKS = "fleet.rollbacks"
-FLEET_SWAPS = "fleet.swaps"
-FLEET_CANARY_PASS = "fleet.canary_pass"
-FLEET_CANARY_FAIL = "fleet.canary_fail"
-FLEET_EPOCHS_QUARANTINED = "fleet.epochs_quarantined"
-FLEET_SERVE_TRAPS = "fleet.serve_traps"
-FLEET_INSTANCE_RESTARTS = "fleet.instance_restarts"
-FLEET_COLLECTOR_RESTARTS = "fleet.collector_restarts"
-FLEET_CURRENT_BUILD = "fleet.current_build"
-FLEET_ROUNDS = "fleet.rounds"
-FLEET_CONVERGENCE_JACCARD = "fleet.convergence_jaccard"
-FLEET_JACCARD_EXACT = "fleet.jaccard_exact"  # per-tick series
-FLEET_SWAP_EPOCH = "fleet.swap_epoch"  # per-tick series (marker)
-FLEET_ROLLBACK_EPOCH = "fleet.rollback_epoch"  # per-tick series (marker)
-FLEET_LEDGER_ENTRIES = "fleet.ledger_entries"
-
-# -- build daemon (repro serve) -----------------------------------------
-SERVE_REQUESTS = "serve.requests"
-SERVE_REQUESTS_OK = "serve.requests_ok"
-SERVE_REQUESTS_ERROR = "serve.requests_error"
-SERVE_BUILDS = "serve.builds"  # builds actually executed (not deduped)
-SERVE_RESULT_HITS = "serve.result_hits"  # served from the warm result LRU
-SERVE_DEDUPE_HITS = "serve.dedupe_hits"  # joined an identical in-flight build
-SERVE_SHED = "serve.shed"  # BUSY replies from the bounded queue
-SERVE_TIMEOUTS = "serve.timeouts"
-SERVE_CANCELLED = "serve.cancelled"
-SERVE_PROTOCOL_ERRORS = "serve.protocol_errors"
-SERVE_QUEUE_DEPTH = "serve.queue_depth"  # per-request series
-SERVE_INFLIGHT = "serve.inflight"  # per-request series
-SERVE_LATENCY_S = "serve.latency_s"  # histogram: per-request wall samples
-SERVE_CONNECTIONS = "serve.connections"
-SERVE_DRAINS = "serve.drains"
-
-
-def fleet_instance_pending(source: str) -> str:
-    """Per-instance health series: unacknowledged shards in flight."""
-    return "fleet.inst.{}.pending".format(source)
-
-
-def fleet_instance_traps(source: str) -> str:
-    """Per-instance health series: cumulative serve traps."""
-    return "fleet.inst.{}.serve_traps".format(source)
-
-
-#: Every fixed canonical name declared above (templates excluded).
+#: Every canonical name declared above.
 ALL_NAMES = tuple(
     sorted(
         value

@@ -1,13 +1,11 @@
 """Schema validation for observability outputs (CI gate).
 
 ``python -m repro.obs.validate --trace T.json --metrics M.json
-[--ledger L.jsonl] [--flame F.json] [--fleet-ledger FL.jsonl]
-[--series S.jsonl] [--serve B.json]`` checks that the artifacts CI
-uploads actually
-parse and carry the fields their consumers (Perfetto, speedscope, the
-bench dashboard, the ledger tooling) rely on.  Pure stdlib — the
-checks are hand-rolled rather than jsonschema-based so the validator
-runs in the bare CI image.
+[--ledger L.jsonl] [--bench B.json] [--flame F.json]`` checks that the
+artifacts CI uploads actually parse and carry the fields their
+consumers (Perfetto, speedscope, the bench dashboard, the ledger
+tooling) rely on.  Pure stdlib — the checks are hand-rolled rather
+than jsonschema-based so the validator runs in the bare CI image.
 """
 
 from __future__ import annotations
@@ -17,7 +15,6 @@ import json
 import sys
 from typing import List, Optional, Sequence
 
-from .fleetledger import ENTRY_KINDS
 from .ledger import DECISIONS
 
 _TRACE_PHASES = {"X", "i", "M", "B", "E", "C"}
@@ -203,153 +200,6 @@ def validate_flame(obj) -> List[str]:
     return errors
 
 
-def validate_fleet_ledger_jsonl(text: str) -> List[str]:
-    """Problems with a ``repro fleet explain`` / ``--fleet-ledger-out``
-    JSONL file (empty = valid)."""
-    errors: List[str] = []
-    lines = [line for line in text.splitlines() if line.strip()]
-    if not lines:
-        return ["fleet-ledger: file is empty"]
-    try:
-        header = json.loads(lines[0])
-    except ValueError as exc:
-        return ["fleet-ledger: header line is not JSON: {}".format(exc)]
-    for key in ("schema", "kind", "entries", "verdicts", "transitions",
-                "decisions", "codes"):
-        if key not in header:
-            errors.append("fleet-ledger: header missing {!r}".format(key))
-    if header.get("kind") != "fleet-ledger":
-        errors.append(
-            "fleet-ledger: header kind is {!r}".format(header.get("kind"))
-        )
-    counts = {kind: 0 for kind in ENTRY_KINDS}
-    for number, line in enumerate(lines[1:], start=2):
-        try:
-            record = json.loads(line)
-        except ValueError as exc:
-            errors.append(
-                "fleet-ledger: line {} is not JSON: {}".format(number, exc)
-            )
-            continue
-        kind = record.get("kind")
-        if kind not in ENTRY_KINDS:
-            errors.append(
-                "fleet-ledger: line {} has unknown kind {!r}".format(
-                    number, kind
-                )
-            )
-            continue
-        counts[kind] += 1
-        for key in ("actor", "code"):
-            if not isinstance(record.get(key), str):
-                errors.append(
-                    "fleet-ledger: line {} missing string {!r}".format(
-                        number, key
-                    )
-                )
-        if kind == "verdict" and not isinstance(record.get("accepted"), bool):
-            errors.append(
-                "fleet-ledger: line {} verdict missing bool 'accepted'".format(
-                    number
-                )
-            )
-    # Completeness: the header totals must equal what the file holds.
-    for key, kind in (("verdicts", "verdict"), ("transitions", "breaker"),
-                      ("decisions", "decision")):
-        declared = header.get(key)
-        if isinstance(declared, int) and declared != counts[kind]:
-            errors.append(
-                "fleet-ledger: header says {} {} but file has {}".format(
-                    declared, key, counts[kind]
-                )
-            )
-    declared_total = header.get("entries")
-    if isinstance(declared_total, int) and declared_total != len(lines) - 1:
-        errors.append(
-            "fleet-ledger: header says {} entries but file has {}".format(
-                declared_total, len(lines) - 1
-            )
-        )
-    return errors
-
-
-def validate_series_jsonl(text: str) -> List[str]:
-    """Problems with a ``--series-out`` JSONL file (empty = valid)."""
-    errors: List[str] = []
-    lines = [line for line in text.splitlines() if line.strip()]
-    if not lines:
-        return ["series: file is empty"]
-    try:
-        header = json.loads(lines[0])
-    except ValueError as exc:
-        return ["series: header line is not JSON: {}".format(exc)]
-    if not isinstance(header.get("schema"), int):
-        errors.append("series: header missing integer 'schema'")
-    if header.get("kind") != "series":
-        errors.append("series: header kind is {!r}".format(header.get("kind")))
-    declared = header.get("series")
-    if not isinstance(declared, dict):
-        errors.append("series: header missing object 'series'")
-        declared = {}
-    for name, meta in declared.items():
-        if not isinstance(meta, dict):
-            errors.append("series: header[{!r}] is not an object".format(name))
-            continue
-        for key in ("points", "dropped", "capacity"):
-            if not isinstance(meta.get(key), int):
-                errors.append(
-                    "series: header[{!r}] missing integer {!r}".format(
-                        name, key
-                    )
-                )
-    counts = {name: 0 for name in declared}
-    last_tick = {}
-    for number, line in enumerate(lines[1:], start=2):
-        try:
-            record = json.loads(line)
-        except ValueError as exc:
-            errors.append("series: line {} is not JSON: {}".format(number, exc))
-            continue
-        name = record.get("series")
-        if not isinstance(name, str):
-            errors.append(
-                "series: line {} missing string 'series'".format(number)
-            )
-            continue
-        if name not in declared:
-            errors.append(
-                "series: line {} names undeclared series {!r}".format(
-                    number, name
-                )
-            )
-        tick = record.get("tick")
-        if not isinstance(tick, int):
-            errors.append("series: line {} missing integer 'tick'".format(number))
-        elif name in last_tick and tick < last_tick[name]:
-            errors.append(
-                "series: line {} ticks go backwards for {!r}".format(
-                    number, name
-                )
-            )
-        else:
-            last_tick[name] = tick
-        if not isinstance(record.get("value"), (int, float)):
-            errors.append(
-                "series: line {} missing numeric 'value'".format(number)
-            )
-        if name in counts:
-            counts[name] += 1
-    for name, meta in declared.items():
-        points = meta.get("points") if isinstance(meta, dict) else None
-        if isinstance(points, int) and points != counts.get(name, 0):
-            errors.append(
-                "series: header says {} points for {!r} but file has {}".format(
-                    points, name, counts.get(name, 0)
-                )
-            )
-    return errors
-
-
 def validate_bench(obj) -> List[str]:
     """Problems with a schema-10 ``BENCH_smoke.json`` report (empty = valid)."""
     errors: List[str] = []
@@ -475,33 +325,6 @@ def validate_scale(obj) -> List[str]:
     return errors
 
 
-def validate_serve(obj) -> List[str]:
-    """Problems with a ``bench-serve --output`` report (empty = valid)."""
-    errors: List[str] = []
-    if not isinstance(obj, dict):
-        return ["serve: top level must be an object"]
-    for key in ("schema", "clients", "requests", "errors", "busy",
-                "wall_s", "throughput_rps", "builds", "result_hits",
-                "dedupe_hits", "shed", "timeouts", "server_requests"):
-        if not isinstance(obj.get(key), (int, float)):
-            errors.append("serve: missing numeric {!r}".format(key))
-    if not isinstance(obj.get("workloads"), list) or not obj.get("workloads"):
-        errors.append("serve: missing non-empty list 'workloads'")
-    for key in ("latency_ms", "cold_build_ms", "warm_rebuild_ms", "run_ms"):
-        dist = obj.get(key)
-        if not isinstance(dist, dict):
-            errors.append("serve: missing object {!r}".format(key))
-            continue
-        for stat in ("count", "p50", "p95", "p99", "max"):
-            if not isinstance(dist.get(stat), (int, float)):
-                errors.append(
-                    "serve: {}.{} is not a number".format(key, stat)
-                )
-    if not isinstance(obj.get("artifacts_identical"), bool):
-        errors.append("serve: missing bool 'artifacts_identical'")
-    return errors
-
-
 def _load_json(path: str, errors: List[str], label: str):
     try:
         with open(path) as handle:
@@ -526,19 +349,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                         help="BENCH_smoke.json report to validate")
     parser.add_argument("--flame", metavar="FILE",
                         help="speedscope flamegraph JSON to validate")
-    parser.add_argument("--fleet-ledger", metavar="FILE",
-                        help="fleet-ledger JSONL to validate")
-    parser.add_argument("--series", metavar="FILE",
-                        help="time-series JSONL to validate")
-    parser.add_argument("--serve", metavar="FILE",
-                        help="BENCH_serve.json load-bench report to validate")
     args = parser.parse_args(argv)
     if not (args.trace or args.metrics or args.ledger or args.bench
-            or args.flame or args.fleet_ledger or args.series
-            or args.serve):
+            or args.flame):
         parser.error(
             "nothing to validate: pass --trace/--metrics/--ledger/--bench"
-            "/--flame/--fleet-ledger/--series/--serve"
+            "/--flame"
         )
 
     errors: List[str] = []
@@ -564,24 +380,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         obj = _load_json(args.flame, errors, "flame")
         if obj is not None:
             errors.extend(validate_flame(obj))
-    if args.fleet_ledger:
-        try:
-            with open(args.fleet_ledger) as handle:
-                errors.extend(validate_fleet_ledger_jsonl(handle.read()))
-        except OSError as exc:
-            errors.append(
-                "fleet-ledger: cannot load {}: {}".format(args.fleet_ledger, exc)
-            )
-    if args.series:
-        try:
-            with open(args.series) as handle:
-                errors.extend(validate_series_jsonl(handle.read()))
-        except OSError as exc:
-            errors.append("series: cannot load {}: {}".format(args.series, exc))
-    if args.serve:
-        obj = _load_json(args.serve, errors, "serve")
-        if obj is not None:
-            errors.extend(validate_serve(obj))
 
     for error in errors:
         print("FAIL:", error, file=sys.stderr)

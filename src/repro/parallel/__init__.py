@@ -12,10 +12,8 @@ Three cooperating pieces (docs/performance.md):
 
 from .cache import CACHE_FORMAT_VERSION, CacheStats, ModuleCache
 from .executor import (
-    DEFAULT_MAX_TASKS_PER_CHILD,
     CompileStats,
     MapOutcome,
-    PersistentPool,
     compile_sources,
     default_jobs,
     parallel_map,
@@ -24,12 +22,10 @@ from .scheduler import heaviest_first, module_weights
 
 __all__ = [
     "CACHE_FORMAT_VERSION",
-    "DEFAULT_MAX_TASKS_PER_CHILD",
     "CacheStats",
     "CompileStats",
     "MapOutcome",
     "ModuleCache",
-    "PersistentPool",
     "compile_sources",
     "default_jobs",
     "heaviest_first",

@@ -27,11 +27,9 @@ Counters distinguish three outcomes per lookup:
 The disk tier can be bounded (``max_mb``): every hit refreshes the
 entry's mtime, and a store that pushes the tier over the cap evicts
 the least-recently-used objects (oldest mtime first) until it fits,
-counting each removal in ``stats.size_evictions``.  A resident build
-daemon can therefore keep one cache directory warm indefinitely
-without growing it without limit.  All public entry points take an
-internal lock, so one cache instance may be shared by the concurrent
-build sessions of a server.
+counting each removal in ``stats.size_evictions``, so one cache
+directory can stay warm across any number of builds without growing
+without limit.  All public entry points take an internal lock.
 """
 
 from __future__ import annotations
@@ -280,7 +278,7 @@ class ModuleCache:
                 continue
             total -= size
             self.stats.size_evictions += 1
-            # Drop the memory copy too, so the daemon's resident set
+            # Drop the memory copy too, so the process's resident set
             # tracks the bounded tier instead of shadowing it.
             self._memory.pop(filename[: -len(".isom")], None)
 

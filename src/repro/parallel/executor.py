@@ -25,7 +25,6 @@ exactly as they would from a serial build.
 from __future__ import annotations
 
 import os
-import threading
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
@@ -78,65 +77,6 @@ def default_jobs() -> int:
     return max(1, os.cpu_count() or 1)
 
 
-# Tasks one worker process runs before it is retired and replaced.
-DEFAULT_MAX_TASKS_PER_CHILD = 64
-
-
-class PersistentPool:
-    """A reusable worker pool for long-lived processes.
-
-    ``parallel_map`` normally creates and destroys a
-    ``ProcessPoolExecutor`` per call — right for a one-shot CLI build,
-    wasteful for a resident daemon that compiles thousands of modules.
-    A ``PersistentPool`` keeps the executor alive across calls and
-    retires each worker after ``max_tasks_per_child`` tasks, so
-    worker-process memory growth is bounded no matter how long the
-    daemon runs (``max_tasks_per_child`` selects a non-fork start
-    method; Python >= 3.11).
-
-    The executor is discarded — and lazily rebuilt on next use —
-    whenever the machinery misbehaves (watchdog timeout, pool
-    breakage), so one stuck worker can never wedge every later build.
-    ``executor()``/``discard()`` are thread-safe; the pool may be
-    shared by a server's concurrent build sessions.
-    """
-
-    def __init__(
-        self, jobs: int, max_tasks_per_child: int = DEFAULT_MAX_TASKS_PER_CHILD
-    ) -> None:
-        self.jobs = max(1, int(jobs))
-        self.max_tasks_per_child = max(1, int(max_tasks_per_child))
-        self.submitted = 0  # tasks handed to any generation of the pool
-        self.generations = 0  # executors created over the pool's lifetime
-        self.discards = 0  # executors dropped after breakage or timeout
-        self._executor: Optional[ProcessPoolExecutor] = None
-        self._lock = threading.Lock()
-
-    def executor(self) -> ProcessPoolExecutor:
-        with self._lock:
-            if self._executor is None:
-                self._executor = ProcessPoolExecutor(
-                    max_workers=self.jobs,
-                    max_tasks_per_child=self.max_tasks_per_child,
-                )
-                self.generations += 1
-            return self._executor
-
-    def discard(self, wait: bool = False) -> None:
-        """Throw the current executor away; the next use builds anew."""
-        with self._lock:
-            executor, self._executor = self._executor, None
-        if executor is not None:
-            self.discards += 1
-            executor.shutdown(wait=wait, cancel_futures=True)
-
-    def close(self) -> None:
-        with self._lock:
-            executor, self._executor = self._executor, None
-        if executor is not None:
-            executor.shutdown(wait=True, cancel_futures=True)
-
-
 def _compile_to_isom(pair: Tuple[str, str]) -> Tuple[str, str]:
     """Worker body: one module's frontend compile, serialized to isom."""
     from ..linker.isom import to_isom_text
@@ -171,7 +111,6 @@ def parallel_map(
     jobs: int = 1,
     warn: Optional[Callable[[str], None]] = None,
     timeout: Optional[float] = None,
-    pool: Optional[PersistentPool] = None,
 ) -> Tuple[list, MapOutcome]:
     """Apply ``func`` across ``items``, results in input order.
 
@@ -189,11 +128,6 @@ def parallel_map(
     without ever having run.  The watchdog re-arms on every completion,
     so it bounds the slowest in-flight compile, which is what a hung
     worker actually looks like.
-
-    ``pool`` reuses a :class:`PersistentPool` across calls instead of
-    creating a fresh executor; a timeout or breakage discards the
-    shared executor (stuck workers must not leak into later calls),
-    and the call still degrades serially exactly as without one.
     """
     items = list(items)
     if jobs <= 1 or len(items) <= 1:
@@ -201,13 +135,8 @@ def parallel_map(
 
     outcome = MapOutcome()
     results: Dict[int, object] = {}
-    pending: set = set()
     try:
-        if pool is not None:
-            executor = pool.executor()
-            pool.submitted += len(items)
-        else:
-            executor = ProcessPoolExecutor(max_workers=min(jobs, len(items)))
+        executor = ProcessPoolExecutor(max_workers=min(jobs, len(items)))
         try:
             futures = {
                 executor.submit(func, item): index for index, item in enumerate(items)
@@ -223,21 +152,13 @@ def parallel_map(
                 for future in done:
                     results[futures[future]] = future.result()
         finally:
-            if pool is None:
-                # Never block on a stuck worker: leave it to die with
-                # the process group, cancel what never started.
-                executor.shutdown(wait=not outcome.timeouts, cancel_futures=True)
-            elif outcome.timeouts:
-                pool.discard(wait=False)
-            else:
-                for future in pending:
-                    future.cancel()
+            # Never block on a stuck worker: leave it to die with the
+            # process group, cancel what never started.
+            executor.shutdown(wait=not outcome.timeouts, cancel_futures=True)
     except _INPUT_ERRORS:
         raise
     except Exception as exc:  # pool breakage, pickling, OS limits, ...
         outcome.errors.append(type(exc).__name__)
-        if pool is not None:
-            pool.discard(wait=False)
         if warn is not None:
             warn(
                 "parallel workers unavailable ({}: {}); "
@@ -269,7 +190,6 @@ def compile_sources(
     warn: Optional[Callable[[str], None]] = None,
     observer=NULL_OBSERVER,
     timeout: Optional[float] = None,
-    pool: Optional[PersistentPool] = None,
 ) -> Tuple[Program, CompileStats]:
     """Compile a multi-module program, in parallel and incrementally.
 
@@ -310,7 +230,7 @@ def compile_sources(
         traced = observer.tracer.enabled
         body = _compile_to_isom_traced if traced else _compile_to_isom
         compiled, outcome = parallel_map(
-            body, ordered, jobs=jobs, warn=warn, timeout=timeout, pool=pool
+            body, ordered, jobs=jobs, warn=warn, timeout=timeout
         )
         stats.serial_fallback = outcome.fell_back
         stats.compile_timeouts = outcome.timeouts

@@ -7,23 +7,20 @@ fault injector proves every recovery path fires.
 """
 
 from .errors import (
-    FrameFormatError,
     InjectedFault,
     IsomError,
     ProfileConfidenceError,
     ProfileFormatError,
     ResilienceError,
-    ShardFormatError,
     StrictModeError,
 )
-from .faults import CORRUPTION_MODES, SHARD_FAULTS, FaultInjector
+from .faults import CORRUPTION_MODES, FaultInjector
 from .guard import PROGRAM_SCOPE, PassGuard, bisect_failure
 from .snapshot import ProcedureSnapshot, ProgramSnapshot
 
 __all__ = [
     "CORRUPTION_MODES",
     "FaultInjector",
-    "FrameFormatError",
     "InjectedFault",
     "IsomError",
     "PassGuard",
@@ -33,8 +30,6 @@ __all__ = [
     "PROGRAM_SCOPE",
     "ProgramSnapshot",
     "ResilienceError",
-    "SHARD_FAULTS",
-    "ShardFormatError",
     "StrictModeError",
     "bisect_failure",
 ]

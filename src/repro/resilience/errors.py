@@ -68,34 +68,6 @@ class ProfileConfidenceError(ResilienceError, ValueError):
         super().__init__(message)
 
 
-class ShardFormatError(ResilienceError, ValueError):
-    """A profile shard's wire frame is truncated, corrupted, or malformed.
-
-    The transit twin of :class:`ProfileFormatError`: raised by
-    :func:`repro.fleet.shard.ProfileShard.from_wire` when the CRC32
-    frame around a shard does not check out.  ``kind`` is
-    ``"truncated"``, ``"corrupted"``, or ``"malformed"``.
-    """
-
-    def __init__(self, message: str, kind: str = "malformed"):
-        self.kind = kind
-        super().__init__(message)
-
-
-class FrameFormatError(ResilienceError, ValueError):
-    """A serve-protocol frame is truncated, corrupted, or malformed.
-
-    The request/response twin of :class:`ShardFormatError`: raised by
-    :mod:`repro.serve.protocol` when the CRC32 frame around an RPC
-    payload does not check out.  ``kind`` is ``"truncated"``,
-    ``"corrupted"``, ``"version-skew"``, or ``"malformed"``.
-    """
-
-    def __init__(self, message: str, kind: str = "malformed"):
-        self.kind = kind
-        super().__init__(message)
-
-
 class InjectedFault(ResilienceError):
     """Raised by the fault injector's crashing passes (never by real code)."""
 

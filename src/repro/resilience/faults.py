@@ -13,18 +13,12 @@ test reproduces from its seed:
 - garbled profile-database lines (same entry point), including the
   profiledb **v3** record kinds (``sampling``/``obs``/``ctx``/``fp``)
   whose ``v3-*`` modes re-frame the header checksum so the malformed
-  record reaches the record parser rather than the CRC gate;
-- the continuous-profiling loop's failure matrix (:mod:`repro.fleet`):
-  shard transit faults (drop / corrupt / truncate / duplicate / delay),
-  a poisoned source that frames garbage payloads correctly, WAL-tail
-  corruption, a crash in the middle of a fleet-wide hot swap, an
-  injected canary trap, and a flapping instance.
+  record reaches the record parser rather than the CRC gate.
 
 Wired into :class:`~repro.linker.toolchain.Toolchain` via its
 ``fault_injector`` hook, which calls :meth:`corrupt_isom` /
 :meth:`corrupt_profile` at the exact points real corruption would
-enter: between serialization and parse.  The fleet loop threads the
-same injector through its transport, collector, and controller seams.
+enter: between serialization and parse.
 """
 
 from __future__ import annotations
@@ -42,9 +36,6 @@ CORRUPTION_MODES = (
     "truncate", "garble", "bitflip-checksum", "version-skew",
     "v3-sampling", "v3-obs", "v3-ctx", "v3-fp",
 )
-
-# Transit faults the shard transport can suffer (docs/resilience.md).
-SHARD_FAULTS = ("drop", "corrupt", "truncate", "duplicate", "delay")
 
 # The v3-* corruption modes target one record kind each.  When the
 # database carries no such record (an exact profile, say) the injector
@@ -81,13 +72,6 @@ class FaultInjector:
         isom_modules: Sequence[str] = (),
         corrupt_profile_db: bool = False,
         mode: str = "truncate",
-        shard_faults: Sequence[str] = (),
-        shard_fault_rate: float = 0.0,
-        poison_sources: Sequence[str] = (),
-        wal_tail_rounds: Sequence[int] = (),
-        kill_mid_swap_epochs: Sequence[int] = (),
-        canary_trap_epochs: Sequence[int] = (),
-        flap_sources: Sequence[str] = (),
     ):
         if mode not in CORRUPTION_MODES:
             raise ValueError(
@@ -95,13 +79,6 @@ class FaultInjector:
                     mode, CORRUPTION_MODES
                 )
             )
-        for fault in shard_faults:
-            if fault not in SHARD_FAULTS:
-                raise ValueError(
-                    "unknown shard fault {!r}; expected one of {}".format(
-                        fault, SHARD_FAULTS
-                    )
-                )
         self.seed = seed
         self.rng = random.Random(seed)
         self.crash_pass = crash_pass
@@ -109,14 +86,6 @@ class FaultInjector:
         self.isom_modules = tuple(isom_modules)
         self.corrupt_profile_db = corrupt_profile_db
         self.mode = mode
-        # Fleet-loop fault plan (all off by default; see docs/resilience.md).
-        self.shard_faults = tuple(shard_faults)
-        self.shard_fault_rate = shard_fault_rate
-        self.poison_sources = frozenset(poison_sources)
-        self.wal_tail_rounds = frozenset(wal_tail_rounds)
-        self.kill_mid_swap_epochs = frozenset(kill_mid_swap_epochs)
-        self.canary_trap_epochs = frozenset(canary_trap_epochs)
-        self.flap_sources = frozenset(flap_sources)
         self.injected: List[str] = []  # log of every fault actually fired
 
     # ------------------------------------------------------------------
@@ -272,110 +241,6 @@ class FaultInjector:
             return text
         self.injected.append("profile:{}".format(self.mode))
         return self.corrupt_text(text)
-
-    # ------------------------------------------------------------------
-    # Fleet-loop faults (repro.fleet)
-    # ------------------------------------------------------------------
-
-    def _derived_rng(self, *key) -> random.Random:
-        """A generator keyed on (seed, *key): stable under call order.
-
-        The fleet loop retries and replays; deriving per-decision
-        generators keeps every fault decision a pure function of the
-        seed and the shard's identity, not of how many other faults
-        fired first.
-        """
-        return random.Random("{}|{}".format(self.seed, "|".join(str(k) for k in key)))
-
-    def shard_fault(self, source: str, seq: int, attempt: int = 0) -> Optional[str]:
-        """Transit-fault decision for one shard send (or ``None``)."""
-        if not self.shard_faults or self.shard_fault_rate <= 0.0:
-            return None
-        rng = self._derived_rng("shard", source, seq, attempt)
-        if rng.random() >= self.shard_fault_rate:
-            return None
-        fault = self.shard_faults[rng.randrange(len(self.shard_faults))]
-        self.injected.append(
-            "shard:{}:{}:{}#{}".format(fault, source, seq, attempt)
-        )
-        return fault
-
-    def damage_shard(
-        self, wire: str, fault: str, source: str, seq: int, attempt: int = 0
-    ) -> str:
-        """Apply a ``corrupt``/``truncate`` transit fault to wire text."""
-        rng = self._derived_rng("shard-damage", source, seq, attempt)
-        if fault == "truncate":
-            cut = rng.randrange(len(wire) // 2, max(len(wire) - 1, 1))
-            return wire[:cut]
-        chars = list(wire)
-        start = len(chars) // 2
-        for _ in range(3):
-            pos = rng.randrange(start, len(chars))
-            chars[pos] = rng.choice("#!?~")
-        return "".join(chars)
-
-    def delay_ticks(self, source: str, seq: int, attempt: int = 0) -> int:
-        """How many ticks a ``delay`` transit fault holds a shard."""
-        return self._derived_rng("shard-delay", source, seq, attempt).randrange(1, 4)
-
-    def poison_payload(self, payload: str, source: str, seq: int) -> str:
-        """Garble a poisoned source's payload *before* framing.
-
-        The frame checksum is computed over the damaged payload, so the
-        shard passes transit validation and fails profiledb parsing at
-        the collector — the sick-instance signature the per-source
-        circuit breaker exists for.
-        """
-        if source not in self.poison_sources:
-            return payload
-        self.injected.append("poison:{}:{}".format(source, seq))
-        rng = self._derived_rng("poison", source, seq)
-        head, _, body = payload.partition("\n")
-        chars = list(body)
-        for _ in range(max(3, len(chars) // 16)):
-            pos = rng.randrange(len(chars))
-            chars[pos] = rng.choice("#!?~")
-        return head + "\n" + "".join(chars)
-
-    def wal_tail_fault(self, round_index: int) -> bool:
-        """Whether this round's collector restart finds a damaged WAL."""
-        return round_index in self.wal_tail_rounds
-
-    def corrupt_wal_tail(self, text: str) -> str:
-        """Damage the spool's tail: a torn final write plus garbling."""
-        self.injected.append("wal-tail:{}".format(len(text)))
-        rng = self._derived_rng("wal-tail", len(text))
-        cut = rng.randrange(3 * len(text) // 4, max(len(text) - 1, 1))
-        kept = list(text[:cut])
-        if kept:
-            for _ in range(2):
-                pos = rng.randrange(max(len(kept) // 2, 1), len(kept))
-                kept[pos] = rng.choice("#!?~")
-        return "".join(kept)
-
-    def kill_mid_swap(self, epoch: int) -> bool:
-        """Whether an instance dies partway through this epoch's swap."""
-        if epoch in self.kill_mid_swap_epochs:
-            self.injected.append("mid-swap-kill:{}".format(epoch))
-            return True
-        return False
-
-    def canary_trap(self, epoch: int) -> bool:
-        """Whether this epoch's canary run is sabotaged into a trap."""
-        if epoch in self.canary_trap_epochs:
-            self.injected.append("canary-trap:{}".format(epoch))
-            return True
-        return False
-
-    def flap(self, source: str, round_index: int) -> bool:
-        """Whether a flapping instance crashes this round (p=0.5)."""
-        if source not in self.flap_sources:
-            return False
-        if self._derived_rng("flap", source, round_index).random() < 0.5:
-            self.injected.append("flap:{}:{}".format(source, round_index))
-            return True
-        return False
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return "<FaultInjector seed={} mode={} fired={}>".format(

@@ -134,22 +134,6 @@ class TestCalls:
         with pytest.raises(ExecError):
             run_main(src)
 
-    def test_site_counts_collected(self):
-        src = """
-        int f(int x) { return x; }
-        int main() { int s = 0; for (int i = 0; i < 5; i++) s += f(i); return s; }
-        """
-        from repro.frontend import compile_program
-
-        program = compile_program([("main", src)])
-        result = run_program(program, collect_site_counts=True)
-        assert 5 in [v for v in result.site_counts.values()]
-
-    def test_block_counts_collected(self):
-        program = single_proc_program(lambda b: b.ret(0))
-        result = run_program(program, collect_block_counts=True)
-        assert result.block_counts == {("main", "entry"): 1}
-
 
 class TestBuiltins:
     def test_print_and_input(self):

@@ -1,9 +1,9 @@
-"""Plan-cache behaviour under hot swap: the fleet's correctness anchor.
+"""Plan-cache behaviour under hot swap.
 
-The continuous-profiling loop hot-swaps new builds into running
-instances (``FleetSupervisor.swap_all``); the optimized engine's plan
-cache (``Program._plan_cache``) may never serve a plan for code that
-changed underneath it.  Three mechanisms cover the matrix:
+Any caller may edit a program between runs, or from a sink while it
+runs; the optimized engine's plan cache (``Program._plan_cache``) may
+never serve a plan for code that changed underneath it.  Three
+mechanisms cover the matrix:
 
 - plans self-validate against the procedure's content fingerprint on
   every *run's first* lookup, so an in-place procedure swap is picked
@@ -12,9 +12,8 @@ changed underneath it.  Three mechanisms cover the matrix:
   changes (plans embed resolved global addresses);
 - within one run, resolution is cached per run (``_ExecState.link``) —
   a mutation landing mid-run completes on the old plan and takes
-  effect on the next run, which is exactly the swap semantics the
-  fleet relies on (a running request finishes on the build it started
-  on).
+  effect on the next run (a running program finishes on the code it
+  started on).
 
 The mid-run swap comes from a sink's ``on_call``.  The fast engine
 delivers that callback when it drains the run's tape, so those runs
@@ -179,8 +178,7 @@ def test_mid_run_swap_matches_reference_engine_semantics(engine):
     assert opt_sink.printed_at_swap == ref_sink.printed_at_swap == []
     # The reference engine re-reads blocks each call, so it *does* see
     # the new body mid-run, from the call its on_call announced; the
-    # contract the fleet needs is only about post-swap runs, where both
-    # engines agree.
+    # contract is only about post-swap runs, where both engines agree.
     assert opt.output == [11 * LONG]
     assert ref.output == [11 + 110 * (LONG - 1)]
     assert opt.exit_code == ref.exit_code == 0

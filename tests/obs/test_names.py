@@ -28,26 +28,3 @@ class TestRegistry:
         }
         assert constants == set(names.ALL_NAMES)
 
-
-class TestDedupeRename:
-    """The near-collision that motivated this module stays resolved."""
-
-    def test_collector_dedupe_vs_transport_fault(self):
-        assert names.FLEET_SHARDS_DEDUPED == "fleet.shards_deduped"
-        assert names.FLEET_SHARDS_DUPLICATED == "fleet.shards_duplicated"
-        assert "fleet.shards_duplicate" not in names.ALL_NAMES
-
-
-class TestInstanceTemplates:
-    def test_pending(self):
-        name = names.fleet_instance_pending("inst0")
-        assert name == "fleet.inst.inst0.pending"
-        assert NAME_RE.match(name)
-
-    def test_traps(self):
-        name = names.fleet_instance_traps("inst3")
-        assert name == "fleet.inst.inst3.serve_traps"
-        assert NAME_RE.match(name)
-
-    def test_templates_not_in_fixed_registry(self):
-        assert names.fleet_instance_pending("inst0") not in names.ALL_NAMES

@@ -10,7 +10,6 @@ from repro.obs.validate import (
     validate_ledger_jsonl,
     validate_metrics,
     validate_scale,
-    validate_serve,
     validate_trace,
 )
 
@@ -92,21 +91,6 @@ class TestLedger:
 
 
 class TestBenchReports:
-    def test_serve_report(self):
-        dist = {"count": 8, "p50": 1.0, "p95": 2.0, "p99": 3.0, "max": 4.0}
-        report = {
-            "schema": 1, "clients": 16, "requests": 64, "errors": 0,
-            "busy": 0, "wall_s": 1.0, "throughput_rps": 64.0,
-            "builds": 3, "result_hits": 16, "dedupe_hits": 13,
-            "shed": 0, "timeouts": 0, "server_requests": 65,
-            "workloads": ["w"], "artifacts_identical": True,
-            "latency_ms": dict(dist), "cold_build_ms": dict(dist),
-            "warm_rebuild_ms": dict(dist), "run_ms": dict(dist),
-        }
-        assert validate_serve(report) == []
-        del report["warm_rebuild_ms"]
-        assert any("warm_rebuild_ms" in e for e in validate_serve(report))
-
     def test_scale_report(self):
         strategy = {
             "strategy_wall_s": 0.5, "strategy_peak_kb": 100.0,

@@ -106,7 +106,7 @@ def test_size_bound_evicts_least_recently_used(tmp_path):
     key_c = _store(cache, "mc")
     assert cache.stats.size_evictions == 1
     assert cache.disk_bytes() <= 2 * entry_bytes
-    # The memory copy went with the disk object: a resident daemon's
+    # The memory copy went with the disk object: the process's
     # footprint tracks the bounded tier.
     assert cache.fetch("ma", key_a) is None
     assert cache.fetch("mb", key_b) is not None

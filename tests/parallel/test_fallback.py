@@ -111,7 +111,7 @@ def test_compile_sources_counts_watchdog_timeouts(sources, monkeypatch):
     """Timeouts surface as ``compile_timeouts`` with their own reason."""
     real = executor.parallel_map
 
-    def stalled(func, items, jobs=1, warn=None, timeout=None, pool=None):
+    def stalled(func, items, jobs=1, warn=None, timeout=None):
         results, _outcome = real(func, items, jobs=1)
         if warn is not None:
             warn("parallel compile stalled (2 module(s) ...); compiling serially")
@@ -127,7 +127,7 @@ def test_compile_sources_counts_watchdog_timeouts(sources, monkeypatch):
 def test_toolchain_records_compile_timeouts(sources, monkeypatch):
     real = executor.parallel_map
 
-    def stalled(func, items, jobs=1, warn=None, timeout=None, pool=None):
+    def stalled(func, items, jobs=1, warn=None, timeout=None):
         results, _outcome = real(func, items, jobs=1)
         return results, MapOutcome(fell_back=True, timeouts=1)
 

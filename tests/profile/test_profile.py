@@ -1,9 +1,11 @@
 """Profile pipeline: instrumentation, database, annotation, training."""
 
+from collections import Counter
+
 import pytest
 
 from repro.frontend import compile_program
-from repro.interp import run_program
+from repro.interp import ENGINES, RecordingSink, run_program
 from repro.ir import Probe
 from repro.profile import (
     ProfileDatabase,
@@ -62,11 +64,18 @@ class TestInstrumentation:
     def test_probe_counts_match_block_execution(self):
         program = compile_program(SOURCES)
         probe_map = instrument_program(program)
-        result = run_program(program, [6], collect_block_counts=True)
-        for counter_id, (proc, label) in probe_map.items():
-            assert result.probe_counts.get(counter_id, 0) == result.block_counts.get(
-                (proc, label), 0
+        for engine in ENGINES:
+            sink = RecordingSink()
+            result = run_program(program, [6], sink=sink, engine=engine)
+            # A block is entered each time its first instruction runs.
+            entries = Counter(
+                (event[1], event[2])
+                for event in sink.events
+                if event[0] == "instr" and event[3] == 0
             )
+            assert sum(entries.values()) == sum(result.probe_counts.values())
+            for counter_id, (proc, label) in probe_map.items():
+                assert result.probe_counts.get(counter_id, 0) == entries[(proc, label)]
 
 
 class TestDatabase:
