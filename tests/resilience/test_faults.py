@@ -6,6 +6,8 @@ readers — a corruption the reader cannot detect would silently poison
 the build instead of triggering the degradation ladder.
 """
 
+import zlib
+
 import pytest
 
 from repro.frontend import compile_module, compile_program
@@ -20,6 +22,7 @@ from repro.resilience import (
     IsomError,
     ProfileFormatError,
 )
+from repro.sampling.sampler import SampledProfile, sample_run
 
 LIB = """
 static int twice(int x) { return x + x; }
@@ -40,6 +43,44 @@ def sample_profile_text():
         program, probe_map, result.probe_counts, result.steps
     )
     return db.to_text()
+
+
+V3_MODES = ("v3-sampling", "v3-obs", "v3-ctx", "v3-fp")
+
+V3_SOURCES = [
+    (
+        "main",
+        "int helper(int x) { return x * 2 + 1; }\n"
+        "int main() { int i = 0; int acc = 0;\n"
+        "  while (i < 40) { acc = acc + helper(i); i = i + 1; }\n"
+        "  print_int(acc); return 0; }\n",
+    )
+]
+
+
+def trained_v3_text():
+    """An exact (instrumented) v3 database: fp records, no sampling."""
+    program = compile_program(V3_SOURCES)
+    probe_map = instrument_program(program)
+    result = run_program(program, [5])
+    db = ProfileDatabase.from_training_run(
+        program, probe_map, result.probe_counts, result.steps
+    )
+    return db.to_text()
+
+
+def sampled_v3_text():
+    """A sampled v3 database: sampling/obs/ctx records present."""
+    program = compile_program(V3_SOURCES)
+    profile = SampledProfile(rate=3, context_depth=2, seed=11)
+    sample_run(program, [5], profile=profile)
+    return profile.to_database(program).to_text()
+
+
+def payload_checksum_ok(text):
+    header, _, payload = text.partition("\n")
+    computed = format(zlib.crc32(payload.encode("utf-8")) & 0xFFFFFFFF, "08x")
+    return header.split()[-1] == computed
 
 
 class TestDeterminism:
@@ -178,6 +219,42 @@ class TestProfileDetection:
         _, _, payload = text.partition("\n")
         legacy = ProfileDatabase.from_text("profiledb 1\n" + payload)
         assert legacy.block_counts == db.block_counts
+
+
+class TestV3RecordCorruption:
+    """The ``v3-*`` modes put their damage past the CRC gate: a record the
+    checksum rejects never reaches the record parser, so each mode
+    re-frames the header over the damaged payload."""
+
+    @pytest.mark.parametrize("mode", V3_MODES)
+    def test_detected_on_sampled_database(self, mode):
+        """Victim-line path: the record kind exists and gets malformed."""
+        corrupted = FaultInjector(seed=7, mode=mode).corrupt_text(sampled_v3_text())
+        with pytest.raises(ProfileFormatError) as err:
+            ProfileDatabase.from_text(corrupted)
+        assert err.value.kind == "malformed"
+
+    @pytest.mark.parametrize("mode", V3_MODES)
+    def test_detected_on_exact_database(self, mode):
+        """Fallback path: exact profiles lack sampling/obs/ctx records,
+        so the injector appends a malformed one; the fault always fires."""
+        corrupted = FaultInjector(seed=7, mode=mode).corrupt_text(trained_v3_text())
+        with pytest.raises(ProfileFormatError) as err:
+            ProfileDatabase.from_text(corrupted)
+        assert err.value.kind == "malformed"
+
+    @pytest.mark.parametrize("mode", V3_MODES)
+    def test_damage_passes_the_checksum_gate(self, mode):
+        corrupted = FaultInjector(seed=7, mode=mode).corrupt_text(sampled_v3_text())
+        assert payload_checksum_ok(corrupted)
+
+    @pytest.mark.parametrize("mode", V3_MODES)
+    def test_error_reports_the_damaged_line(self, mode):
+        corrupted = FaultInjector(seed=7, mode=mode).corrupt_text(sampled_v3_text())
+        with pytest.raises(ProfileFormatError) as err:
+            ProfileDatabase.from_text(corrupted)
+        assert err.value.lineno is not None
+        assert err.value.line
 
 
 class TestWrapPipeline:

@@ -153,3 +153,41 @@ class TestContextSensitivity:
         _, out_ctx = with_context.run(ref)
         _, out_blind = without.run(ref)
         assert out_ctx.behavior() == out_blind.behavior()
+
+
+# A hot helper two modules away from its caller, so a cp build makes
+# real inline decisions.
+HOT_SOURCES = [
+    (
+        "util",
+        "int weigh(int x) { return x * 3 + 1; }\n"
+        "int heavy(int x) { int i = 0; int acc = 0;\n"
+        "  while (i < 8) { acc = acc + weigh(x + i); i = i + 1; }\n"
+        "  return acc; }\n",
+    ),
+    (
+        "main",
+        "extern int heavy(int x);\n"
+        "int main() { int n = input(0); int i = 0; int acc = 0;\n"
+        "  while (i < 12) { acc = acc + heavy(n + i); i = i + 1; }\n"
+        "  print_int(acc); return 0; }\n",
+    ),
+]
+
+
+class TestRebuildWithProfile:
+    @pytest.fixture
+    def toolchain(self):
+        return Toolchain(HOT_SOURCES, train_inputs=[[3], [9]])
+
+    def test_matches_exact_cp_build_decisions(self, toolchain):
+        exact = toolchain.build("cp")
+        rebuilt = toolchain.rebuild_with_profile(exact.profile)
+        assert _decisions(exact)
+        assert _decisions(rebuilt) == _decisions(exact)
+
+    @pytest.mark.parametrize("scope", ["base", "c"])
+    def test_rejects_profileless_scope(self, toolchain, scope):
+        profile = toolchain.build("cp").profile
+        with pytest.raises(ValueError):
+            toolchain.rebuild_with_profile(profile, scope=scope)
