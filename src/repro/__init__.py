@@ -17,37 +17,45 @@ See ``examples/quickstart.py`` for the guided tour and DESIGN.md for
 the full system inventory.
 """
 
-from .core.config import HLOConfig
-from .core.hlo import run_hlo
-from .core.report import HLOReport
-from .frontend.driver import compile_module, compile_program
-from .frontend.errors import CompileError
-from .interp.interpreter import Interpreter, Result, run_program
-from .ir.program import Program
-from .linker.toolchain import SCOPES, BuildResult, Toolchain
-from .machine.pa8000 import MachineConfig, simulate
-from .profile.database import ProfileDatabase
-from .profile.pgo import train
+import importlib
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "BuildResult",
-    "CompileError",
-    "HLOConfig",
-    "HLOReport",
-    "Interpreter",
-    "MachineConfig",
-    "Program",
-    "ProfileDatabase",
-    "Result",
-    "SCOPES",
-    "Toolchain",
-    "__version__",
-    "compile_module",
-    "compile_program",
-    "run_hlo",
-    "run_program",
-    "simulate",
-    "train",
-]
+# Each exported name and the module it comes from, imported at the
+# name's first use, so that importing one subpackage (the machine-state
+# worker imports only ``ir``, ``interp`` and ``machine``) does not load
+# the whole toolchain.
+_EXPORTS = {
+    "BuildResult": "linker.toolchain",
+    "CompileError": "frontend.errors",
+    "HLOConfig": "core.config",
+    "HLOReport": "core.report",
+    "Interpreter": "interp.interpreter",
+    "MachineConfig": "machine.pa8000",
+    "Program": "ir.program",
+    "ProfileDatabase": "profile.database",
+    "Result": "interp.interpreter",
+    "SCOPES": "linker.toolchain",
+    "Toolchain": "linker.toolchain",
+    "compile_module": "frontend.driver",
+    "compile_program": "frontend.driver",
+    "run_hlo": "core.hlo",
+    "run_program": "interp.interpreter",
+    "simulate": "machine.pa8000",
+    "train": "profile.pgo",
+}
+
+__all__ = sorted(list(_EXPORTS) + ["__version__"])
+
+
+def __getattr__(name):
+    module = _EXPORTS.get(name)
+    if module is None:
+        raise AttributeError("module {!r} has no attribute {!r}".format(__name__, name))
+    value = getattr(importlib.import_module("." + module, __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(_EXPORTS))

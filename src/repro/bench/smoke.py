@@ -213,7 +213,7 @@ def _measure_interp(
 
     engines = ("fast", "reference")
     per = {}
-    plans_compiled = plan_cache_hits = 0
+    plans_compiled = fused_parts = plan_cache_hits = 0
     for name in names:
         workload = get_workload(name)
         program = workload.compile()
@@ -225,6 +225,7 @@ def _measure_interp(
             interp = Interpreter(program, workload.ref_input, engine=engine)
             interp.run()
             plans_compiled += interp.plans_compiled
+            fused_parts += interp.fused_parts
             plan_cache_hits += interp.plan_cache_hits
         # Timed rounds interleave the engines so temporal drift (turbo
         # decay, a background process waking up) lands on both equally
@@ -269,6 +270,7 @@ def _measure_interp(
         "mean_speedup": round(sum(speedups) / len(speedups), 3)
         if speedups else 0.0,
         "plans_compiled": plans_compiled,
+        "fused_parts": fused_parts,
         "plan_cache_hits": plan_cache_hits,
         "repeats": repeats,
         "workloads": per,

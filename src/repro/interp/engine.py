@@ -11,10 +11,19 @@ of bound Python closures with all of that decoding done ahead of time
   constants (the globals layout is deterministic per program; a
   program-level globals signature guards the embedded addresses),
 - straight-line instruction runs become *segments* that are fused into
-  the call/branch/jump/ret part that follows them, so a typical basic
-  block executes as ONE closure with ONE batched step-limit check (an
-  exact per-instruction replay handles the case where the limit falls
-  inside the segment),
+  the call/branch/jump/ret part that follows them, so a basic block
+  executes as one part closure per call or terminator, with ONE batched
+  step-limit check (an exact per-instruction replay handles the case
+  where the limit falls inside the segment); the part still calls one
+  closure per straight-line instruction,
+- the two commonest endings are superinstructions: a branch on the
+  compare that ends its segment, and a jump after a move, run that
+  compare or move inline in their part, on int operands and a set
+  source; any other operand goes through the instruction's own closure
+  (``ExecPlan.fused`` counts these parts),
+- compare, ``add``/``sub``/``mul`` and load closures are specialized
+  by operand kind (register/register, register/int constant), so their
+  hot path tests no operand's kind,
 - block successors are pre-linked to plan blocks, so the label->block
   dict lookup leaves the inner loop entirely,
 - sink capability flags (:class:`~repro.interp.events.EventSink`) are
@@ -41,7 +50,8 @@ differential harness (:mod:`repro.interp.diff`).  A fused part counts
 its whole segment up front; when an op in it traps, the part resets the
 count to end at that op, and delivers the ``on_instr`` events of the
 fetches whose group token is not on the tape yet, before the trap
-propagates.
+propagates; a compare or move the part runs inline traps through its
+own closure, with the same accounting (``_fallback``).
 """
 
 from __future__ import annotations
@@ -175,15 +185,42 @@ def _binop_slow(regs, d, op, x, y, ln, rn, pn, lb, ix):
 
 
 def _arith_factory(iop):
+    """add/sub/mul and the compares (whose ``True``/``False`` masks to
+    1/0), specialized by operand kind: register/register,
+    register/int constant, and any other pair."""
+
     def make(d, ls, lc, ln, rs, rc, rn, op, pn, lb, ix):
-        def mo(st, regs, _d=d, _ls=ls, _lc=lc, _rs=rs, _rc=rc, _iop=iop):
-            x = regs[_ls] if _ls >= 0 else _lc
-            y = regs[_rs] if _rs >= 0 else _rc
-            if type(x) is int and type(y) is int:
-                v = _iop(x, y) & _MASK
-                regs[_d] = v - _TWO64 if v > _IMAX else v
-            else:
-                _binop_slow(regs, _d, op, x, y, ln, rn, pn, lb, ix)
+        if ls >= 0 and rs >= 0:
+
+            def mo(st, regs, _d=d, _ls=ls, _rs=rs, _iop=iop):
+                x = regs[_ls]
+                y = regs[_rs]
+                if type(x) is int and type(y) is int:
+                    v = _iop(x, y) & _MASK
+                    regs[_d] = v - _TWO64 if v > _IMAX else v
+                else:
+                    _binop_slow(regs, _d, op, x, y, ln, rn, pn, lb, ix)
+
+        elif ls >= 0 and type(rc) is int:
+
+            def mo(st, regs, _d=d, _ls=ls, _rc=rc, _iop=iop):
+                x = regs[_ls]
+                if type(x) is int:
+                    v = _iop(x, _rc) & _MASK
+                    regs[_d] = v - _TWO64 if v > _IMAX else v
+                else:
+                    _binop_slow(regs, _d, op, x, _rc, ln, rn, pn, lb, ix)
+
+        else:
+
+            def mo(st, regs, _d=d, _ls=ls, _lc=lc, _rs=rs, _rc=rc, _iop=iop):
+                x = regs[_ls] if _ls >= 0 else _lc
+                y = regs[_rs] if _rs >= 0 else _rc
+                if type(x) is int and type(y) is int:
+                    v = _iop(x, y) & _MASK
+                    regs[_d] = v - _TWO64 if v > _IMAX else v
+                else:
+                    _binop_slow(regs, _d, op, x, y, ln, rn, pn, lb, ix)
 
         return mo
 
@@ -198,21 +235,6 @@ def _bitwise_factory(iop):
             if type(x) is int and type(y) is int:
                 v = _iop(x & _MASK, y & _MASK)
                 regs[_d] = v - _TWO64 if v > _IMAX else v
-            else:
-                _binop_slow(regs, _d, op, x, y, ln, rn, pn, lb, ix)
-
-        return mo
-
-    return make
-
-
-def _cmp_factory(cop):
-    def make(d, ls, lc, ln, rs, rc, rn, op, pn, lb, ix):
-        def mo(st, regs, _d=d, _ls=ls, _lc=lc, _rs=rs, _rc=rc, _cop=cop):
-            x = regs[_ls] if _ls >= 0 else _lc
-            y = regs[_rs] if _rs >= 0 else _rc
-            if type(x) is int and type(y) is int:
-                regs[_d] = 1 if _cop(x, y) else 0
             else:
                 _binop_slow(regs, _d, op, x, y, ln, rn, pn, lb, ix)
 
@@ -268,6 +290,16 @@ def _shift_binop(d, ls, lc, ln, rs, rc, rn, op, pn, lb, ix):
     return mo
 
 
+# The compares a branch can evaluate inline (see _make_branch).
+_COMPARES = {
+    "eq": operator.eq,
+    "ne": operator.ne,
+    "lt": operator.lt,
+    "le": operator.le,
+    "gt": operator.gt,
+    "ge": operator.ge,
+}
+
 _BINOP_FACTORIES = {
     "add": _arith_factory(operator.add),
     "sub": _arith_factory(operator.sub),
@@ -279,13 +311,8 @@ _BINOP_FACTORIES = {
     "and": _bitwise_factory(operator.and_),
     "or": _bitwise_factory(operator.or_),
     "xor": _bitwise_factory(operator.xor),
-    "eq": _cmp_factory(operator.eq),
-    "ne": _cmp_factory(operator.ne),
-    "lt": _cmp_factory(operator.lt),
-    "le": _cmp_factory(operator.le),
-    "gt": _cmp_factory(operator.gt),
-    "ge": _cmp_factory(operator.ge),
 }
+_BINOP_FACTORIES.update((op, _arith_factory(cop)) for op, cop in _COMPARES.items())
 
 
 # ----------------------------------------------------------------------
@@ -324,6 +351,7 @@ class ExecPlan:
         "fingerprint",
         "mode",
         "rtok",
+        "fused",
     )
 
     def __init__(self, proc: Procedure, mode, fingerprint: str):
@@ -347,6 +375,9 @@ class ExecPlan:
         # to the generic push.
         self.simple_frame = False
         self.pad: tuple = ()
+        # Parts compiled as one closure with the instruction before
+        # their boundary, by kind (see _make_branch and _make_jump).
+        self.fused = {"compare-branch": 0, "move-jump": 0}
 
 
 class PlanCache:
@@ -358,12 +389,13 @@ class PlanCache:
     (plans embed resolved global addresses).
     """
 
-    __slots__ = ("plans", "globals_sig", "plans_compiled", "cache_hits")
+    __slots__ = ("plans", "globals_sig", "plans_compiled", "fused_parts", "cache_hits")
 
     def __init__(self) -> None:
         self.plans: Dict[Tuple[str, tuple], ExecPlan] = {}
         self.globals_sig = None
         self.plans_compiled = 0
+        self.fused_parts = 0
         self.cache_hits = 0
 
     def check_globals(self, program) -> None:
@@ -382,6 +414,7 @@ class PlanCache:
         plan = _PlanCompiler(proc, mode, global_addrs, fp, sink).compile()
         self.plans[key] = plan
         self.plans_compiled += 1
+        self.fused_parts += sum(plan.fused.values())
         return plan
 
 
@@ -486,6 +519,18 @@ def _trapped(st, ns, trap, op):
         on_instr = st.sink.on_instr
         for e in late:
             on_instr(e[0], e[1], e[2], e[3])
+
+
+def _fallback(st, regs, ns, trap, op):
+    """Run the own closure of an op a fused part evaluates inline, for
+    the operands its inline code does not take: the op's slow path and
+    its traps, with the reference's accounting (``_trapped``) when it
+    traps."""
+    try:
+        op(st, regs)
+    except ExecError:
+        _trapped(st, ns, trap, op)
+        raise
 
 
 def _seg_overflow(st, frame, ops, events, fire_instr, pn, lb, ix):
@@ -660,30 +705,48 @@ class _PlanCompiler:
             if cls is Load:
                 d = self.slots[instr.dest.name]
                 s, c, n = self._rop(instr.addr)
-                if not self.f_mem:
+                mem_token = self.f_mem
+                if s >= 0 and not mem_token:
 
-                    def mo(st, regs, _d=d, _s=s, _c=c):
-                        a = regs[_s] if _s >= 0 else _c
-                        if a is _UNSET:
-                            _unset(n, pn)
-                        mem = st.memory
+                    def mo(st, regs, _d=d, _s=s):
+                        a = regs[_s]
                         if type(a) is int and a >= 0:
-                            regs[_d] = mem.cells.get(a, 0)
+                            regs[_d] = st.memory.cells.get(a, 0)
                         else:
-                            regs[_d] = mem._load_slow(a)
+                            if a is _UNSET:
+                                _unset(n, pn)
+                            regs[_d] = st.memory._load_slow(a)
+
+                elif s >= 0:
+
+                    def mo(st, regs, _d=d, _s=s):
+                        a = regs[_s]
+                        if type(a) is int and a >= 0:
+                            v = st.memory.cells.get(a, 0)
+                        else:
+                            if a is _UNSET:
+                                _unset(n, pn)
+                            v = st.memory._load_slow(a)
+                        st.tape.append(a)
+                        regs[_d] = v
+
+                elif type(c) is int and c >= 0 and not mem_token:
+
+                    def mo(st, regs, _d=d, _c=c):
+                        regs[_d] = st.memory.cells.get(_c, 0)
+
+                elif type(c) is int and c >= 0:
+
+                    def mo(st, regs, _d=d, _c=c):
+                        regs[_d] = st.memory.cells.get(_c, 0)
+                        st.tape.append(_c)
 
                 else:
 
-                    def mo(st, regs, _d=d, _s=s, _c=c):
-                        a = regs[_s] if _s >= 0 else _c
-                        if a is _UNSET:
-                            _unset(n, pn)
-                        mem = st.memory
-                        if type(a) is int and a >= 0:
-                            v = mem.cells.get(a, 0)
-                        else:
-                            v = mem._load_slow(a)
-                        st.tape.append(a)
+                    def mo(st, regs, _d=d, _c=c, _m=mem_token):
+                        v = st.memory._load_slow(_c)
+                        if _m:
+                            st.tape.append(_c)
                         regs[_d] = v
 
                 return mo
@@ -868,6 +931,24 @@ class _PlanCompiler:
         token = ends.get(kk - 1) if boundary is not None else None
         return raw, events, tuple(xops), kk, token, trap
 
+    def _closing(self, seg_events, cls):
+        """The segment's last instruction when it is a ``cls``, else None."""
+        if seg_events and seg_events[-1][3].__class__ is cls:
+            return seg_events[-1][3]
+        return None
+
+    def _closing_move(self, seg_events):
+        """``(dest slot, source slot, source constant)`` of the segment's
+        closing move; else None."""
+        mov = self._closing(seg_events, Mov)
+        if mov is None:
+            return None
+        try:
+            s, c, _n = self._rop(mov.src)
+        except _BadOperand:
+            return None
+        return self.slots[mov.dest.name], s, c
+
     def _make_jump(self, instr, label, idx, seg_ops, seg_events):
         target = self._target(instr.target)
         pn = self.procname
@@ -880,6 +961,41 @@ class _PlanCompiler:
             g = self._join(
                 g, self.sink.branch_token(proc, label, idx, "jump", True, instr.target)
             )
+        move = self._closing_move(seg_events)
+        if move is not None:
+            # Move-and-jump: the segment's closing move runs inline; an
+            # unset source traps through the move's own closure.
+            self.plan.fused["move-jump"] += 1
+            d, s, c = move
+            mov = raw[-1]
+
+            def part(
+                st, frame, _t=target, _x=xops[:-1], _kk=kk, _s=s, _c=c, _d=d,
+                _mo=mov, _gj=g, _tr=trap,
+            ):
+                ns = st.steps + _kk
+                if ns > st.max_steps:
+                    _seg_overflow(st, frame, raw, evs, fire_i, pn, label, idx)
+                st.steps = ns
+                regs = frame.regs
+                try:
+                    for op in _x:
+                        op(st, regs)
+                except ExecError:
+                    _trapped(st, ns, _tr, op)
+                    raise
+                v = regs[_s] if _s >= 0 else _c
+                if v is _UNSET:
+                    _fallback(st, regs, ns, _tr, _mo)
+                regs[_d] = v
+                if _gj is not None:
+                    tape = st.tape
+                    tape.append(_gj)
+                    if len(tape) > TAPE_BOUND:
+                        _drain(st)
+                return _t
+
+            return part
 
         if g is None:
             if not xops:
@@ -931,6 +1047,24 @@ class _PlanCompiler:
 
         return part
 
+    def _closing_compare(self, cond, seg_events):
+        """``(dest slot, lhs slot, rhs slot, rhs constant, operator)`` of
+        the segment's closing compare when it computes ``cond`` from a
+        register and a register or an int constant; else None."""
+        cmp = self._closing(seg_events, BinOp)
+        if cmp is None or cmp.op not in _COMPARES or cond.__class__ is not Reg:
+            return None
+        if cmp.dest.name != cond.name:
+            return None
+        try:
+            ls, _lc, _ln = self._rop(cmp.lhs)
+            rs, rc, _rn = self._rop(cmp.rhs)
+        except _BadOperand:
+            return None
+        if ls < 0 or (rs < 0 and type(rc) is not int):
+            return None
+        return self.slots[cond.name], ls, rs, rc, _COMPARES[cmp.op]
+
     def _make_branch(self, instr, label, idx, seg_ops, seg_events):
         pn = self.procname
         try:
@@ -953,6 +1087,80 @@ class _PlanCompiler:
             gn = self._join(
                 g, sink.branch_token(proc, label, idx, "cond", False, instr.else_target)
             )
+
+        fused = self._closing_compare(instr.cond, seg_events)
+        if fused is not None:
+            # Compare-and-branch: the segment's closing compare runs
+            # inline on int operands, and writes its register; any
+            # other operand goes through the compare's own closure.
+            self.plan.fused["compare-branch"] += 1
+            d, ls, rs, rc, cop = fused
+            pre = xops[:-1]
+            cmp = raw[-1]
+            if rs >= 0:
+
+                def part(
+                    st, frame, _x=pre, _kk=kk, _d=d, _ls=ls, _rs=rs, _cop=cop,
+                    _cmp=cmp, _tp=then_pb, _ep=else_pb, _gt=gt, _gn=gn, _tr=trap,
+                ):
+                    ns = st.steps + _kk
+                    if ns > st.max_steps:
+                        _seg_overflow(st, frame, raw, evs, fire_i, pn, label, idx)
+                    st.steps = ns
+                    regs = frame.regs
+                    if _x:  # most of these parts run only the compare
+                        try:
+                            for op in _x:
+                                op(st, regs)
+                        except ExecError:
+                            _trapped(st, ns, _tr, op)
+                            raise
+                    x = regs[_ls]
+                    y = regs[_rs]
+                    if type(x) is int and type(y) is int:
+                        c = regs[_d] = 1 if _cop(x, y) else 0
+                    else:
+                        _fallback(st, regs, ns, _tr, _cmp)
+                        c = regs[_d]
+                    if _gt is not None:
+                        tape = st.tape
+                        tape.append(_gt if c else _gn)
+                        if len(tape) > TAPE_BOUND:
+                            _drain(st)
+                    return _tp if c else _ep
+
+                return part
+
+            def part(
+                st, frame, _x=pre, _kk=kk, _d=d, _ls=ls, _rc=rc, _cop=cop,
+                _cmp=cmp, _tp=then_pb, _ep=else_pb, _gt=gt, _gn=gn, _tr=trap,
+            ):
+                ns = st.steps + _kk
+                if ns > st.max_steps:
+                    _seg_overflow(st, frame, raw, evs, fire_i, pn, label, idx)
+                st.steps = ns
+                regs = frame.regs
+                if _x:
+                    try:
+                        for op in _x:
+                            op(st, regs)
+                    except ExecError:
+                        _trapped(st, ns, _tr, op)
+                        raise
+                x = regs[_ls]
+                if type(x) is int:
+                    c = regs[_d] = 1 if _cop(x, _rc) else 0
+                else:
+                    _fallback(st, regs, ns, _tr, _cmp)
+                    c = regs[_d]
+                if _gt is not None:
+                    tape = st.tape
+                    tape.append(_gt if c else _gn)
+                    if len(tape) > TAPE_BOUND:
+                        _drain(st)
+                return _tp if c else _ep
+
+            return part
 
         if gt is None:
             if not xops:
@@ -1119,10 +1327,21 @@ class _PlanCompiler:
             gb = self._join(g, sink.call_token(proc, callee_static, "builtin", n_args))
         # An indirect call's token is followed by its callee's name.
         name = is_icall and self.f_call
+        # All-register arguments are read in C by one itemgetter: of the
+        # slots, which returns a tuple, or for none or one slot, of a
+        # slice, which returns a list.
+        slots = [a[0] for a in argspec]
+        getter = None
+        if all(slot >= 0 for slot in slots):
+            if len(slots) > 1:
+                getter = operator.itemgetter(*slots)
+            else:
+                first = slots[0] if slots else 0
+                getter = operator.itemgetter(slice(first, first + len(slots)))
 
         def part(
-            st, frame, _fs=fs, _fc=fc, _as=argspec, _ds=dest_slot, _x=xops, _kk=kk,
-            _g=g, _gu=gu, _gb=gb, _tr=trap,
+            st, frame, _fs=fs, _fc=fc, _as=argspec, _ag=getter, _ds=dest_slot,
+            _x=xops, _kk=kk, _g=g, _gu=gu, _gb=gb, _tr=trap,
         ):
             ns = st.steps + _kk
             if ns > st.max_steps:
@@ -1150,7 +1369,10 @@ class _PlanCompiler:
                     callee_name = f.name
                 else:
                     callee_name = callee_static
-                args = [regs[s] if s >= 0 else c for s, c, _n in _as]
+                if _ag is not None:
+                    args = [*_ag(regs)]
+                else:
+                    args = [regs[s] if s >= 0 else c for s, c, _n in _as]
                 if _UNSET in args:
                     for s, c, n in _as:
                         if s >= 0 and regs[s] is _UNSET:
@@ -1453,6 +1675,7 @@ def execute(interp, proc: Procedure, args: List[Any]):
     mode = sink_mode(interp.sink)
     st = _ExecState(interp, cache, mode)
     compiled0 = cache.plans_compiled
+    fused0 = cache.fused_parts
     hits0 = cache.cache_hits
     exit_code = 0
     ret = None
@@ -1466,6 +1689,7 @@ def execute(interp, proc: Procedure, args: List[Any]):
             interp.call_count = st.call_count
             interp._stack_top = st.stack_top
             interp.plans_compiled += cache.plans_compiled - compiled0
+            interp.fused_parts += cache.fused_parts - fused0
             interp.plan_cache_hits += cache.cache_hits - hits0
             if st.tape:
                 _drain(st)

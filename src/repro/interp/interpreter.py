@@ -136,7 +136,11 @@ class Interpreter:
         self.call_count = 0
         self.probe_counts: Dict[int, int] = Counter()
         # Plan-cache accounting for the fast engine (obs `interp.*` metrics).
+        # fused_parts counts the parts of the compiled plans that run the
+        # compare before their branch, or the move before their jump,
+        # inline (engine.py's compare-and-branch and move-and-jump).
         self.plans_compiled = 0
+        self.fused_parts = 0
         self.plan_cache_hits = 0
 
         # Sink capability negotiation: both engines honour the sink's

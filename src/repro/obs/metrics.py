@@ -283,7 +283,7 @@ def collect_interp_metrics(
 
     ``interp`` is a :class:`~repro.interp.Interpreter` that has finished
     at least one ``run()`` (duck-typed: ``engine``, ``steps``,
-    ``plans_compiled``, ``plan_cache_hits``).  ``steps_per_sec`` is the
+    ``plans_compiled``, ``fused_parts``, ``plan_cache_hits``).  ``steps_per_sec`` is the
     caller's wall-clock measurement — the registry never times anything
     itself.  The same names feed ``--metrics-out`` JSON and the
     ``interp`` section of ``BENCH_smoke.json``.
@@ -292,6 +292,7 @@ def collect_interp_metrics(
     reg.gauge(names.INTERP_ENGINE, interp.engine)
     reg.gauge(names.INTERP_STEPS, interp.steps)
     reg.gauge(names.INTERP_PLANS_COMPILED, interp.plans_compiled)
+    reg.gauge(names.INTERP_FUSED_PARTS, interp.fused_parts)
     reg.gauge(names.INTERP_PLAN_CACHE_HITS, interp.plan_cache_hits)
     if steps_per_sec is not None:
         reg.gauge(names.INTERP_STEPS_PER_SEC, round(steps_per_sec, 1))

@@ -80,6 +80,7 @@ PROFILE_MATCH_RATIO = "profile.match_ratio"
 INTERP_ENGINE = "interp.engine"
 INTERP_STEPS = "interp.steps"
 INTERP_PLANS_COMPILED = "interp.plans_compiled"
+INTERP_FUSED_PARTS = "interp.fused_parts"
 INTERP_PLAN_CACHE_HITS = "interp.plan_cache_hits"
 INTERP_STEPS_PER_SEC = "interp.steps_per_sec"
 

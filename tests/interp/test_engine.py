@@ -255,6 +255,7 @@ class TestToolchainAndMetrics:
         assert reg.value("interp.engine") == "fast"
         assert reg.value("interp.steps") == interp.steps
         assert reg.value("interp.plans_compiled") == interp.plans_compiled
+        assert reg.value("interp.fused_parts") == interp.fused_parts
         assert reg.value("interp.plan_cache_hits") == interp.plan_cache_hits
         assert reg.value("interp.steps_per_sec") == 123456.7
 
