@@ -73,17 +73,12 @@ class Lab:
         workload: str,
         scope: str = "cp",
         config: Optional[HLOConfig] = None,
-        tag: str = "",
     ) -> BuildResult:
-        """Build ``workload`` at ``scope``; cached by (workload, scope, tag).
-
-        Pass a distinct ``tag`` whenever ``config`` differs from the
-        lab default (the config object itself is not hashed).
-        """
-        key = (workload, scope, tag)
+        """Build ``workload`` at ``scope``; cached by workload, scope and config."""
+        cfg = config or self.default_config()
+        key = (workload, scope, cfg.fingerprint())
         cached = self._builds.get(key)
         if cached is None:
-            cfg = config or self.default_config()
             cached = self.toolchain(workload).build(scope, cfg)
             self._builds[key] = cached
         return cached
@@ -93,13 +88,13 @@ class Lab:
         workload: str,
         scope: str = "cp",
         config: Optional[HLOConfig] = None,
-        tag: str = "",
     ) -> Tuple[MachineMetrics, Result]:
         """Build and run on the reference input; cached like build()."""
-        key = (workload, scope, tag)
+        cfg = config or self.default_config()
+        key = (workload, scope, cfg.fingerprint())
         cached = self._runs.get(key)
         if cached is None:
-            build = self.build(workload, scope, config, tag)
+            build = self.build(workload, scope, cfg)
             w = get_workload(workload)
             cached = build.run(w.ref_input, machine=self.machine)
             self._runs[key] = cached
@@ -109,4 +104,4 @@ class Lab:
         self, workload: str, variant: str, scope: str = "cp"
     ) -> Tuple[MachineMetrics, Result]:
         cfg = variant_config(self.default_config(), variant)
-        return self.measure(workload, scope, cfg, tag="variant:" + variant)
+        return self.measure(workload, scope, cfg)

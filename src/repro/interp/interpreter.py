@@ -135,7 +135,7 @@ class Interpreter:
         self.steps = 0
         self.call_count = 0
         self.probe_counts: Dict[int, int] = Counter()
-        # Plan-cache accounting for the fast engine (obs `interp.*` metrics).
+        # Plan-cache accounting for the fast engine, read after a run.
         # fused_parts counts the parts of the compiled plans that run the
         # compare before their branch, or the move before their jump,
         # inline (engine.py's compare-and-branch and move-and-jump).

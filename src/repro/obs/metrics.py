@@ -11,8 +11,8 @@ bench harness derived separately, which is exactly how the two drift.
 local counters (they are part of rollback protocols and picklable
 build results); :func:`collect_build_metrics` maps them onto canonical
 metric names once, and **both** the human summary line
-(:func:`format_build_summary`) and the machine outputs (``--metrics-out``
-JSON, ``BENCH_smoke.json``) read from the same registry.
+(:func:`format_build_summary`) and the machine output (``--metrics-out``
+JSON) read from the same registry.
 
 Metric names are dotted: ``hlo.*`` transform counts, ``analysis.*``
 memoization, ``cache.*`` incremental compilation, ``resilience.*``
@@ -247,8 +247,8 @@ def collect_profile_metrics(
     ``profile`` is a :class:`~repro.profile.ProfileDatabase` (duck-typed
     so this layer needs no import of the profile package); ``program``
     optionally adds the against-a-compile figures (coverage, staleness
-    match ratio).  The same names feed ``--metrics-out`` JSON, the
-    build summary, and ``BENCH_smoke.json``.
+    match ratio).  The same names feed ``--metrics-out`` JSON and the
+    build summary.
     """
     reg = registry if registry is not None else MetricsRegistry()
     reg.gauge(names.PROFILE_SAMPLED, 1 if profile.sampled else 0)
@@ -271,31 +271,6 @@ def collect_profile_metrics(
         reg.gauge(
             names.PROFILE_MATCH_RATIO, round(profile.match_ratio(program), 4)
         )
-    return reg
-
-
-def collect_interp_metrics(
-    interp,
-    steps_per_sec: Optional[float] = None,
-    registry: Optional[MetricsRegistry] = None,
-) -> MetricsRegistry:
-    """Map one interpreter's execution onto canonical ``interp.*`` names.
-
-    ``interp`` is a :class:`~repro.interp.Interpreter` that has finished
-    at least one ``run()`` (duck-typed: ``engine``, ``steps``,
-    ``plans_compiled``, ``fused_parts``, ``plan_cache_hits``).  ``steps_per_sec`` is the
-    caller's wall-clock measurement — the registry never times anything
-    itself.  The same names feed ``--metrics-out`` JSON and the
-    ``interp`` section of ``BENCH_smoke.json``.
-    """
-    reg = registry if registry is not None else MetricsRegistry()
-    reg.gauge(names.INTERP_ENGINE, interp.engine)
-    reg.gauge(names.INTERP_STEPS, interp.steps)
-    reg.gauge(names.INTERP_PLANS_COMPILED, interp.plans_compiled)
-    reg.gauge(names.INTERP_FUSED_PARTS, interp.fused_parts)
-    reg.gauge(names.INTERP_PLAN_CACHE_HITS, interp.plan_cache_hits)
-    if steps_per_sec is not None:
-        reg.gauge(names.INTERP_STEPS_PER_SEC, round(steps_per_sec, 1))
     return reg
 
 

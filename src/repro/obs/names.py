@@ -2,9 +2,9 @@
 
 Every dotted metric name the registry ever sees is declared here as a
 constant; emitters (``collect_*`` in :mod:`repro.obs.metrics`, the
-toolchain, the resilience guard) and readers (``repro.obs.validate``,
-``repro.bench.smoke``, tests) import the same constant, so a producer
-and its consumer cannot drift apart by typo.
+toolchain, the resilience guard) and readers (``format_build_summary``,
+tests) import the same constant, so a producer and its consumer cannot
+drift apart by typo.
 
 Naming scheme: ``<subsystem>.<fact>``, all lowercase, underscores
 inside a segment, dots only between segments.
@@ -75,14 +75,6 @@ PROFILE_CONTEXT_DEPTH = "profile.context_depth"
 PROFILE_CONTEXTS = "profile.contexts"
 PROFILE_COVERAGE = "profile.coverage"
 PROFILE_MATCH_RATIO = "profile.match_ratio"
-
-# -- interpreter (collect_interp_metrics) ------------------------------
-INTERP_ENGINE = "interp.engine"
-INTERP_STEPS = "interp.steps"
-INTERP_PLANS_COMPILED = "interp.plans_compiled"
-INTERP_FUSED_PARTS = "interp.fused_parts"
-INTERP_PLAN_CACHE_HITS = "interp.plan_cache_hits"
-INTERP_STEPS_PER_SEC = "interp.steps_per_sec"
 
 # -- guest runtime profiler (collect_runtime_metrics) ------------------
 RUNTIME_SAMPLES = "runtime.samples"

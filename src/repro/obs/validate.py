@@ -1,11 +1,11 @@
 """Schema validation for observability outputs (CI gate).
 
 ``python -m repro.obs.validate --trace T.json --metrics M.json
-[--ledger L.jsonl] [--bench B.json] [--flame F.json]`` checks that the
-artifacts CI uploads actually parse and carry the fields their
-consumers (Perfetto, speedscope, the bench dashboard, the ledger
-tooling) rely on.  Pure stdlib — the checks are hand-rolled rather
-than jsonschema-based so the validator runs in the bare CI image.
+[--ledger L.jsonl] [--flame F.json]`` checks that the artifacts CI
+uploads actually parse and carry the fields their consumers (Perfetto,
+speedscope, the ledger tooling) rely on.  Pure stdlib — the checks are
+hand-rolled rather than jsonschema-based so the validator runs in the
+bare CI image.
 """
 
 from __future__ import annotations
@@ -200,63 +200,6 @@ def validate_flame(obj) -> List[str]:
     return errors
 
 
-def validate_bench(obj) -> List[str]:
-    """Problems with a schema-10 ``BENCH_smoke.json`` report (empty = valid)."""
-    errors: List[str] = []
-    if not isinstance(obj, dict):
-        return ["bench: top level must be an object"]
-    if not isinstance(obj.get("schema"), int):
-        errors.append("bench: missing integer 'schema'")
-    workloads = obj.get("workloads")
-    if not isinstance(workloads, dict) or not workloads:
-        errors.append("bench: missing non-empty object 'workloads'")
-    else:
-        for name, entry in workloads.items():
-            where = "bench: workloads[{!r}]".format(name)
-            if not isinstance(entry, dict):
-                errors.append(where + " is not an object")
-                continue
-            for key in ("compile_units", "cycles", "wall_s"):
-                if not isinstance(entry.get(key), (int, float)):
-                    errors.append("{} missing numeric {!r}".format(where, key))
-            if not isinstance(entry.get("checksum"), str):
-                errors.append(where + " missing string 'checksum'")
-    for section in ("totals", "build", "cache", "observability"):
-        if not isinstance(obj.get(section), dict):
-            errors.append("bench: missing object {!r}".format(section))
-    interp = obj.get("interp")
-    if not isinstance(interp, dict):
-        errors.append("bench: missing object 'interp'")
-    else:
-        if not isinstance(interp.get("engine"), str):
-            errors.append("bench: interp missing string 'engine'")
-        for key in ("min_speedup", "mean_speedup", "plans_compiled",
-                    "plan_cache_hits"):
-            if not isinstance(interp.get(key), (int, float)):
-                errors.append("bench: interp missing numeric {!r}".format(key))
-        per = interp.get("workloads")
-        if not isinstance(per, dict) or not per:
-            errors.append("bench: interp missing non-empty object 'workloads'")
-        else:
-            for name, entry in per.items():
-                where = "bench: interp.workloads[{!r}]".format(name)
-                if not isinstance(entry, dict):
-                    errors.append(where + " is not an object")
-                    continue
-                for key in ("steps", "steps_per_sec",
-                            "reference_steps_per_sec", "speedup"):
-                    if not isinstance(entry.get(key), (int, float)):
-                        errors.append(
-                            "{} missing numeric {!r}".format(where, key)
-                        )
-                speedup = entry.get("speedup")
-                if isinstance(speedup, (int, float)) and speedup <= 0:
-                    errors.append(
-                        "{} speedup {} is not positive".format(where, speedup)
-                    )
-    return errors
-
-
 def validate_scale(obj) -> List[str]:
     """Problems with a ``bench-scale --output`` report (empty = valid)."""
     errors: List[str] = []
@@ -345,17 +288,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                         help="metrics JSON to validate")
     parser.add_argument("--ledger", metavar="FILE",
                         help="inlining-ledger JSONL to validate")
-    parser.add_argument("--bench", metavar="FILE",
-                        help="BENCH_smoke.json report to validate")
     parser.add_argument("--flame", metavar="FILE",
                         help="speedscope flamegraph JSON to validate")
     args = parser.parse_args(argv)
-    if not (args.trace or args.metrics or args.ledger or args.bench
-            or args.flame):
-        parser.error(
-            "nothing to validate: pass --trace/--metrics/--ledger/--bench"
-            "/--flame"
-        )
+    if not (args.trace or args.metrics or args.ledger or args.flame):
+        parser.error("nothing to validate: pass --trace/--metrics/--ledger/--flame")
 
     errors: List[str] = []
     if args.trace:
@@ -372,10 +309,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                 errors.extend(validate_ledger_jsonl(handle.read()))
         except OSError as exc:
             errors.append("ledger: cannot load {}: {}".format(args.ledger, exc))
-    if args.bench:
-        obj = _load_json(args.bench, errors, "bench")
-        if obj is not None:
-            errors.extend(validate_bench(obj))
     if args.flame:
         obj = _load_json(args.flame, errors, "flame")
         if obj is not None:

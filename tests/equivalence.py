@@ -18,8 +18,9 @@ committed line under the Python that runs it.
 ``--compare`` prints each build's differing fields and exits 1 when
 any field differs or a build is missing from one side.  It only reads
 the two files, so it needs no ``PYTHONPATH``.  ``--only TEXT`` keeps the
-builds whose id starts with ``TEXT``: ``--only sim/`` keeps the
-simulations, and ``--only gen/1/`` the two builds of generator seed 1.
+builds whose id starts with ``TEXT``, when sweeping and on both sides
+of a comparison: ``--only sim/`` keeps the simulations, and
+``--only gen/1/`` the two builds of generator seed 1.
 
 Each output line is one build: its id, and digests of every isom,
 ``str(HLOReport)``, the pass traces, the transform events, the inlining
@@ -294,14 +295,22 @@ def write(path: str, only: Optional[str] = None) -> int:
     return count
 
 
-def _load(path: str) -> Dict[str, dict]:
+def _load(path: str, only: Optional[str]) -> Dict[str, dict]:
     with open(path) as handle:
-        return {row["id"]: row for row in map(json.loads, handle) if row}
+        return {
+            row["id"]: row for row in map(json.loads, handle)
+            if row and (only is None or row["id"].startswith(only))
+        }
 
 
-def compare(path_a: str, path_b: str, out=sys.stdout) -> int:
-    """Print the differing fields of each build; 1 if anything differs."""
-    a, b = _load(path_a), _load(path_b)
+def compare(
+    path_a: str, path_b: str, only: Optional[str] = None, out=sys.stdout
+) -> int:
+    """Print the differing fields of each build; 1 if anything differs.
+
+    With ``only``, both files keep just the builds whose id starts with it.
+    """
+    a, b = _load(path_a, only), _load(path_b, only)
     differing = 0
     for build_id in list(a) + [k for k in b if k not in a]:
         if build_id not in a or build_id not in b:
@@ -330,7 +339,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser.add_argument("--only", help="keep the builds whose id starts with this text")
     args = parser.parse_args(argv)
     if args.compare:
-        return compare(*args.compare)
+        return compare(*args.compare, only=args.only)
     count = write(args.out, args.only)
     print("{} builds written to {}".format(count, args.out))
     return 0

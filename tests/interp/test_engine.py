@@ -244,71 +244,3 @@ class TestToolchainAndMetrics:
         assert fast.engine == "fast"
         assert ref.engine == "reference"
         assert fast.run()[1].behavior() == ref.run()[1].behavior()
-
-    def test_collect_interp_metrics_names(self):
-        from repro.obs.metrics import collect_interp_metrics
-
-        program = compile_program(COUNT_SRC)
-        interp = Interpreter(program)
-        interp.run()
-        reg = collect_interp_metrics(interp, steps_per_sec=123456.7)
-        assert reg.value("interp.engine") == "fast"
-        assert reg.value("interp.steps") == interp.steps
-        assert reg.value("interp.plans_compiled") == interp.plans_compiled
-        assert reg.value("interp.fused_parts") == interp.fused_parts
-        assert reg.value("interp.plan_cache_hits") == interp.plan_cache_hits
-        assert reg.value("interp.steps_per_sec") == 123456.7
-
-    def test_validate_bench_requires_interp_section(self):
-        from repro.obs.validate import validate_bench
-
-        report = {
-            "schema": 10,
-            "workloads": {"w": {"compile_units": 1, "cycles": 2,
-                                "wall_s": 0.1, "checksum": "x"}},
-            "totals": {}, "build": {}, "cache": {}, "observability": {},
-        }
-        problems = validate_bench(report)
-        assert any("interp" in p for p in problems)
-        report["interp"] = {
-            "engine": "fast", "min_speedup": 2.0, "mean_speedup": 2.4,
-            "plans_compiled": 3, "plan_cache_hits": 9,
-            "workloads": {"w": {"steps": 100, "steps_per_sec": 5.0,
-                                "reference_steps_per_sec": 2.0,
-                                "speedup": 2.5}},
-        }
-        assert validate_bench(report) == []
-
-    def test_bench_check_gates_speedup_regression(self):
-        from repro.bench.smoke import check
-
-        baseline = {
-            "workloads": {},
-            "interp": {"workloads": {"w": {"speedup": 2.5,
-                                           "steps_per_sec": 1000.0}}},
-        }
-        good = {
-            "workloads": {},
-            "interp": {"workloads": {"w": {"speedup": 2.4,
-                                           "steps_per_sec": 100.0}}},
-        }
-        bad = {
-            "workloads": {},
-            "interp": {"workloads": {"w": {"speedup": 1.5,
-                                           "steps_per_sec": 1000.0}}},
-        }
-        assert check(good, baseline) == []
-        assert any("speedup" in f for f in check(bad, baseline))
-        # Absolute steps/sec only gates behind the wall-time flag.
-        assert any(
-            "steps_per_sec" in f
-            for f in check(good, baseline, gate_wall_time=True)
-        )
-
-    def test_bench_check_without_baseline_is_a_usage_error(self, capsys):
-        from repro.bench.smoke import main
-
-        with pytest.raises(SystemExit) as exc:
-            main(["--check"])
-        assert exc.value.code == 2
-        assert "--baseline" in capsys.readouterr().err

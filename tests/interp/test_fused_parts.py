@@ -29,7 +29,6 @@ from repro.interp.engine import sink_mode
 from repro.interp.errors import ExecError
 from repro.interp.fuzz import SINK_KINDS, observe
 from repro.ir import parse_program
-from repro.obs.metrics import collect_interp_metrics
 
 KINDS = SINK_KINDS + ("recording",)
 
@@ -300,8 +299,8 @@ def test_a_step_limit_on_a_fused_part_matches_the_reference(label, index, kind):
 
 
 def test_a_counted_loops_plan_reports_both_kinds():
-    """``Interpreter.fused_parts`` and its ``interp.fused_parts`` gauge
-    count the fused parts of the plans a run compiled."""
+    """``Interpreter.fused_parts`` counts the fused parts of the plans a
+    run compiled."""
     program = compile_program([("main", """
         int main() {
           int s = 0;
@@ -316,7 +315,6 @@ def test_a_counted_loops_plan_reports_both_kinds():
     assert fused["compare-branch"] >= 1
     assert fused["move-jump"] >= 1
     assert interp.fused_parts == sum(fused.values())
-    assert collect_interp_metrics(interp).value("interp.fused_parts") == interp.fused_parts
     again = Interpreter(program, [10])
     again.run()
     assert again.fused_parts == 0  # served from the plan cache

@@ -32,7 +32,7 @@ TRAIN_INPUTS = [[5]]
 REF_INPUT = [7]
 
 #: The programs the jobs and warm-cache gates run on: the toy above and
-#: the three suite programs bench smoke builds.
+#: three suite programs of three or four modules each.
 GATE_PROGRAMS = ("toy", "compress", "sc", "vortex")
 
 

@@ -16,12 +16,13 @@ import pytest
 
 from repro.core.config import HLOConfig
 from repro.linker.toolchain import Toolchain
-from repro.bench.smoke import DEFAULT_WORKLOADS
 from repro.sampling import sample_train
 from repro.workloads.suite import get_workload
 
 MIN_DECISION_OVERLAP = 0.9
 SAMPLING_RATE = 100
+#: The suite programs the overlap gate runs on.
+WORKLOADS = ("compress", "sc", "vortex")
 
 
 def _decisions(result):
@@ -31,7 +32,7 @@ def _decisions(result):
 
 
 class TestDecisionOverlap:
-    @pytest.mark.parametrize("name", DEFAULT_WORKLOADS)
+    @pytest.mark.parametrize("name", WORKLOADS)
     def test_sampled_decisions_overlap_exact(self, name):
         workload = get_workload(name)
         sources = list(workload.sources)

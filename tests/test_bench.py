@@ -12,6 +12,7 @@ from repro.bench import (
 )
 from repro.bench.runner import _stop_points
 from repro.core import HLOConfig
+from repro.workloads import get_workload
 
 
 class TestTables:
@@ -69,6 +70,20 @@ class TestLab:
         m1, r1 = lab.measure("sc", "base")
         m2, r2 = lab.measure("sc", "base")
         assert m1 is m2 and r1 is r2
+
+    def test_a_different_config_is_a_different_build(self):
+        lab = Lab()
+        default = lab.build("sc", "cp")
+        tight = HLOConfig(budget_percent=100)
+        built = lab.build("sc", "cp", tight)
+        assert built is not default
+        assert lab.build("sc", "cp", HLOConfig(budget_percent=100)) is built
+        fresh = Lab().toolchain("sc").build("cp", tight)
+        assert built.report.inlines == fresh.report.inlines
+        assert built.stats.compile_units == fresh.stats.compile_units
+        metrics, _ = lab.measure("sc", "cp", tight)
+        assert metrics.cycles == fresh.run(get_workload("sc").ref_input)[0].cycles
+        assert metrics.cycles != lab.measure("sc", "cp")[0].cycles
 
     def test_variant_measurements_distinct(self):
         lab = Lab()

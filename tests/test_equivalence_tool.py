@@ -15,13 +15,14 @@ from tests import equivalence
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
-def compare_without_repro(path_a, path_b):
+def compare_without_repro(path_a, path_b, *options):
     """``--compare`` in a fresh interpreter that cannot import ``repro``."""
     env = dict(os.environ)
     env.pop("PYTHONPATH", None)
+    argv = ["--compare", str(path_a), str(path_b), *options]
     code = (
         "import sys; sys.modules['repro'] = None; from tests.equivalence import main; "
-        "sys.exit(main(['--compare', {!r}, {!r}]))".format(str(path_a), str(path_b))
+        "sys.exit(main({!r}))".format(argv)
     )
     return subprocess.run(
         [sys.executable, "-c", code], cwd=ROOT, env=env, capture_output=True,
@@ -80,3 +81,22 @@ def test_only_keeps_the_builds_whose_id_starts_with_the_text(tmp_path, monkeypat
     rows = [json.loads(line) for line in out.read_text().splitlines()]
     assert [row["id"] for row in rows] == ids[2:]
     assert equivalence.write(str(out), only="m88ksim/") == 0
+
+
+def test_compare_keeps_only_the_builds_under_only_on_both_sides(tmp_path):
+    rows = [
+        {"id": "suite/compress/global/b100/cp", "isoms": "a"},
+        {"id": "sim/compress/global/default", "cycles": 1},
+        {"id": "sim/compress/global/small", "cycles": 2},
+        {"id": "gen/1/global", "isoms": "b"},
+    ]
+    whole = tmp_path / "whole.jsonl"
+    whole.write_text("".join(json.dumps(row) + "\n" for row in rows))
+    sims = tmp_path / "sims.jsonl"
+    sims.write_text("".join(json.dumps(row) + "\n" for row in rows[1:3]))
+    sliced = compare_without_repro(whole, sims, "--only", "sim/")
+    assert sliced.returncode == 0, sliced.stderr
+    assert sliced.stdout == "0 of 2 builds differ\n"
+    printed = io.StringIO()
+    assert equivalence.compare(str(whole), str(sims), out=printed) == 1
+    assert "2 of 4 builds differ" in printed.getvalue()
