@@ -91,6 +91,20 @@ class TestLab:
         m_both, _ = lab.measure_variant("sc", "both")
         assert m_neither.cycles != m_both.cycles
 
+    def test_the_both_variant_is_the_default_build(self):
+        """Builds and runs are keyed by what was built, not by how it was named."""
+        lab = Lab()
+        both = variant_config(lab.default_config(), "both")
+        assert lab.build("sc", "cp", both) is lab.build("sc", "cp")
+        assert lab.measure_variant("sc", "both") is lab.measure("sc", "cp")
+        assert lab.measure_variant("sc", "inline") is not lab.measure("sc", "cp")
+
+    def test_a_labs_budget_is_its_default_config(self):
+        tight = Lab(budget_percent=100).build("sc", "cp")
+        explicit = Lab().build("sc", "cp", HLOConfig(budget_percent=100))
+        assert tight.report.inlines == explicit.report.inlines
+        assert tight.stats.compile_units == explicit.stats.compile_units
+
 
 class TestRunners:
     def test_stop_points_cover_range(self):

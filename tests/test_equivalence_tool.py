@@ -100,3 +100,21 @@ def test_compare_keeps_only_the_builds_under_only_on_both_sides(tmp_path):
     printed = io.StringIO()
     assert equivalence.compare(str(whole), str(sims), out=printed) == 1
     assert "2 of 4 builds differ" in printed.getvalue()
+
+
+def test_compare_under_only_still_reports_a_build_missing_from_one_side(tmp_path):
+    rows = [
+        {"id": "suite/sc/global/b100/cp", "isoms": "a"},
+        {"id": "sim/sc/global/default", "cycles": 1},
+        {"id": "sim/sc/global/small", "cycles": 2},
+    ]
+    whole = tmp_path / "whole.jsonl"
+    whole.write_text("".join(json.dumps(row) + "\n" for row in rows))
+    short = tmp_path / "short.jsonl"
+    short.write_text(json.dumps(rows[1]) + "\n")
+    printed = io.StringIO()
+    assert equivalence.compare(str(whole), str(short), only="sim/", out=printed) == 1
+    assert printed.getvalue().splitlines() == [
+        "sim/sc/global/small: only in {}".format(whole),
+        "1 of 2 builds differ",
+    ]
